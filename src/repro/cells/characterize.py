@@ -11,8 +11,10 @@ temperature the compact model supports.  Two engines are provided:
   dependence flows through the compact model (Ieff, Ioff), so 300 K vs
   10 K *ratios* -- the paper's object of study -- are preserved.
 * ``spice`` -- full transient simulation of the transistor netlist via
-  :mod:`repro.spice`.  Used for representative cells and for validating
-  the analytic engine (see tests/cells/test_engines_agree.py).
+  :mod:`repro.spice`, each arc's table points solved as a handful of
+  lockstep batched-grid transients.  Used for representative cells and
+  for validating the analytic engine (see
+  tests/cells/test_engines_agree.py).
 
 The analytic constants (`REFF_GAMMA`, `SLEW_GAMMA`, `SLEW_COUPLING`) were
 fitted once against the SPICE engine on inverter/NAND cells at 300 K.
@@ -121,11 +123,6 @@ class CharacterizationConfig:
     slew_index: tuple[float, ...] = DEFAULT_SLEW_INDEX
     load_index: tuple[float, ...] = DEFAULT_LOAD_INDEX
     engine: str = "analytic"
-    grid_batch: bool = True
-    """SPICE engine only: solve each arc as a handful of batched-grid
-    transients (:func:`repro.spice.transient_grid`) instead of one
-    sequential transient per table point.  ``False`` restores the
-    per-point path (the batched path's reference for benchmarks)."""
 
     def __post_init__(self) -> None:
         from repro.errors import ConfigError
@@ -236,9 +233,9 @@ class GridPoint:
     est_d: float
     est_s: float
     t_stop: float
-    """The point's own stop time (what the sequential path would use)."""
+    """The point's own stop time (what a per-point replay uses)."""
     dt: float
-    """The point's own step (what the sequential path would use)."""
+    """The point's own step (what a per-point replay uses)."""
     wave_map: dict
 
     @property
@@ -505,10 +502,12 @@ class CellCharacterizer:
         dt: float,
         notes: list[str],
     ):
-        """Transient with the characterization retry ladder.
+        """One point's transient, alone on its own grid, with the
+        characterization retry ladder.
 
-        Attempt the configured step under a wall-clock budget; on solver
-        failure retry once at half the step under a *tightened* budget
+        Attempt the configured step as a single-circuit (G = 1) solve
+        under a wall-clock budget; on solver failure retry once at half
+        the step under a *tightened* budget
         (a finer grid gives Newton better per-step initial guesses, and
         a solve that still will not go is not worth more wall-clock);
         returns ``None`` when both fail so the caller can fall back to
@@ -573,80 +572,6 @@ class CellCharacterizer:
             rise_transition=mk("rise_transition"),
             fall_transition=mk("fall_transition"),
         )
-
-    def _characterize_arc_spice(
-        self, cell: StandardCell, pin: str, notes: list[str] | None = None
-    ) -> TimingArc:
-        notes = [] if notes is None else notes
-        if self.config.grid_batch:
-            return self._characterize_arc_spice_grid(cell, pin, notes)
-        return self._characterize_arc_spice_sequential(cell, pin, notes)
-
-    def _characterize_arc_spice_sequential(
-        self, cell: StandardCell, pin: str, notes: list[str]
-    ) -> TimingArc:
-        from repro.spice import DC, propagation_delay, ramp
-
-        cfg = self.config
-        side = self._sensitize(cell, pin)
-        if side is None:
-            raise ValueError(f"{cell.name}: pin {pin!r} cannot toggle output")
-
-        slews = cfg.slew_index
-        loads = cfg.load_index
-        shape = (len(slews), len(loads))
-        tables = {
-            key: np.zeros(shape)
-            for key in ("cell_rise", "cell_fall", "rise_transition",
-                        "fall_transition")
-        }
-        fn = cell.function()
-        senses = set()
-        for i, s in enumerate(slews):
-            for j, c in enumerate(loads):
-                for in_tr in ("rise", "fall"):
-                    v0 = 0.0 if in_tr == "rise" else cfg.vdd
-                    v1 = cfg.vdd - v0
-                    out0 = fn.evaluate({**side, pin: v0 > cfg.vdd / 2})
-                    out1 = fn.evaluate({**side, pin: v1 > cfg.vdd / 2})
-                    out_tr = "rise" if (out1 and not out0) else "fall"
-                    senses.add((in_tr, out_tr))
-
-                    # Time scales from the analytic estimate.
-                    est = self._arc_timing_analytic(cell, pin, in_tr, s, c)
-                    est_d, est_s = est.get(out_tr, (20e-12, 20e-12))
-                    t_start = 3e-12 + 2 * s
-                    ramp_dur = s / 0.8
-                    t_stop = t_start + ramp_dur + 4 * est_d + 4 * est_s + 20e-12
-                    dt = max(min(s / 30.0, est_s / 20.0, 0.5e-12), 0.02e-12)
-
-                    wave_map: dict[str, object] = {
-                        p: DC(cfg.vdd if val else 0.0) for p, val in side.items()
-                    }
-                    wave_map[pin] = ramp(t_start, ramp_dur, v0, v1)
-                    circuit = self.build_cell_circuit(cell, c, wave_map)
-                    res = self._solve_point_resilient(
-                        cell, pin, circuit, t_stop, dt, notes
-                    )
-                    if res is None:
-                        # Irrecoverable solve: use the analytic estimate
-                        # for this point so one bad corner does not void
-                        # the whole arc.
-                        d, sl = est_d, est_s
-                    else:
-                        win = res.waveform(pin)
-                        wout = res.waveform(cell.output)
-                        d = propagation_delay(
-                            win, wout, cfg.vdd, in_tr, out_tr
-                        )
-                        sl = wout.transition_time(
-                            0.0, cfg.vdd, direction=out_tr
-                        )
-                    if d > tables[f"cell_{out_tr}"][i, j]:
-                        tables[f"cell_{out_tr}"][i, j] = d
-                        tables[f"{out_tr}_transition"][i, j] = sl
-
-        return self._finish_arc(pin, senses, tables)
 
     # ------------------------------------------------------------------ #
     # Batched-grid SPICE timing
@@ -730,12 +655,22 @@ class CellCharacterizer:
             batches.append(row)
         return batches
 
-    def _characterize_arc_spice_grid(
-        self, cell: StandardCell, pin: str, notes: list[str]
+    def _characterize_arc_spice(
+        self, cell: StandardCell, pin: str, notes: list[str] | None = None
     ) -> TimingArc:
+        """One arc's tables from a handful of batched-grid transients.
+
+        Each planned batch is one :func:`repro.spice.transient_grid`
+        call; a point the batch evicts (or every point of a batch that
+        aborts) is replayed alone on its own grid through
+        :meth:`_solve_point_resilient`, and a point that fails that too
+        falls back to its analytic estimate.  Every degradation lands in
+        ``notes``.
+        """
         from repro.errors import SolverError
         from repro.spice import SolverBudget, propagation_delay, transient_grid
 
+        notes = [] if notes is None else notes
         cfg = self.config
         side = self._sensitize(cell, pin)
         if side is None:

@@ -6,7 +6,7 @@ resistors, capacitors, waveform-driven voltage sources and FinFET compact
 backward-Euler transient analysis.
 """
 
-from repro.spice.mna import MNASystem, ReplicatedMNASystem
+from repro.spice.mna import MNASystem
 from repro.spice.netlist import (
     Capacitor,
     Circuit,
@@ -39,7 +39,6 @@ __all__ = [
     "OperatingPoint",
     "PWL",
     "Pulse",
-    "ReplicatedMNASystem",
     "Resistor",
     "SolverBudget",
     "SolverStats",

@@ -1,32 +1,26 @@
-"""Modified nodal analysis: matrix assembly for the nonlinear solver.
+"""Modified nodal analysis: batched matrix assembly for the nonlinear solver.
 
-The MNA unknown vector is ``[node voltages..., source branch currents...]``.
-Nonlinear FinFETs are linearized around the current guess with a standard
-Norton companion model; their I-V and derivatives are evaluated through a
-*stacked* evaluator (per-device parameter arrays, see
-``repro.device.finfet.stack_models``) so a whole cell costs one vectorized
-compact-model call per Newton iteration instead of one call per transistor
-or per model group.
+An :class:`MNASystem` holds G structurally identical circuits (the
+*replicas*); a single circuit is simply the ``G = 1`` case.  One
+replica's unknown vector is ``[node voltages..., source branch
+currents...]``; the system stacks G of them into ``(G, dim)`` and its
+matrix is the block-diagonal stack ``A`` of shape ``(G, dim, dim)``.
 
-Two assembly kernels are provided:
+Every stamp is compiled once in ``__init__`` from replica 0 into flat
+scatter-index/value arrays (static conductances, the gmin diagonal,
+capacitor companions, per-device FinFET entry coefficients with ground
+masked out at compile time) and offset per replica.  :meth:`assemble` is
+then a handful of ``np.add.at`` scatters plus ONE stacked compact-model
+call (``repro.device.finfet.stack_models``) for every device of every
+replica -- no Python loop over devices, capacitors, nodes or replicas per
+Newton iteration.  :meth:`rhs` rebuilds the RHS around *frozen* device
+companions, which makes the solver's modified-Newton bypass iterations
+free of compact-model calls.
 
-* ``compiled`` (default) -- every stamp is compiled once in ``__init__``
-  into flat scatter-index/value arrays (static conductances, the gmin
-  diagonal, capacitor companions, per-device FinFET entry coefficients
-  with ground masked out at compile time).  ``assemble`` is then a
-  handful of ``np.add.at`` scatters plus one stacked compact-model call
-  for the whole circuit -- no Python loop over devices, capacitors, or
-  nodes per Newton iteration.  The compiled kernel also exposes
-  :meth:`residual` (the exact nonlinear residual from a single n-point
-  model call) and :meth:`rhs` (the RHS with frozen device companions),
-  which together make the solver's modified-Newton bypass iterations
-  free of compact-model calls entirely.
-* ``reference`` -- the original per-element Python stamping loop,
-  retained verbatim for kernel-equivalence tests and the speedup
-  benchmark (``benchmarks/test_bench_spice_kernel.py``).
-
-Both kernels stamp the same terms; any difference is floating-point
-summation order (~1 ulp), which the equivalence suite pins.
+Replica blocks never couple: every method is elementwise per replica, so
+block ``r`` is bit-equal to the system built from ``circuits[r]`` alone,
+and the solver can freeze or evict one replica without perturbing the
+others.
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ from repro.device.finfet import stack_models
 from repro.errors import ConfigError, NetlistError
 from repro.spice.netlist import GROUND_NAMES, Circuit
 
-__all__ = ["MNASystem", "ReplicatedMNASystem"]
+__all__ = ["MNASystem"]
 
 #: Finite-difference step for device linearization (V).
 _DERIV_STEP = 1e-5
@@ -59,75 +53,82 @@ _FET_MATRIX_PATTERN = (
 )
 
 
-class _FetGroup:
-    """One model object's devices: batched-evaluation metadata."""
-
-    __slots__ = ("model", "sl", "d", "g", "s", "names")
-
-    def __init__(self, model, sl, d, g, s, names):
-        self.model = model
-        self.sl = sl
-        self.d = d
-        self.g = g
-        self.s = s
-        self.names = names
-
-
 class MNASystem:
-    """Precomputed index maps and stamping routines for one circuit.
+    """G structurally identical circuits tiled into one batched system.
 
-    ``kernel`` selects the assembly implementation: ``"compiled"``
-    (vectorized scatter kernel, default) or ``"reference"`` (the retained
-    per-element loop).  Both produce the same ``A, z`` up to summation
-    order.
+    The replicas of one characterization row (same cell, same stimulus
+    edge, different load caps) share one topology, so the scatter
+    indices are compiled once from ``circuits[0]`` and offset per
+    replica; every per-replica quantity (element values, source
+    waveforms) lives in a ``(G, ...)`` array.  All FinFETs across all
+    replicas are folded into one stacked evaluator, so each Newton
+    iteration makes ONE compact-model call for the whole batch.
     """
 
-    def __init__(self, circuit: Circuit, kernel: str = "compiled"):
-        if kernel not in ("compiled", "reference"):
-            raise ConfigError(f"unknown MNA kernel {kernel!r}",
-                              field="kernel")
-        self.kernel = kernel
-        self.circuit = circuit
-        self.nodes = circuit.node_names()
+    def __init__(self, circuits: list[Circuit]):
+        circuits = list(circuits)
+        if not circuits:
+            raise ConfigError("MNASystem needs at least one circuit",
+                              field="circuits")
+        _check_structure(circuits)
+        ref = circuits[0]
+        g = len(circuits)
+        self.n_replicas = g
+        self.temperature_k = ref.temperature_k
+        self.nodes = ref.node_names()
         self._index = {name: i for i, name in enumerate(self.nodes)}
-        for g in GROUND_NAMES:
-            self._index[g] = -1
+        for gnd in GROUND_NAMES:
+            self._index[gnd] = -1
         self.n_nodes = len(self.nodes)
-        self.n_sources = len(circuit.sources)
-        self.dim = self.n_nodes + self.n_sources
+        self.n_sources = len(ref.sources)
+        self.dim = dim = self.n_nodes + self.n_sources
+        block = dim * dim
 
-        #: Jacobian/LU reuse state installed by the solver (kept here so
-        #: the solver's internal call signatures stay monkeypatch-stable).
+        #: Jacobian reuse state installed by the solver (kept here so the
+        #: solver's internal call signatures stay monkeypatch-stable).
         self.jacobian_cache = None
         #: Last (gmin, geq-array, matrix) base bake; see _base_matrix.
         self._baked = None
 
-        # Static (bias-independent) stamps: resistors and source incidence.
-        self._static = np.zeros((self.dim, self.dim))
-        for r in circuit.resistors:
-            g = 1.0 / r.resistance
-            self._stamp_conductance(self._static, r.n1, r.n2, g)
-        for k, src in enumerate(circuit.sources):
-            row = self.n_nodes + k
-            for node, sign in ((src.pos, 1.0), (src.neg, -1.0)):
-                i = self.index(node)
-                if i >= 0:
-                    self._static[i, row] += sign
-                    self._static[row, i] += sign
-
-        # ------------------------------------------------------------- #
-        # Compile-once scatter indices for the vectorized kernel.
-        # ------------------------------------------------------------- #
-        dim = self.dim
+        # Static (bias-independent) stamps: resistors and source incidence,
+        # per replica, in the same order for every replica.
+        self._static = np.zeros((g, dim, dim))
+        for r, circ in enumerate(circuits):
+            a = self._static[r]
+            for res in circ.resistors:
+                self._stamp_conductance(a, res.n1, res.n2,
+                                        1.0 / res.resistance)
+            for k, src in enumerate(circ.sources):
+                row = self.n_nodes + k
+                for node, sign in ((src.pos, 1.0), (src.neg, -1.0)):
+                    i = self.index(node)
+                    if i >= 0:
+                        a[i, row] += sign
+                        a[row, i] += sign
+        self._sources = [circ.sources for circ in circuits]
         #: Flat indices of the node-diagonal entries (gmin stamp).
         self._diag_flat = np.arange(self.n_nodes) * (dim + 1)
         #: RHS rows of the source branch equations.
         self._src_rows = self.n_nodes + np.arange(self.n_sources)
 
+        # Offset one replica's scatter arrays per replica: matrix-flat
+        # indices shift by r*dim*dim into the raveled (G, dim, dim) stack,
+        # RHS rows by r*dim, and per-element gather keys (device index,
+        # cap index) by r*count into the replica-major value arrays.
+        def tile(idx: list, stride: int) -> np.ndarray:
+            idx = np.asarray(idx, dtype=int)
+            return (np.tile(idx, g)
+                    + np.repeat(np.arange(g) * stride, idx.size))
+
         # Capacitors: per-cap terminal indices (-1 = ground) plus the
         # masked scatter pattern for the four conductance entries and the
         # two RHS entries of each companion.
-        caps = circuit.capacitors
+        caps = ref.capacitors
+        n_caps = len(caps)
+        #: (G, n_caps) capacitances -- the per-replica load values.
+        self.cap_c = np.array(
+            [[c.capacitance for c in circ.capacitors] for circ in circuits]
+        ).reshape(g, n_caps)
         self._cap_i = np.array([self.index(c.n1) for c in caps], dtype=int)
         self._cap_j = np.array([self.index(c.n2) for c in caps], dtype=int)
         mat_flat, mat_sign, mat_k = [], [], []
@@ -139,59 +140,39 @@ class MNASystem:
                     mat_flat.append(r * dim + c)
                     mat_sign.append(sign)
                     mat_k.append(k)
-            if i >= 0:
-                rhs_row.append(i)
-                rhs_sign.append(-1.0)
-                rhs_k.append(k)
-            if j >= 0:
-                rhs_row.append(j)
-                rhs_sign.append(1.0)
-                rhs_k.append(k)
-        self._cap_mat_flat = np.array(mat_flat, dtype=int)
-        self._cap_mat_sign = np.array(mat_sign)
-        self._cap_mat_k = np.array(mat_k, dtype=int)
-        self._cap_rhs_row = np.array(rhs_row, dtype=int)
-        self._cap_rhs_sign = np.array(rhs_sign)
-        self._cap_rhs_k = np.array(rhs_k, dtype=int)
+            for node, sign in ((i, -1.0), (j, 1.0)):
+                if node >= 0:
+                    rhs_row.append(node)
+                    rhs_sign.append(sign)
+                    rhs_k.append(k)
+        self._cap_mat_flat = tile(mat_flat, block)
+        self._cap_mat_sign = np.tile(mat_sign, g)
+        self._cap_mat_k = tile(mat_k, n_caps)
+        self._cap_rhs_row = tile(rhs_row, dim)
+        self._cap_rhs_sign = np.tile(rhs_sign, g)
+        self._cap_rhs_k = tile(rhs_k, n_caps)
 
-        # FinFETs: group by model object for batched evaluation, with one
-        # global device ordering so all groups share one scatter pass.
+        # FinFETs: grouped by model object, with one global device
+        # ordering so all groups share one scatter pass and one stacked
+        # evaluator.  tile=3*G serves the finite-difference layout
+        # [base | vgs+step | vds+step] for the whole batch in one call.
         by_model: dict[int, list] = {}
-        for fet in circuit.finfets:
+        for fet in ref.finfets:
             by_model.setdefault(id(fet.model), []).append(fet)
-        self._groups: list[_FetGroup] = []
-        pos = 0
-        for fets in by_model.values():
-            d = np.array([self.index(f.drain) for f in fets], dtype=int)
-            g = np.array([self.index(f.gate) for f in fets], dtype=int)
-            s = np.array([self.index(f.source) for f in fets], dtype=int)
-            sl = slice(pos, pos + len(fets))
-            self._groups.append(
-                _FetGroup(fets[0].model, sl, d, g, s,
-                          tuple(f.name for f in fets))
-            )
-            pos += len(fets)
-        self._n_fets = pos
-        self.n_fets = pos
-        if pos:
-            self._fet_d = np.concatenate([grp.d for grp in self._groups])
-            self._fet_g = np.concatenate([grp.g for grp in self._groups])
-            self._fet_s = np.concatenate([grp.s for grp in self._groups])
-            # Stacked evaluators: one compact-model call for the whole
-            # circuit, with per-device parameter/derived arrays.  The
-            # 3x-tiled variant serves the finite-difference linearization
-            # layout [base | vgs+step | vds+step].
-            models = [grp.model for grp in self._groups]
-            counts = [grp.sl.stop - grp.sl.start for grp in self._groups]
-            self._stack1 = stack_models(models, counts, tile=1)
-            self._stack3 = stack_models(models, counts, tile=3)
-        else:
-            self._fet_d = self._fet_g = self._fet_s = np.empty(0, dtype=int)
-            self._stack1 = self._stack3 = None
-
+        fets = [f for group in by_model.values() for f in group]
+        self.n_fets = n_fets = len(fets)
+        self._fet_d = np.array([self.index(f.drain) for f in fets], dtype=int)
+        self._fet_g = np.array([self.index(f.gate) for f in fets], dtype=int)
+        self._fet_s = np.array([self.index(f.source) for f in fets],
+                               dtype=int)
+        self._stack3 = None
+        if n_fets:
+            self._stack3 = stack_models(
+                [group[0].model for group in by_model.values()],
+                [len(group) for group in by_model.values()], tile=3 * g)
         mat_flat, mat_cgm, mat_cgds, mat_k = [], [], [], []
         rhs_row, rhs_sign, rhs_k = [], [], []
-        for k in range(pos):
+        for k in range(n_fets):
             terminal = {"d": self._fet_d[k], "g": self._fet_g[k],
                         "s": self._fet_s[k]}
             for rt, ct, cgm, cgds in _FET_MATRIX_PATTERN:
@@ -201,21 +182,18 @@ class MNASystem:
                     mat_cgm.append(cgm)
                     mat_cgds.append(cgds)
                     mat_k.append(k)
-            if terminal["d"] >= 0:
-                rhs_row.append(terminal["d"])
-                rhs_sign.append(-1.0)
-                rhs_k.append(k)
-            if terminal["s"] >= 0:
-                rhs_row.append(terminal["s"])
-                rhs_sign.append(1.0)
-                rhs_k.append(k)
-        self._fet_mat_flat = np.array(mat_flat, dtype=int)
-        self._fet_mat_cgm = np.array(mat_cgm)
-        self._fet_mat_cgds = np.array(mat_cgds)
-        self._fet_mat_k = np.array(mat_k, dtype=int)
-        self._fet_rhs_row = np.array(rhs_row, dtype=int)
-        self._fet_rhs_sign = np.array(rhs_sign)
-        self._fet_rhs_k = np.array(rhs_k, dtype=int)
+            for node, sign in ((terminal["d"], -1.0), (terminal["s"], 1.0)):
+                if node >= 0:
+                    rhs_row.append(node)
+                    rhs_sign.append(sign)
+                    rhs_k.append(k)
+        self._fet_mat_flat = tile(mat_flat, block)
+        self._fet_mat_cgm = np.tile(mat_cgm, g)
+        self._fet_mat_cgds = np.tile(mat_cgds, g)
+        self._fet_mat_k = tile(mat_k, n_fets)
+        self._fet_rhs_row = tile(rhs_row, dim)
+        self._fet_rhs_sign = np.tile(rhs_sign, g)
+        self._fet_rhs_k = tile(rhs_k, n_fets)
 
     # ------------------------------------------------------------------ #
     def index(self, node: str) -> int:
@@ -227,10 +205,10 @@ class MNASystem:
                                element=node) from None
 
     def _stamp_conductance(
-        self, matrix: np.ndarray, n1: str | int, n2: str | int, g: float
+        self, matrix: np.ndarray, n1: str, n2: str, g: float
     ) -> None:
-        i = self.index(n1) if isinstance(n1, str) else n1
-        j = self.index(n2) if isinstance(n2, str) else n2
+        i = self.index(n1)
+        j = self.index(n2)
         if i >= 0:
             matrix[i, i] += g
         if j >= 0:
@@ -239,456 +217,8 @@ class MNASystem:
             matrix[i, j] -= g
             matrix[j, i] -= g
 
-    def _voltage(self, v: np.ndarray, idx: int) -> float | np.ndarray:
-        return v[idx] if idx >= 0 else 0.0
-
-    def _extended(self, v: np.ndarray) -> np.ndarray:
-        """Solution vector with a trailing 0.0 so index -1 reads ground."""
-        return np.append(v, 0.0)
-
-    def _source_values(self, t: float) -> np.ndarray:
-        return np.array([src.value(t) for src in self.circuit.sources])
-
-    def cap_voltages(self, v: np.ndarray) -> np.ndarray:
-        """Per-capacitor branch voltages v(n1) - v(n2) at solution ``v``."""
-        v_ext = self._extended(v)
-        return v_ext[self._cap_i] - v_ext[self._cap_j]
-
-    # ------------------------------------------------------------------ #
-    def assemble(
-        self,
-        v_guess: np.ndarray,
-        t: float,
-        gmin: float = GMIN_DEFAULT,
-        cap_companion: tuple[np.ndarray, np.ndarray] | None = None,
-        source_scale: float = 1.0,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Build the linearized system ``A x = z`` around ``v_guess``.
-
-        ``cap_companion`` carries per-capacitor (geq, ieq) arrays from the
-        transient integrator; ``None`` means DC (capacitors open).
-        ``source_scale`` multiplies every independent source value -- the
-        continuation parameter for source stepping.
-        """
-        if self.kernel == "reference":
-            return self.assemble_reference(v_guess, t, gmin, cap_companion,
-                                           source_scale)
-        return self.assemble_compiled(v_guess, t, gmin, cap_companion,
-                                      source_scale)
-
-    def assemble_compiled(
-        self,
-        v_guess: np.ndarray,
-        t: float,
-        gmin: float = GMIN_DEFAULT,
-        cap_companion: tuple[np.ndarray, np.ndarray] | None = None,
-        source_scale: float = 1.0,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized assembly: precompiled scatters, no per-element loops."""
-        a, z, _ = self.assemble_with_companions(v_guess, t, gmin,
-                                                cap_companion, source_scale)
-        return a, z
-
-    def assemble_with_companions(
-        self,
-        v_guess: np.ndarray,
-        t: float,
-        gmin: float = GMIN_DEFAULT,
-        cap_companion: tuple[np.ndarray, np.ndarray] | None = None,
-        source_scale: float = 1.0,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Compiled assembly returning ``(A, z, fet_ieq)``.
-
-        ``fet_ieq`` is the per-device Norton companion current used for
-        the device RHS stamps.  The solver caches it next to the LU
-        factorization: together with :meth:`rhs` it lets a modified-Newton
-        bypass iteration rebuild ``z`` for a new timestep *without any
-        compact-model call* (the matrix is frozen, so only sources and
-        capacitor companions change).
-        """
-        a = self._base_matrix(gmin, cap_companion)
-        a_flat = a.ravel()  # view into the copy
-        z = np.zeros(self.dim)
-
-        # Sources: branch equation V(pos) - V(neg) = value(t).
-        if self.n_sources:
-            z[self._src_rows] = source_scale * self._source_values(t)
-
-        # Capacitor companion currents (transient only).
-        if cap_companion is not None and self._cap_i.size:
-            ieq = np.asarray(cap_companion[1])
-            np.add.at(z, self._cap_rhs_row,
-                      self._cap_rhs_sign * ieq[self._cap_rhs_k])
-
-        # FinFETs: batched linearization, one scatter for every device.
-        ieq_f = np.empty(0)
-        if self._n_fets:
-            gm, gds, ieq_f = self._device_linearization(v_guess)
-            np.add.at(
-                a_flat, self._fet_mat_flat,
-                self._fet_mat_cgm * gm[self._fet_mat_k]
-                + self._fet_mat_cgds * gds[self._fet_mat_k],
-            )
-            np.add.at(z, self._fet_rhs_row,
-                      self._fet_rhs_sign * ieq_f[self._fet_rhs_k])
-        return a, z, ieq_f
-
-    def _base_matrix(self, gmin: float, cap_companion) -> np.ndarray:
-        """Static + gmin + capacitor-geq matrix, baked across iterations.
-
-        Within one transient the integrator passes the *same* geq array
-        object every step and gmin only changes on escalation, so the
-        bias-independent part of ``A`` is cached keyed on
-        ``(gmin, id(geq))`` and re-copied instead of re-scattered.  The
-        bake performs the identical additions in the identical order, so
-        the result is bit-equal to scattering afresh.
-        """
-        if cap_companion is None:
-            a = self._static.copy()
-            a.ravel()[self._diag_flat] += gmin
-            return a
-        geq = np.asarray(cap_companion[0])
-        baked = self._baked
-        if baked is not None and baked[0] == gmin and baked[1] is geq:
-            return baked[2].copy()
-        a = self._static.copy()
-        a_flat = a.ravel()
-        a_flat[self._diag_flat] += gmin
-        if self._cap_i.size:
-            np.add.at(a_flat, self._cap_mat_flat,
-                      self._cap_mat_sign * geq[self._cap_mat_k])
-        self._baked = (gmin, geq, a)
-        return a.copy()
-
-    def rhs(
-        self,
-        t: float,
-        cap_companion: tuple[np.ndarray, np.ndarray] | None,
-        source_scale: float,
-        fet_ieq: np.ndarray,
-    ) -> np.ndarray:
-        """RHS vector ``z`` with *frozen* device companions ``fet_ieq``.
-
-        Sources and capacitor companions are re-stamped for the new
-        timestep; the device Norton currents are taken verbatim from a
-        previous linearization.  Paired with that linearization's cached
-        LU this is the zero-model-call bypass iteration of the
-        modified-Newton solver.
-        """
-        z = np.zeros(self.dim)
-        if self.n_sources:
-            z[self._src_rows] = source_scale * self._source_values(t)
-        if cap_companion is not None and self._cap_i.size:
-            ieq = np.asarray(cap_companion[1])
-            np.add.at(z, self._cap_rhs_row,
-                      self._cap_rhs_sign * ieq[self._cap_rhs_k])
-        if self._n_fets:
-            np.add.at(z, self._fet_rhs_row,
-                      self._fet_rhs_sign * fet_ieq[self._fet_rhs_k])
-        return z
-
-    def _device_linearization(
-        self, v_guess: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(gm, gds, ieq) for every FinFET from one stacked model call."""
-        temp = self.circuit.temperature_k
-        v_ext = self._extended(v_guess)
-        vgs = v_ext[self._fet_g] - v_ext[self._fet_s]
-        vds = v_ext[self._fet_d] - v_ext[self._fet_s]
-        n = self._n_fets
-        # One stacked call for the whole circuit: base point plus two
-        # perturbed points, all devices at once.
-        vgs_all = np.concatenate([vgs, vgs + _DERIV_STEP, vgs])
-        vds_all = np.concatenate([vds, vds, vds + _DERIV_STEP])
-        ids_all = np.asarray(self._stack3.ids(vgs_all, vds_all, temp))
-        i0 = ids_all[:n]
-        gm = (ids_all[n : 2 * n] - i0) / _DERIV_STEP
-        gds = (ids_all[2 * n :] - i0) / _DERIV_STEP
-        # Keep the Jacobian positive semi-definite-ish: tiny negative
-        # numerical slopes are clipped.
-        gm = np.maximum(gm, 0.0)
-        gds = np.maximum(gds, 1e-15)
-        ieq = i0 - gm * vgs - gds * vds
-        return gm, gds, ieq
-
-    def residual(
-        self,
-        v: np.ndarray,
-        t: float,
-        gmin: float = GMIN_DEFAULT,
-        cap_companion: tuple[np.ndarray, np.ndarray] | None = None,
-        source_scale: float = 1.0,
-    ) -> np.ndarray:
-        """Exact nonlinear residual ``F(v) = A(v) v - z(v)``.
-
-        Because the companion linearization is exact at its expansion
-        point, the device contribution collapses to the *actual* drain
-        current: one n-point compact-model call per group, no derivative
-        perturbations, and no matrix.  This is the cheap inner evaluation
-        of the solver's modified-Newton (Jacobian reuse) iterations.
-        """
-        f = self._static @ v
-        f[: self.n_nodes] += gmin * v[: self.n_nodes]
-        if self.n_sources:
-            f[self._src_rows] -= source_scale * self._source_values(t)
-        v_ext = self._extended(v)
-        if cap_companion is not None and self._cap_i.size:
-            geq, ieq = cap_companion
-            i_cap = (np.asarray(geq) * (v_ext[self._cap_i] - v_ext[self._cap_j])
-                     + np.asarray(ieq))
-            np.add.at(f, self._cap_rhs_row,
-                      -self._cap_rhs_sign * i_cap[self._cap_rhs_k])
-        if self._n_fets:
-            temp = self.circuit.temperature_k
-            ids = np.asarray(self._stack1.ids(
-                v_ext[self._fet_g] - v_ext[self._fet_s],
-                v_ext[self._fet_d] - v_ext[self._fet_s],
-                temp,
-            ))
-            np.add.at(f, self._fet_rhs_row,
-                      -self._fet_rhs_sign * ids[self._fet_rhs_k])
-        return f
-
-    # ------------------------------------------------------------------ #
-    def assemble_reference(
-        self,
-        v_guess: np.ndarray,
-        t: float,
-        gmin: float = GMIN_DEFAULT,
-        cap_companion: tuple[np.ndarray, np.ndarray] | None = None,
-        source_scale: float = 1.0,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Seed-kernel assembly: the retained per-element stamping loop."""
-        a = self._static.copy()
-        z = np.zeros(self.dim)
-
-        # gmin to ground on every node.
-        for i in range(self.n_nodes):
-            a[i, i] += gmin
-
-        # Sources: branch equation V(pos) - V(neg) = value(t).
-        for k, src in enumerate(self.circuit.sources):
-            z[self.n_nodes + k] = source_scale * src.value(t)
-
-        # Capacitors as Norton companions (transient only).
-        if cap_companion is not None:
-            geq, ieq = cap_companion
-            for c, g, i_eq in zip(self.circuit.capacitors, geq, ieq):
-                self._stamp_conductance(a, c.n1, c.n2, g)
-                i = self.index(c.n1)
-                j = self.index(c.n2)
-                if i >= 0:
-                    z[i] -= i_eq
-                if j >= 0:
-                    z[j] += i_eq
-
-        # FinFETs: batched linearization.
-        temp = self.circuit.temperature_k
-        for grp in self._groups:
-            d_idx, g_idx, s_idx = grp.d, grp.g, grp.s
-            vd = np.array([self._voltage(v_guess, i) for i in d_idx])
-            vg = np.array([self._voltage(v_guess, i) for i in g_idx])
-            vs = np.array([self._voltage(v_guess, i) for i in s_idx])
-            vgs = vg - vs
-            vds = vd - vs
-            n = len(d_idx)
-            # One vectorized call: base point plus two perturbed points.
-            vgs_all = np.concatenate([vgs, vgs + _DERIV_STEP, vgs])
-            vds_all = np.concatenate([vds, vds, vds + _DERIV_STEP])
-            ids_all = np.asarray(grp.model.ids(vgs_all, vds_all, temp))
-            i0 = ids_all[:n]
-            gm = (ids_all[n : 2 * n] - i0) / _DERIV_STEP
-            gds = (ids_all[2 * n :] - i0) / _DERIV_STEP
-            gm = np.maximum(gm, 0.0)
-            gds = np.maximum(gds, 1e-15)
-            ieq = i0 - gm * vgs - gds * vds
-            for k in range(n):
-                di, gi, si = d_idx[k], g_idx[k], s_idx[k]
-                if di >= 0:
-                    if gi >= 0:
-                        a[di, gi] += gm[k]
-                    a[di, di] += gds[k]
-                    if si >= 0:
-                        a[di, si] -= gm[k] + gds[k]
-                    z[di] -= ieq[k]
-                if si >= 0:
-                    if gi >= 0:
-                        a[si, gi] -= gm[k]
-                    if di >= 0:
-                        a[si, di] -= gds[k]
-                    a[si, si] += gm[k] + gds[k]
-                    z[si] += ieq[k]
-        return a, z
-
-    # ------------------------------------------------------------------ #
-    def device_currents(self, v: np.ndarray) -> dict[str, float]:
-        """Evaluate every FinFET's drain current at solution ``v``.
-
-        Device names were collected per group at compile time, so this is
-        one stacked model call plus a zip -- no rescan of the netlist.
-        """
-        if not self._n_fets:
-            return {}
-        temp = self.circuit.temperature_k
-        v_ext = self._extended(np.asarray(v, dtype=float))
-        ids = np.asarray(self._stack1.ids(
-            v_ext[self._fet_g] - v_ext[self._fet_s],
-            v_ext[self._fet_d] - v_ext[self._fet_s],
-            temp,
-        ))
-        out: dict[str, float] = {}
-        for grp in self._groups:
-            for name, current in zip(grp.names, ids[grp.sl]):
-                out[name] = float(current)
-        return out
-
-
-class ReplicatedMNASystem:
-    """G structurally identical circuits tiled into one batched system.
-
-    The replicas of one characterization row (same cell, same stimulus
-    edge, different load caps) share one topology, so the compiled
-    scatter indices of the single-circuit :class:`MNASystem` are built
-    **once** and offset per replica: the system matrix is the
-    block-diagonal stack ``A`` of shape ``(G, dim, dim)`` (each block is
-    exactly the matrix the single system would assemble for its
-    circuit), the RHS is ``(G, dim)``, and every per-replica quantity
-    (cap values, source waveforms) lives in a ``(G, ...)`` array.
-
-    All FinFETs across *all replicas* are folded into one
-    :class:`~repro.device.finfet._StackedFinFET` (``tile=G`` replicates
-    the per-device parameter layout replica-major), so each Newton
-    iteration of the batched driver makes ONE compact-model call for the
-    whole grid -- the same trick :class:`MNASystem` plays across devices,
-    now played across simulations.
-
-    Replica blocks never couple: every method below is elementwise per
-    replica, which is what lets the driver evict a failing replica
-    without perturbing the others.
-    """
-
-    def __init__(self, circuits: list[Circuit]):
-        if not circuits:
-            raise ConfigError("ReplicatedMNASystem needs at least one "
-                              "circuit", field="circuits")
-        base = MNASystem(circuits[0], kernel="compiled")
-        self.base = base
-        self.circuits = list(circuits)
-        self._check_structure(circuits)
-        g = len(circuits)
-        self.n_replicas = g
-        self.dim = base.dim
-        self.n_nodes = base.n_nodes
-        self.n_sources = base.n_sources
-        self.n_fets = base.n_fets
-        self.nodes = base.nodes
-        self.temperature_k = circuits[0].temperature_k
-
-        #: Batched-Jacobian reuse state installed by the solver.
-        self.jacobian_cache = None
-        self._baked = None
-
-        dim = self.dim
-        block = dim * dim
-        # Per-replica static stamps: same topology as the base system,
-        # per-replica element values (the additions run in the identical
-        # order as MNASystem.__init__, so block r is bit-equal to the
-        # single system built from circuits[r]).
-        self._static = np.zeros((g, dim, dim))
-        for r, circ in enumerate(circuits):
-            a = self._static[r]
-            for res in circ.resistors:
-                base._stamp_conductance(a, res.n1, res.n2,
-                                        1.0 / res.resistance)
-            for k, src in enumerate(circ.sources):
-                row = self.n_nodes + k
-                for node, sign in ((src.pos, 1.0), (src.neg, -1.0)):
-                    i = base.index(node)
-                    if i >= 0:
-                        a[i, row] += sign
-                        a[row, i] += sign
-
-        #: (G, n_caps) capacitances -- the per-replica load values.
-        self._cap_c = np.array(
-            [[c.capacitance for c in circ.capacitors] for circ in circuits]
-        ).reshape(g, len(circuits[0].capacitors))
-        self._sources = [circ.sources for circ in circuits]
-
-        # Offset the base scatter arrays per replica: matrix-flat indices
-        # shift by r*dim*dim into the raveled (G, dim, dim) stack, RHS
-        # rows by r*dim, and per-element gather keys (device index, cap
-        # index) by r*(count) into the replica-major value arrays.
-        def _tile(idx: np.ndarray, stride: int) -> np.ndarray:
-            return (np.tile(idx, g)
-                    + np.repeat(np.arange(g) * stride, idx.size))
-
-        n_caps = self._cap_c.shape[1]
-        self._cap_mat_flat = _tile(base._cap_mat_flat, block)
-        self._cap_mat_sign = np.tile(base._cap_mat_sign, g)
-        self._cap_mat_k = _tile(base._cap_mat_k, n_caps)
-        self._cap_rhs_row = _tile(base._cap_rhs_row, dim)
-        self._cap_rhs_sign = np.tile(base._cap_rhs_sign, g)
-        self._cap_rhs_k = _tile(base._cap_rhs_k, n_caps)
-        self._fet_mat_flat = _tile(base._fet_mat_flat, block)
-        self._fet_mat_cgm = np.tile(base._fet_mat_cgm, g)
-        self._fet_mat_cgds = np.tile(base._fet_mat_cgds, g)
-        self._fet_mat_k = _tile(base._fet_mat_k, base.n_fets)
-        self._fet_rhs_row = _tile(base._fet_rhs_row, dim)
-        self._fet_rhs_sign = np.tile(base._fet_rhs_sign, g)
-        self._fet_rhs_k = _tile(base._fet_rhs_k, base.n_fets)
-        self._src_rows = base._src_rows
-
-        # One stacked evaluator across all replicas: tile=G repeats the
-        # base per-device parameter layout replica-major; tile=3*G serves
-        # the [base | vgs+step | vds+step] finite-difference layout for
-        # the whole grid in one call.
-        if base.n_fets:
-            models = [grp.model for grp in base._groups]
-            counts = [grp.sl.stop - grp.sl.start for grp in base._groups]
-            self._stack1 = stack_models(models, counts, tile=g)
-            self._stack3 = stack_models(models, counts, tile=3 * g)
-        else:
-            self._stack1 = self._stack3 = None
-
-    def _check_structure(self, circuits: list[Circuit]) -> None:
-        """Replicas must be element-for-element the same topology."""
-        ref = circuits[0]
-        ref_nodes = ref.node_names()
-        for r, circ in enumerate(circuits[1:], start=1):
-            if circ.temperature_k != ref.temperature_k:
-                raise NetlistError(
-                    f"replica {r} temperature {circ.temperature_k} K != "
-                    f"replica 0 {ref.temperature_k} K", element=circ.title)
-            if circ.node_names() != ref_nodes:
-                raise NetlistError(
-                    f"replica {r} node set differs from replica 0",
-                    element=circ.title)
-            pairs = [
-                (ref.resistors, circ.resistors,
-                 lambda e: (e.name, e.n1, e.n2)),
-                (ref.capacitors, circ.capacitors,
-                 lambda e: (e.name, e.n1, e.n2)),
-                (ref.sources, circ.sources,
-                 lambda e: (e.name, e.pos, e.neg)),
-                (ref.finfets, circ.finfets,
-                 lambda e: (e.name, e.drain, e.gate, e.source)),
-            ]
-            for ref_elems, elems, keyfn in pairs:
-                if [keyfn(e) for e in ref_elems] != [keyfn(e) for e in elems]:
-                    raise NetlistError(
-                        f"replica {r} element structure differs from "
-                        f"replica 0", element=circ.title)
-            for ref_fet, fet in zip(ref.finfets, circ.finfets):
-                if fet.model is not ref_fet.model:
-                    raise NetlistError(
-                        f"replica {r} device {fet.name} uses a different "
-                        f"model object than replica 0 (replicas must "
-                        f"share models for stacked evaluation)",
-                        element=fet.name)
-
-    # ------------------------------------------------------------------ #
     def _extended(self, x: np.ndarray) -> np.ndarray:
-        """(G, dim+1) view with a trailing 0.0 so index -1 reads ground."""
+        """(G, dim+1) copy with a trailing 0.0 so index -1 reads ground."""
         return np.concatenate(
             [x, np.zeros((self.n_replicas, 1))], axis=1)
 
@@ -704,7 +234,7 @@ class ReplicatedMNASystem:
         Waveform objects shared across replicas (the common case: only
         the load differs within a characterization row) are evaluated
         once.  Precomputing the grid up front removes every per-iteration
-        Python waveform call from the batched transient driver.
+        Python waveform call from the transient driver.
         """
         from repro.spice.sources import waveform_values
 
@@ -724,10 +254,10 @@ class ReplicatedMNASystem:
     def cap_voltages(self, x: np.ndarray) -> np.ndarray:
         """(G, n_caps) capacitor branch voltages at solution ``x``."""
         v_ext = self._extended(x)
-        return v_ext[:, self.base._cap_i] - v_ext[:, self.base._cap_j]
+        return v_ext[:, self._cap_i] - v_ext[:, self._cap_j]
 
     # ------------------------------------------------------------------ #
-    def assemble_with_companions(
+    def assemble(
         self,
         x: np.ndarray,
         source_values: np.ndarray,
@@ -735,29 +265,28 @@ class ReplicatedMNASystem:
         cap_companion: tuple[np.ndarray, np.ndarray] | None = None,
         source_scale: float = 1.0,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched assembly returning ``(A, z, fet_ieq)``.
+        """Build the linearized system ``A x = z`` around ``x``.
 
         ``x`` is ``(G, dim)``; ``source_values`` is ``(G, n_sources)``
-        (see :meth:`source_values` / :meth:`source_grid`);
-        ``cap_companion`` carries per-replica ``(geq, ieq)`` arrays of
-        shape ``(G, n_caps)``.  Returns ``A`` of shape ``(G, dim, dim)``,
-        ``z`` of shape ``(G, dim)`` and the replica-major frozen device
-        companions ``fet_ieq`` of shape ``(G * n_fets,)``.
+        (see :meth:`source_values` / :meth:`source_grid`), multiplied by
+        ``source_scale`` -- the continuation parameter for source
+        stepping.  ``cap_companion`` carries per-replica ``(geq, ieq)``
+        arrays of shape ``(G, n_caps)`` from the transient integrator;
+        ``None`` means DC (capacitors open).
+
+        Returns ``A`` of shape ``(G, dim, dim)``, ``z`` of shape
+        ``(G, dim)`` and the replica-major device Norton currents
+        ``fet_ieq`` of shape ``(G * n_fets,)``.  With those frozen,
+        :meth:`rhs` rebuilds ``z`` for a new timestep without any
+        compact-model call.
         """
         a = self._base_matrix(gmin, cap_companion)
-        a_flat = a.reshape(-1)
-        z = np.zeros((self.n_replicas, self.dim))
-        if self.n_sources:
-            z[:, self._src_rows] = source_scale * source_values
-        if cap_companion is not None and self._cap_mat_k.size:
-            ieq = np.asarray(cap_companion[1]).reshape(-1)
-            np.add.at(z.reshape(-1), self._cap_rhs_row,
-                      self._cap_rhs_sign * ieq[self._cap_rhs_k])
+        z = self.rhs(source_values, cap_companion, None, source_scale)
         ieq_f = np.empty(0)
         if self.n_fets:
             gm, gds, ieq_f = self._device_linearization(x)
             np.add.at(
-                a_flat, self._fet_mat_flat,
+                a.reshape(-1), self._fet_mat_flat,
                 self._fet_mat_cgm * gm[self._fet_mat_k]
                 + self._fet_mat_cgds * gds[self._fet_mat_k],
             )
@@ -766,17 +295,25 @@ class ReplicatedMNASystem:
         return a, z, ieq_f
 
     def _base_matrix(self, gmin: float, cap_companion) -> np.ndarray:
-        """Static + gmin + capacitor-geq stack, baked across iterations."""
+        """Static + gmin + capacitor-geq stack, baked across iterations.
+
+        Within one transient the integrator passes the *same* geq array
+        object every step and gmin only changes on escalation, so the
+        bias-independent part of ``A`` is cached keyed on
+        ``(gmin, id(geq))`` and re-copied instead of re-scattered.  The
+        bake performs the identical additions in the identical order, so
+        the result is bit-equal to scattering afresh.
+        """
         if cap_companion is None:
             a = self._static.copy()
-            a.reshape(self.n_replicas, -1)[:, self.base._diag_flat] += gmin
+            a.reshape(self.n_replicas, -1)[:, self._diag_flat] += gmin
             return a
         geq = np.asarray(cap_companion[0])
         baked = self._baked
         if baked is not None and baked[0] == gmin and baked[1] is geq:
             return baked[2].copy()
         a = self._static.copy()
-        a.reshape(self.n_replicas, -1)[:, self.base._diag_flat] += gmin
+        a.reshape(self.n_replicas, -1)[:, self._diag_flat] += gmin
         if self._cap_mat_k.size:
             np.add.at(a.reshape(-1), self._cap_mat_flat,
                       self._cap_mat_sign * geq.reshape(-1)[self._cap_mat_k])
@@ -787,18 +324,23 @@ class ReplicatedMNASystem:
         self,
         source_values: np.ndarray,
         cap_companion: tuple[np.ndarray, np.ndarray] | None,
-        fet_ieq: np.ndarray,
+        fet_ieq: np.ndarray | None,
         source_scale: float = 1.0,
     ) -> np.ndarray:
-        """(G, dim) RHS with *frozen* device companions ``fet_ieq``."""
+        """(G, dim) RHS with *frozen* device companions ``fet_ieq``.
+
+        Sources and capacitor companions are stamped for the new point;
+        the device Norton currents are taken verbatim from a previous
+        linearization (``None`` leaves them out).
+        """
         z = np.zeros((self.n_replicas, self.dim))
         if self.n_sources:
             z[:, self._src_rows] = source_scale * source_values
-        if cap_companion is not None and self._cap_mat_k.size:
+        if cap_companion is not None and self._cap_rhs_k.size:
             ieq = np.asarray(cap_companion[1]).reshape(-1)
             np.add.at(z.reshape(-1), self._cap_rhs_row,
                       self._cap_rhs_sign * ieq[self._cap_rhs_k])
-        if self.n_fets:
+        if fet_ieq is not None and self.n_fets:
             np.add.at(z.reshape(-1), self._fet_rhs_row,
                       self._fet_rhs_sign * fet_ieq[self._fet_rhs_k])
         return z
@@ -807,11 +349,11 @@ class ReplicatedMNASystem:
         self, x: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(gm, gds, ieq), replica-major, from ONE stacked model call."""
-        base = self.base
         v_ext = self._extended(x)
-        vgs = (v_ext[:, base._fet_g] - v_ext[:, base._fet_s]).reshape(-1)
-        vds = (v_ext[:, base._fet_d] - v_ext[:, base._fet_s]).reshape(-1)
+        vgs = (v_ext[:, self._fet_g] - v_ext[:, self._fet_s]).reshape(-1)
+        vds = (v_ext[:, self._fet_d] - v_ext[:, self._fet_s]).reshape(-1)
         n = vgs.size
+        # Base point plus two perturbed points, all devices at once.
         vgs_all = np.concatenate([vgs, vgs + _DERIV_STEP, vgs])
         vds_all = np.concatenate([vds, vds, vds + _DERIV_STEP])
         ids_all = np.asarray(
@@ -819,39 +361,46 @@ class ReplicatedMNASystem:
         i0 = ids_all[:n]
         gm = (ids_all[n: 2 * n] - i0) / _DERIV_STEP
         gds = (ids_all[2 * n:] - i0) / _DERIV_STEP
+        # Keep the Jacobian positive semi-definite-ish: tiny negative
+        # numerical slopes are clipped.
         gm = np.maximum(gm, 0.0)
         gds = np.maximum(gds, 1e-15)
         ieq = i0 - gm * vgs - gds * vds
         return gm, gds, ieq
 
-    def residual(
-        self,
-        x: np.ndarray,
-        t: float,
-        gmin: float = GMIN_DEFAULT,
-        cap_companion: tuple[np.ndarray, np.ndarray] | None = None,
-        source_scale: float = 1.0,
-    ) -> np.ndarray:
-        """(G, dim) exact nonlinear residual ``F(x) = A(x) x - z(x)``."""
-        base = self.base
-        f = np.einsum("gij,gj->gi", self._static, x)
-        f[:, : self.n_nodes] += gmin * x[:, : self.n_nodes]
-        if self.n_sources:
-            f[:, self._src_rows] -= source_scale * self.source_values(t)
-        v_ext = self._extended(x)
-        if cap_companion is not None and self._cap_mat_k.size:
-            geq, ieq = cap_companion
-            i_cap = (np.asarray(geq)
-                     * (v_ext[:, base._cap_i] - v_ext[:, base._cap_j])
-                     + np.asarray(ieq)).reshape(-1)
-            np.add.at(f.reshape(-1), self._cap_rhs_row,
-                      -self._cap_rhs_sign * i_cap[self._cap_rhs_k])
-        if self.n_fets:
-            ids = np.asarray(self._stack1.ids(
-                (v_ext[:, base._fet_g] - v_ext[:, base._fet_s]).reshape(-1),
-                (v_ext[:, base._fet_d] - v_ext[:, base._fet_s]).reshape(-1),
-                self.temperature_k,
-            ))
-            np.add.at(f.reshape(-1), self._fet_rhs_row,
-                      -self._fet_rhs_sign * ids[self._fet_rhs_k])
-        return f
+
+def _check_structure(circuits: list[Circuit]) -> None:
+    """Replicas must be element-for-element the same topology."""
+    ref = circuits[0]
+    ref_nodes = ref.node_names()
+    for r, circ in enumerate(circuits[1:], start=1):
+        if circ.temperature_k != ref.temperature_k:
+            raise NetlistError(
+                f"replica {r} temperature {circ.temperature_k} K != "
+                f"replica 0 {ref.temperature_k} K", element=circ.title)
+        if circ.node_names() != ref_nodes:
+            raise NetlistError(
+                f"replica {r} node set differs from replica 0",
+                element=circ.title)
+        pairs = [
+            (ref.resistors, circ.resistors,
+             lambda e: (e.name, e.n1, e.n2)),
+            (ref.capacitors, circ.capacitors,
+             lambda e: (e.name, e.n1, e.n2)),
+            (ref.sources, circ.sources,
+             lambda e: (e.name, e.pos, e.neg)),
+            (ref.finfets, circ.finfets,
+             lambda e: (e.name, e.drain, e.gate, e.source)),
+        ]
+        for ref_elems, elems, keyfn in pairs:
+            if [keyfn(e) for e in ref_elems] != [keyfn(e) for e in elems]:
+                raise NetlistError(
+                    f"replica {r} element structure differs from "
+                    f"replica 0", element=circ.title)
+        for ref_fet, fet in zip(ref.finfets, circ.finfets):
+            if fet.model is not ref_fet.model:
+                raise NetlistError(
+                    f"replica {r} device {fet.name} uses a different "
+                    f"model object than replica 0 (replicas must "
+                    f"share models for stacked evaluation)",
+                    element=fet.name)

@@ -1,4 +1,4 @@
-"""DC and transient solution of MNA circuits.
+"""DC and transient solution of MNA circuits: one batched engine.
 
 * :func:`dc_operating_point` -- damped Newton-Raphson with automatic gmin
   stepping and a source-stepping (continuation) fallback on
@@ -7,45 +7,47 @@
   characterization flow picks steps ~100x smaller than the fastest
   transition, where BE's first-order error is negligible against the
   compact-model accuracy).
+* :func:`transient_grid` -- the same integration for G structurally
+  identical circuits stepped in lockstep on one shared time grid.
 
-Results come back as :class:`TransientResult`, which exposes per-node
+All three run the same driver on a :class:`~repro.spice.mna.MNASystem`:
+a single circuit is simply a batch of G = 1.  Results come back as
+:class:`OperatingPoint` / :class:`TransientResult`, which expose per-node
 :class:`~repro.spice.waveform.Waveform` objects and per-source branch
 currents for energy integration.
 
 Robustness: every public entry point accepts an optional
 :class:`SolverBudget` bounding total Newton iterations and wall-clock
 time, so one pathological solve cannot stall a library build.  Budget
-exhaustion raises :class:`~repro.errors.SolverBudgetError`; hopeless
-solves raise :class:`ConvergenceError` carrying the full escalation
-history (plain NR -> gmin ladder -> source stepping).
+exhaustion raises :class:`~repro.errors.SolverBudgetError`.  Every solve
+walks the escalation ladder (plain NR -> gmin ladder -> source stepping)
+on exactly the replicas that have not converged; a replica that fails
+the whole ladder is evicted from its batch, and a single-circuit solve
+raises :class:`ConvergenceError` carrying the full escalation history.
 
-Performance: with the default ``kernel="compiled"`` the inner loop runs
-modified Newton -- the first iteration of each solve reuses the LU
-factorization and frozen device companions from the previous solve (in a
-transient, the previous timestep), so it rebuilds only the RHS and costs
-*zero* compact-model calls.  Subsequent iterations re-linearize; a
-solution is only ever accepted from a fresh-Jacobian update (or, for
-circuits without nonlinear devices, from the exact cached matrix), so
-accepted solutions satisfy exactly the same criterion as the seed
-solver.  Every escalation-ladder rung changes the cache key and
-therefore starts from a fresh Jacobian.  Reused iterations are counted
-in :attr:`SolverStats.jacobian_reuses`.  ``kernel="reference"`` retains
-the seed behavior (full re-assembly and re-factorization every
-iteration) for equivalence tests and benchmarks.
+Performance: the inner loop is masked modified Newton.  The first
+iteration of each solve reuses the Jacobian and frozen device companions
+from the previous solve (in a transient, the previous timestep), so it
+rebuilds only the RHS and costs *zero* compact-model calls.  Subsequent
+iterations re-linearize; a solution is only ever accepted from a
+fresh-Jacobian update (or, for circuits without nonlinear devices, from
+the exact cached matrix).  Every escalation-ladder rung changes the
+cache key and therefore starts from a fresh Jacobian.  Reused iterations
+are counted in :attr:`SolverStats.jacobian_reuses`.  Each Newton
+iteration makes one stacked compact-model call and one batched block
+solve for the whole batch.
 """
 
 from __future__ import annotations
 
 import time as _time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from repro import telemetry
 from repro.errors import ConfigError, SolverBudgetError, SolverError
-from repro.spice.mna import GMIN_DEFAULT, MNASystem, ReplicatedMNASystem
+from repro.spice.mna import GMIN_DEFAULT, MNASystem
 from repro.spice.netlist import Circuit
 from repro.spice.waveform import Waveform
 
@@ -88,7 +90,8 @@ class SolverStats:
     """
 
     newton_iterations: int = 0
-    """Total NR iterations, summed over timesteps and ladders."""
+    """Total NR iterations, summed over timesteps and every ladder rung
+    tried (a batch counts its lockstep iterations once)."""
     gmin_steps: int = 0
     """gmin-ladder rungs attempted (0 when plain NR converged)."""
     source_steps: int = 0
@@ -100,8 +103,8 @@ class SolverStats:
     dt_effective: float = 0.0
     """The timestep actually used (transient only)."""
     jacobian_reuses: int = 0
-    """Newton iterations served by a reused LU factorization (modified
-    Newton); 0 with ``kernel="reference"`` and for cold DC solves."""
+    """Newton iterations served by a reused Jacobian (modified Newton);
+    0 for cold DC solves."""
 
 
 @dataclass(frozen=True)
@@ -200,33 +203,47 @@ class _BudgetTracker:
 
 
 class _JacobianCache:
-    """LU factorization + frozen device companions carried across solves.
+    """Frozen per-replica Jacobian blocks + device companions across solves.
 
-    The cache key pins the linear-system *structure* the factorization
-    was built for -- (gmin, source_scale, companion on/off) -- so every
-    escalation-ladder rung starts from a fresh Jacobian.  ``fet_ieq``
-    holds the device Norton RHS currents of the cached linearization:
-    with them a bypass iteration rebuilds ``z`` for a new timestep via
-    :meth:`MNASystem.rhs` without touching the compact model.
-    ``reuses`` accumulates across one solver entry point and is
-    published as :attr:`SolverStats.jacobian_reuses`.
+    Each replica's block carries the key of the linear-system *structure*
+    it was built for -- (gmin, source_scale, companion on/off) -- so every
+    escalation-ladder rung starts from a fresh Jacobian.  A block is only
+    overwritten on iterations where its replica is still iterating, so
+    every replica of a batch reuses exactly the linearization its solo
+    solve would have cached.  ``fet_ieq`` holds the device Norton RHS
+    currents of the cached linearizations: with them a bypass iteration
+    rebuilds ``z`` via :meth:`MNASystem.rhs` without touching the compact
+    model.  The cached "factorization" is the assembled stack itself: the
+    blocks are tiny, so one batched ``np.linalg.solve`` (which factorizes
+    each block inside LAPACK) costs less than holding G factorizations.
+    ``reuses`` counts bypass iterations (one tick per batch iteration) and
+    is published as :attr:`SolverStats.jacobian_reuses`.
     """
 
-    __slots__ = ("lu", "key", "fet_ieq", "reuses")
+    __slots__ = ("a", "fet_ieq", "keys", "reuses")
 
-    def __init__(self):
-        self.lu = None
-        self.key = None
-        self.fet_ieq = None
+    def __init__(self, system: MNASystem):
+        g = system.n_replicas
+        self.a = np.zeros((g, system.dim, system.dim))
+        self.fet_ieq = np.zeros(g * system.n_fets)  # replica-major
+        self.keys = np.full((g, 3), np.nan)  # NaN never matches
         self.reuses = 0
 
-    def store(self, key, lu, fet_ieq) -> None:
-        self.key = key
-        self.lu = lu
-        self.fet_ieq = fet_ieq
+    def matches(self, key: tuple) -> np.ndarray:
+        return (self.keys == key).all(axis=1)
 
-    def matches(self, key) -> bool:
-        return self.lu is not None and self.key == key
+    def store(self, mask: np.ndarray | None, key: tuple, a: np.ndarray,
+              fet_ieq: np.ndarray) -> None:
+        """Cache the blocks of the replicas in ``mask`` (``None``: all)."""
+        if mask is None:
+            self.a, self.fet_ieq = a, fet_ieq
+            self.keys[:] = key
+        else:
+            g = mask.size
+            np.copyto(self.a, a, where=mask[:, None, None])
+            np.copyto(self.fet_ieq.reshape(g, -1), fet_ieq.reshape(g, -1),
+                      where=mask[:, None])
+            self.keys[mask] = key
 
 
 @dataclass
@@ -273,173 +290,204 @@ class TransientResult:
         return float(-np.trapezoid(i, self.time) * vdd)
 
 
-def _factorize(a: np.ndarray):
-    """LU-factorize ``a``, silencing scipy's exact-singularity warning
-    (singularity is detected downstream via non-finite solutions, which
-    the Newton loop converts to :class:`ConvergenceError`)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        return lu_factor(a, check_finite=False)
+def _linear_solve(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Batched block solve; a singular block poisons only its replica.
+
+    ``np.linalg.solve`` rejects the whole batch when any block is
+    singular, so on failure the blocks are re-solved one by one and the
+    offenders come back as NaN rows -- which the masked Newton loop
+    converts into a failure of exactly those replicas.
+    """
+    try:
+        # The explicit trailing unit axis pins the gufunc signature to a
+        # stack of column vectors on every numpy version.
+        return np.linalg.solve(a, z[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(z)
+        for g in range(z.shape[0]):
+            try:
+                out[g] = np.linalg.solve(a[g], z[g])
+            except np.linalg.LinAlgError:
+                out[g] = np.nan
+        return out
 
 
 def _newton_solve(
     system: MNASystem,
-    x0: np.ndarray,
-    t: float,
+    x: np.ndarray,
+    sources: np.ndarray,
     gmin: float,
     cap_companion: tuple[np.ndarray, np.ndarray] | None,
+    alive: np.ndarray,
     source_scale: float = 1.0,
     tracker: _BudgetTracker | None = None,
-) -> tuple[np.ndarray, int]:
-    """Damped (modified-)NR iteration; returns (solution, iterations).
+) -> tuple[int, np.ndarray]:
+    """Lockstep masked modified-Newton solve of the replicas in ``alive``.
 
-    With a :class:`_JacobianCache` installed on ``system`` (the compiled
-    kernel), the first iteration of a solve whose cache key matches
-    bypasses both assembly and the compact model: the RHS is rebuilt
-    around the *frozen* device companions (:meth:`MNASystem.rhs`) and
-    solved against the cached LU.  For circuits without FinFETs the
-    cached matrix is exact, so every iteration may ride it.  A solution
-    is accepted only from a non-stale update -- after a stale bypass
-    converges, one fresh polish iteration re-linearizes so the accepted
-    step meets the same full-Newton criterion as the seed solver.
-    Without a cache (``kernel="reference"``) this is exactly the seed
-    algorithm.
+    ``x`` (``(G, dim)``) is updated in place for those replicas; per
+    replica this is damped NR (block solve, node-voltage clamp,
+    convergence once an update lands under ``_VTOL``).  A replica whose
+    cached block matches this solve's key starts with a bypass iteration
+    (frozen linearization, zero model calls); a bypass update is never
+    accepted -- the next iteration re-linearizes and decides -- except
+    for circuits without FinFETs, whose cached matrix is exact.
+
+    Masked convergence: a converged replica is frozen (its block stops
+    moving) while the others keep iterating; a replica whose update goes
+    non-finite (singular block, non-finite sources) or that is still
+    unconverged at the iteration cap has failed.  Returns ``(iterations,
+    converged)``.
     """
-    cache: _JacobianCache | None = system.jacobian_cache
+    cache: _JacobianCache = system.jacobian_cache
     key = (gmin, source_scale, cap_companion is not None)
     linear = system.n_fets == 0
-    x = x0.copy()
+    n_nodes = system.n_nodes
+    need = alive.copy()
+    n_need = np.count_nonzero(need)
+    failed = np.zeros_like(alive)
+    if not n_need:
+        return 0, failed
     for it in range(1, _MAX_NR_ITERATIONS + 1):
-        stale = False
-        if (cache is not None and cache.matches(key)
-                and (linear or it == 1)):
-            # Bypass: the matrix (static + gmin + cap geq + frozen device
-            # conductances) is unchanged, so only the RHS moves with t.
-            z = system.rhs(t, cap_companion, source_scale, cache.fet_ieq)
-            x_new = lu_solve(cache.lu, z, check_finite=False)
-            cache.reuses += 1
-            stale = not linear
+        every = n_need == need.size
+        bypass = need & cache.matches(key) if linear or it == 1 else None
+        if bypass is None or not bypass.any():
+            bypass = None
+            a, z, fet_ieq = system.assemble(x, sources, gmin, cap_companion,
+                                            source_scale)
+            cache.store(None if every else need, key, a, fet_ieq)
         else:
-            if cache is None:
-                a, z = system.assemble(x, t, gmin=gmin,
-                                       cap_companion=cap_companion,
-                                       source_scale=source_scale)
-                try:
-                    x_new = np.linalg.solve(a, z)
-                except np.linalg.LinAlgError as exc:
-                    raise ConvergenceError(
-                        f"singular MNA matrix at t={t}"
-                    ) from exc
+            # Bypass: the matrix (static + gmin + cap geq + frozen device
+            # conductances) is unchanged, so only the RHS moves.
+            cache.reuses += 1
+            z_frozen = system.rhs(sources, cap_companion, cache.fet_ieq,
+                                  source_scale)
+            fresh = need & ~bypass
+            if fresh.any():
+                a, z, fet_ieq = system.assemble(x, sources, gmin,
+                                                cap_companion, source_scale)
+                cache.store(fresh, key, a, fet_ieq)
+                a = np.where(bypass[:, None, None], cache.a, a)
+                z = np.where(bypass[:, None], z_frozen, z)
             else:
-                a, z, fet_ieq = system.assemble_with_companions(
-                    x, t, gmin=gmin, cap_companion=cap_companion,
-                    source_scale=source_scale)
-                lu = _factorize(a)
-                x_new = lu_solve(lu, z, check_finite=False)
-                cache.store(key, lu, fet_ieq)
-        delta = x_new - x
-        if not np.all(np.isfinite(delta)):
-            raise ConvergenceError(f"singular MNA matrix at t={t}")
+                a, z = cache.a, z_frozen
+        delta = _linear_solve(a, z) - x
+        if not every:
+            # Frozen replicas do not move: survivors never see a
+            # converged or failed replica's state.
+            delta[~need] = 0.0
+        if not np.isfinite(delta).all():
+            bad = ~np.isfinite(delta).all(axis=1)
+            failed |= bad
+            need &= ~bad
+            delta[bad] = 0.0
+            n_need = np.count_nonzero(need)
+            if not n_need:
+                return it, alive & ~failed
         if tracker is not None:
             tracker.charge(1)
         # Clamp only the node-voltage part; branch currents move freely.
-        dv = delta[: system.n_nodes]
-        max_dv = float(np.max(np.abs(dv))) if dv.size else 0.0
-        if max_dv > _STEP_CLAMP:
-            delta[: system.n_nodes] *= _STEP_CLAMP / max_dv
-        x = x + delta
-        if max_dv < _VTOL and not stale:
-            return x, it
-        # A stale bypass never terminates the loop: the next iteration
-        # re-linearizes at the bypassed point and decides.
-    raise ConvergenceError(
-        f"Newton-Raphson did not converge in {_MAX_NR_ITERATIONS} iterations "
-        f"(t={t}, gmin={gmin}, source_scale={source_scale})"
-    )
+        max_dv = np.abs(delta[:, :n_nodes]).max(axis=1) if n_nodes \
+            else np.zeros(need.size)
+        over = max_dv > _STEP_CLAMP
+        if over.any():
+            delta[over, :n_nodes] *= (_STEP_CLAMP / max_dv[over])[:, None]
+        x += delta
+        done = max_dv < _VTOL
+        if bypass is not None and not linear:
+            done &= ~bypass  # a stale bypass update is never accepted
+        need &= ~done
+        n_need = np.count_nonzero(need)
+        if not n_need:
+            return it, alive & ~failed
+    # Iteration cap: whatever is still iterating failed to converge.
+    return _MAX_NR_ITERATIONS, alive & ~failed & ~need
 
 
-def _solve_with_source_stepping(
+def _solve(
     system: MNASystem,
-    x0: np.ndarray,
-    t: float,
+    x: np.ndarray,
+    sources: np.ndarray,
     cap_companion: tuple[np.ndarray, np.ndarray] | None,
+    alive: np.ndarray,
     tracker: _BudgetTracker | None,
-    stats: SolverStats | None = None,
-) -> tuple[np.ndarray, int]:
-    """Continuation in the source amplitude: ramp 0 -> 1, tracking the
-    solution branch.  The near-zero-bias circuit is almost linear, so the
-    first rung converges from a cold start and each later rung starts from
-    the previous solution."""
-    x = x0.copy()
-    total = 0
-    for scale in _SOURCE_LADDER:
-        if stats is not None:
-            stats.source_steps += 1
-        try:
-            x, its = _newton_solve(system, x, t, GMIN_DEFAULT, cap_companion,
-                                   source_scale=scale, tracker=tracker)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"source stepping failed at scale={scale} (t={t})"
-            ) from exc
-        total += its
-    return x, total
-
-
-def _solve_with_gmin_stepping(
-    system: MNASystem,
-    x0: np.ndarray,
+    stats: SolverStats,
     t: float,
-    cap_companion: tuple[np.ndarray, np.ndarray] | None,
-    tracker: _BudgetTracker | None = None,
-    stats: SolverStats | None = None,
-) -> tuple[np.ndarray, int]:
-    """Try plain NR; on failure walk gmin large to small; on a mid-ladder
-    failure fall through to source stepping before giving up."""
-    try:
-        return _newton_solve(system, x0, t, GMIN_DEFAULT, cap_companion,
-                             tracker=tracker)
-    except SolverBudgetError:
-        raise
-    except ConvergenceError:
-        pass
+) -> tuple[int, dict[int, str]]:
+    """Escalation ladder over the replicas in ``alive``.
 
-    gmin_failure: ConvergenceError | None = None
-    x = x0.copy()
-    total = 0
+    Plain NR first; the replicas that fail it restart from their entry
+    point and walk gmin large to small, each rung starting from the
+    previous solution; replicas that fail a gmin rung restart once more
+    and ramp the source amplitude 0 -> 1 (the near-zero-bias circuit is
+    almost linear, so the first rung converges from a cold start).  Each
+    rung is one masked :func:`_newton_solve` over the replicas still on
+    it, so converged replicas stay frozen throughout.  A replica that
+    fails every rung is evicted: its ``alive`` bit is cleared and the
+    returned dict maps it to its escalation history.  Returns
+    ``(iterations, failures)``.
+    """
+    x0 = x.copy()
+    its, ok = _newton_solve(system, x, sources, GMIN_DEFAULT, cap_companion,
+                            alive, tracker=tracker)
+    todo = alive & ~ok
+    if not todo.any():
+        return its, {}
+    x[todo] = x0[todo]
+    gmin_failed = np.full(todo.size, np.nan)
     for gmin in _GMIN_LADDER:
-        if stats is not None:
-            stats.gmin_steps += 1
-        try:
-            x, its = _newton_solve(system, x, t, gmin, cap_companion,
-                                   tracker=tracker)
-            total += its
-        except SolverBudgetError:
-            raise
-        except ConvergenceError as exc:
-            gmin_failure = ConvergenceError(
-                f"gmin ladder failed at gmin={gmin} (t={t}, "
-                f"ladder={_GMIN_LADDER})"
-            )
-            gmin_failure.__cause__ = exc
+        stats.gmin_steps += 1
+        n, ok = _newton_solve(system, x, sources, gmin, cap_companion,
+                              todo, tracker=tracker)
+        its += n
+        gmin_failed[todo & ~ok] = gmin
+        todo &= ok
+        if not todo.any():
             break
-    else:
-        return x, total
+    stepping = ~np.isnan(gmin_failed)
+    if not stepping.any():
+        return its, {}
+    x[stepping] = x0[stepping]
+    source_failed = np.full(todo.size, np.nan)
+    for scale in _SOURCE_LADDER:
+        stats.source_steps += 1
+        n, ok = _newton_solve(system, x, sources, GMIN_DEFAULT,
+                              cap_companion, stepping,
+                              source_scale=scale, tracker=tracker)
+        its += n
+        source_failed[stepping & ~ok] = scale
+        stepping &= ok
+        if not stepping.any():
+            break
+    failures = {
+        int(r): (f"no convergence at t={t}: plain NR failed, gmin ladder "
+                 f"failed at gmin={gmin_failed[r]} (ladder={_GMIN_LADDER}), "
+                 f"and source stepping failed at scale={source_failed[r]}")
+        for r in np.flatnonzero(~np.isnan(source_failed))
+    }
+    alive[list(failures)] = False
+    return its, failures
 
-    try:
-        return _solve_with_source_stepping(system, x0, t, cap_companion,
-                                           tracker, stats)
-    except SolverBudgetError:
-        raise
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"no convergence at t={t}: plain NR failed, {gmin_failure}, "
-            f"and source stepping failed ({exc})"
-        ) from gmin_failure
+
+def _make_system(circuits: list[Circuit]) -> MNASystem:
+    """Validate, build the batched system and install its Jacobian cache."""
+    for circuit in circuits:
+        circuit.validate()
+    system = MNASystem(circuits)
+    system.jacobian_cache = _JacobianCache(system)
+    return system
 
 
-def _record_solver_metrics(kind: str, stats: SolverStats) -> None:
-    """Fold one solve's effort into the telemetry registry (enabled only)."""
+def _publish(sp, kind: str, stats: SolverStats, system: MNASystem,
+             tracker: _BudgetTracker | None, **attrs) -> None:
+    """Close one solve's stats and fold them into telemetry (enabled only)."""
+    if tracker is not None:
+        stats.budget_charges = tracker.charges
+    stats.jacobian_reuses = system.jacobian_cache.reuses
+    if not telemetry.enabled():
+        return
+    sp.set(newton_iterations=stats.newton_iterations,
+           gmin_steps=stats.gmin_steps, source_steps=stats.source_steps,
+           **attrs)
     telemetry.count(f"solver.{kind}_solves")
     telemetry.count("solver.newton_iterations", stats.newton_iterations)
     if stats.gmin_steps:
@@ -452,53 +500,35 @@ def _record_solver_metrics(kind: str, stats: SolverStats) -> None:
         telemetry.count("solver.jacobian_reuses", stats.jacobian_reuses)
 
 
-def _make_system(circuit: Circuit, kernel: str) -> MNASystem:
-    """Build the MNA system and install reuse state for the compiled kernel."""
-    system = MNASystem(circuit, kernel=kernel)
-    if kernel == "compiled":
-        system.jacobian_cache = _JacobianCache()
-    return system
-
-
 def dc_operating_point(
     circuit: Circuit,
     t: float = 0.0,
     budget: SolverBudget | None = None,
-    kernel: str = "compiled",
 ) -> OperatingPoint:
     """Solve the DC operating point with sources evaluated at time ``t``.
 
-    ``kernel`` selects the MNA assembly/iteration strategy: the default
-    ``"compiled"`` vectorized kernel with Jacobian reuse, or
-    ``"reference"`` (the retained seed path, used by equivalence tests
-    and benchmarks).
+    Raises :class:`ConvergenceError` when the whole escalation ladder
+    fails.
     """
-    circuit.validate()
-    system = _make_system(circuit, kernel)
-    x0 = np.zeros(system.dim)
+    system = _make_system([circuit])
+    x = np.zeros((1, system.dim))
     tracker = budget.tracker() if budget is not None else None
     stats = SolverStats()
     with telemetry.span("spice.dc_operating_point",
                         circuit=circuit.title) as sp:
-        x, iterations = _solve_with_gmin_stepping(system, x0, t, None,
-                                                  tracker, stats)
-        stats.newton_iterations = iterations
-        if tracker is not None:
-            stats.budget_charges = tracker.charges
-        if system.jacobian_cache is not None:
-            stats.jacobian_reuses = system.jacobian_cache.reuses
-        if telemetry.enabled():
-            sp.set(newton_iterations=stats.newton_iterations,
-                   gmin_steps=stats.gmin_steps,
-                   source_steps=stats.source_steps)
-            _record_solver_metrics("dc", stats)
-    voltages = {n: float(x[i]) for n, i in zip(system.nodes, range(system.n_nodes))}
+        its, failures = _solve(system, x, system.source_values(t), None,
+                               np.ones(1, dtype=bool), tracker, stats, t)
+        if failures:
+            raise ConvergenceError(failures[0])
+        stats.newton_iterations = its
+        _publish(sp, "dc", stats, system, tracker)
+    voltages = {n: float(x[0, i]) for i, n in enumerate(system.nodes)}
     currents = {
-        src.name: float(x[system.n_nodes + k])
+        src.name: float(x[0, system.n_nodes + k])
         for k, src in enumerate(circuit.sources)
     }
     return OperatingPoint(voltages=voltages, source_currents=currents,
-                          iterations=iterations, stats=stats)
+                          iterations=its, stats=stats)
 
 
 def transient(
@@ -508,7 +538,6 @@ def transient(
     record: list[str] | None = None,
     method: str = "be",
     budget: SolverBudget | None = None,
-    kernel: str = "compiled",
 ) -> TransientResult:
     """Fixed-step transient from a DC solution at ``t = 0``.
 
@@ -533,228 +562,12 @@ def transient(
         integrator reconstructs from the companion at each step.
     budget:
         Optional :class:`SolverBudget` bounding the whole run.
-    kernel:
-        ``"compiled"`` (vectorized assembly + Jacobian reuse across
-        timesteps, default) or ``"reference"`` (retained seed path).
+
+    Raises :class:`ConvergenceError` when a step fails the whole
+    escalation ladder.
     """
-    if not np.isfinite(dt) or not np.isfinite(t_stop) \
-            or dt <= 0 or t_stop <= 0:
-        raise ConfigError("t_stop and dt must be finite and positive",
-                          field="dt")
-    if method not in ("be", "trap"):
-        raise ConfigError(f"unknown integration method {method!r}",
-                          field="method")
-    if t_stop / dt > _MAX_TRANSIENT_STEPS:
-        raise ConfigError(
-            f"oversized transient: t_stop/dt = {t_stop / dt:.3g} steps "
-            f"exceeds the {_MAX_TRANSIENT_STEPS} cap", field="dt")
-    circuit.validate()
-    system = _make_system(circuit, kernel)
-    record = system.nodes if record is None else record
-    record_idx = [system.index(node) for node in record]  # validate early
-
-    # Snap dt down so the grid lands exactly on t_stop (the old
-    # int(round(...)) silently simulated a window up to dt/2 short or
-    # long of the request).  The 1e-9 slack absorbs representation error
-    # when t_stop/dt is an exact integer in real arithmetic.
-    n_steps = max(1, int(np.ceil(t_stop / dt - 1e-9)))
-    dt_eff = t_stop / n_steps
-    time = np.linspace(0.0, t_stop, n_steps + 1)
-    tracker = budget.tracker() if budget is not None else None
-    stats = SolverStats(timesteps=n_steps, dt_effective=dt_eff)
-
-    x0 = np.zeros(system.dim)
-    x, dc_its = _solve_with_gmin_stepping(system, x0, 0.0, None, tracker,
-                                          stats)
-    stats.newton_iterations += dc_its
-
-    caps = circuit.capacitors
-    scale = 1.0 if method == "be" else 2.0
-    geq = np.array([scale * c.capacitance / dt_eff for c in caps])
-
-    # The whole run records into one preallocated (n_steps+1, dim) array;
-    # per-node waveforms are sliced out once at the end.
-    solution = np.empty((n_steps + 1, system.dim))
-    solution[0] = x
-    v_cap_prev = system.cap_voltages(x)
-    i_cap_prev = np.zeros(len(caps))  # branch currents start from DC (0)
-    with telemetry.span("spice.transient", circuit=circuit.title,
-                        t_stop=t_stop, steps=n_steps) as sp:
-        total_its = 0
-        for step in range(1, n_steps + 1):
-            t = time[step]
-            if method == "be":
-                # i_C = C/dt * (v - v_prev): geq = C/dt, ieq = -C/dt * v_prev.
-                ieq = -geq * v_cap_prev
-            else:
-                # Trapezoidal: i = 2C/dt * (v - v_prev) - i_prev.
-                ieq = -geq * v_cap_prev - i_cap_prev
-            x, its = _solve_with_gmin_stepping(system, x, t, (geq, ieq),
-                                               tracker, stats)
-            total_its += its
-            v_cap_new = system.cap_voltages(x)
-            if method == "trap":
-                i_cap_prev = geq * (v_cap_new - v_cap_prev) - i_cap_prev
-            v_cap_prev = v_cap_new
-            solution[step] = x
-        stats.newton_iterations += total_its
-        if tracker is not None:
-            stats.budget_charges = tracker.charges
-        if system.jacobian_cache is not None:
-            stats.jacobian_reuses = system.jacobian_cache.reuses
-        if telemetry.enabled():
-            sp.set(newton_iterations=stats.newton_iterations,
-                   gmin_steps=stats.gmin_steps,
-                   source_steps=stats.source_steps,
-                   dt_effective=dt_eff)
-            _record_solver_metrics("transient", stats)
-
-    # Slice out recorded nodes; a trailing zero column serves ground
-    # aliases (index -1) without per-step special-casing.
-    extended = np.hstack([solution, np.zeros((n_steps + 1, 1))])
-    volts = {
-        n: np.ascontiguousarray(extended[:, i])
-        for n, i in zip(record, record_idx)
-    }
-    src_currents = {
-        s.name: np.ascontiguousarray(solution[:, system.n_nodes + k])
-        for k, s in enumerate(circuit.sources)
-    }
-    return TransientResult(
-        time=time,
-        voltages=volts,
-        source_currents=src_currents,
-        circuit_title=circuit.title,
-        dt_effective=dt_eff,
-        stats=stats,
-    )
-
-
-# --------------------------------------------------------------------- #
-# Batched-grid transient: all replicas of a characterization row in
-# lockstep through one block-diagonal system.
-# --------------------------------------------------------------------- #
-class _GridJacobianCache:
-    """Frozen batched Jacobian + device companions across lockstep solves.
-
-    Same modified-Newton semantics as :class:`_JacobianCache` -- a bypass
-    iteration reuses the frozen linearization and is never accepted stale
-    -- but the "LU" is the whole ``(G, dim, dim)`` assembled stack: the
-    per-replica blocks are tiny, so one batched ``np.linalg.solve`` call
-    (which refactorizes each small block inside LAPACK) costs less than
-    holding G scipy factorizations and looping ``lu_solve`` in Python.
-    One ``reuses`` tick therefore stands for G bypassed point-solves.
-    """
-
-    __slots__ = ("a", "key", "fet_ieq", "reuses")
-
-    def __init__(self):
-        self.a = None
-        self.key = None
-        self.fet_ieq = None
-        self.reuses = 0
-
-    def store(self, key, a, fet_ieq) -> None:
-        self.key = key
-        self.a = a
-        self.fet_ieq = fet_ieq
-
-    def matches(self, key) -> bool:
-        return self.a is not None and self.key == key
-
-
-def _grid_linear_solve(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Batched block solve; a singular replica poisons only itself.
-
-    ``np.linalg.solve`` rejects the whole batch when any block is
-    singular, so on failure the blocks are re-solved one by one and the
-    offenders come back as NaN rows -- which the masked Newton loop
-    converts into an eviction of exactly those replicas.
-    """
-    try:
-        # The explicit trailing unit axis pins the gufunc signature to a
-        # stack of column vectors on every numpy version.
-        return np.linalg.solve(a, z[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        out = np.empty_like(z)
-        for g in range(z.shape[0]):
-            try:
-                out[g] = np.linalg.solve(a[g], z[g])
-            except np.linalg.LinAlgError:
-                out[g] = np.nan
-        return out
-
-
-def _grid_newton_solve(
-    rsys: ReplicatedMNASystem,
-    x: np.ndarray,
-    source_values: np.ndarray,
-    gmin: float,
-    cap_companion: tuple[np.ndarray, np.ndarray] | None,
-    alive: np.ndarray,
-    tracker: _BudgetTracker | None,
-) -> tuple[int, np.ndarray]:
-    """One lockstep masked modified-Newton solve across all replicas.
-
-    ``x`` (``(G, dim)``) is updated in place for replicas in ``alive``.
-    Masked convergence: a replica whose fresh-Jacobian update lands under
-    ``_VTOL`` is frozen (its block stops moving and stops contributing to
-    the residual norm) while the others keep iterating; a replica whose
-    update goes non-finite, or that is still unconverged when the
-    iteration cap runs out, is dropped.  Returns ``(iterations,
-    converged)`` where ``converged`` marks the replicas that finished
-    cleanly -- the caller evicts ``alive & ~converged``.
-
-    Per-replica math (block solve, clamp, convergence test) is identical
-    to :func:`_newton_solve`, so a replica that converges here produces
-    the same solution the sequential path would on the same grid.
-    """
-    cache: _GridJacobianCache = rsys.jacobian_cache
-    key = (gmin, 1.0, cap_companion is not None)
-    linear = rsys.n_fets == 0
-    n_nodes = rsys.n_nodes
-    need = alive.copy()
-    failed = np.zeros_like(alive)
-    if not need.any():
-        return 0, np.zeros_like(alive)
-    for it in range(1, _MAX_NR_ITERATIONS + 1):
-        stale = False
-        if cache.matches(key) and (linear or it == 1):
-            z = rsys.rhs(source_values, cap_companion, cache.fet_ieq)
-            a = cache.a
-            cache.reuses += 1
-            stale = not linear
-        else:
-            a, z, fet_ieq = rsys.assemble_with_companions(
-                x, source_values, gmin=gmin, cap_companion=cap_companion)
-            cache.store(key, a, fet_ieq)
-        delta = _grid_linear_solve(a, z) - x
-        finite = np.isfinite(delta).all(axis=1)
-        newly_bad = need & ~finite
-        if newly_bad.any():
-            failed |= newly_bad
-            need &= finite
-            if not need.any():
-                return it, alive & ~failed & ~need
-        if tracker is not None:
-            tracker.charge(1)
-        if n_nodes:
-            max_dv = np.abs(delta[:, :n_nodes]).max(axis=1)
-        else:
-            max_dv = np.zeros(rsys.n_replicas)
-        over = need & (max_dv > _STEP_CLAMP)
-        if over.any():
-            delta[over, :n_nodes] *= (_STEP_CLAMP / max_dv[over])[:, None]
-        # Converged and evicted replicas are frozen: their blocks stop
-        # moving, so survivors never see a dead replica's state.
-        delta[~need] = 0.0
-        x += delta
-        if not stale:
-            need &= ~(max_dv < _VTOL)
-        if not need.any():
-            return it, alive & ~failed
-    # Iteration cap: whatever is still iterating failed to converge.
-    return _MAX_NR_ITERATIONS, alive & ~failed & ~need
+    return _transient([circuit], t_stop, dt, record, method, budget,
+                      kind="transient")[0]
 
 
 def transient_grid(
@@ -769,19 +582,19 @@ def transient_grid(
 
     The replicas (same topology, per-replica element values and source
     waveforms -- e.g. one load row of an NLDM characterization grid) are
-    tiled into a :class:`~repro.spice.mna.ReplicatedMNASystem` and
-    stepped in lockstep on one shared time grid: each Newton iteration
-    makes ONE compact-model call and ONE batched block solve for the
-    whole grid, and every source value on the grid is precomputed up
-    front, so the per-step Python overhead is paid once per *batch*
-    instead of once per point.
+    tiled into one :class:`~repro.spice.mna.MNASystem` and stepped in
+    lockstep on one shared time grid: each Newton iteration makes ONE
+    compact-model call and ONE batched block solve for the whole grid,
+    and every source value on the grid is precomputed up front, so the
+    per-step Python overhead is paid once per *batch* instead of once
+    per point.  Parameters are those of :func:`transient`.
 
     Masked convergence / eviction: replicas that converge within a step
-    freeze until the next step; a replica that fails (non-finite update,
-    singular block, or the iteration cap) is **evicted** -- its slot in
-    the returned list is ``None`` and the survivors continue unperturbed.
-    Callers replay evicted points through the sequential retry ladder
-    (see ``repro.cells.characterize._solve_point_resilient``), so one bad
+    freeze until the next step; a replica that fails the whole
+    escalation ladder at some step is **evicted** -- its slot in the
+    returned list is ``None`` and the survivors continue unperturbed.
+    Callers replay evicted points on their own (see
+    ``repro.cells.characterize._solve_point_resilient``), so one bad
     corner never voids the batch.  A :class:`SolverBudget` bounds the
     whole batch; exhaustion raises
     :class:`~repro.errors.SolverBudgetError` (the batch, unlike a
@@ -790,6 +603,25 @@ def transient_grid(
     Returns one :class:`TransientResult` per input circuit, in order,
     with ``None`` for evicted replicas.  All results share the batch's
     :class:`SolverStats` object.
+    """
+    return _transient(circuits, t_stop, dt, record, method, budget,
+                      kind="transient_grid")
+
+
+def _transient(
+    circuits: list[Circuit],
+    t_stop: float,
+    dt: float,
+    record: list[str] | None,
+    method: str,
+    budget: SolverBudget | None,
+    kind: str,
+) -> list[TransientResult | None]:
+    """The transient driver behind both public entry points.
+
+    ``kind`` names the telemetry span (``spice.<kind>``) and counters.
+    A ``"transient"`` run raises :class:`ConvergenceError` at the first
+    failed step; a ``"transient_grid"`` run evicts the failed replica.
     """
     if not np.isfinite(dt) or not np.isfinite(t_stop) \
             or dt <= 0 or t_stop <= 0:
@@ -802,14 +634,14 @@ def transient_grid(
         raise ConfigError(
             f"oversized transient: t_stop/dt = {t_stop / dt:.3g} steps "
             f"exceeds the {_MAX_TRANSIENT_STEPS} cap", field="dt")
-    for circuit in circuits:
-        circuit.validate()
-    rsys = ReplicatedMNASystem(circuits)
-    rsys.jacobian_cache = _GridJacobianCache()
-    g = rsys.n_replicas
-    record = rsys.nodes if record is None else record
-    record_idx = [rsys.base.index(node) for node in record]  # validate early
+    system = _make_system(circuits)
+    g = system.n_replicas
+    record = system.nodes if record is None else record
+    record_idx = [system.index(node) for node in record]  # validate early
 
+    # Snap dt down so the grid lands exactly on t_stop.  The 1e-9 slack
+    # absorbs representation error when t_stop/dt is an exact integer in
+    # real arithmetic.
     n_steps = max(1, int(np.ceil(t_stop / dt - 1e-9)))
     dt_eff = t_stop / n_steps
     time = np.linspace(0.0, t_stop, n_steps + 1)
@@ -818,50 +650,48 @@ def transient_grid(
 
     # Every source value for the whole run, evaluated once (shared
     # waveforms once per batch): (n_steps+1, G, n_sources).
-    src_grid = rsys.source_grid(time)
+    src_grid = system.source_grid(time)
 
-    x = np.zeros((g, rsys.dim))
+    # The whole run records into one preallocated array; per-node
+    # waveforms are sliced out once at the end.
+    x = np.zeros((g, system.dim))
     alive = np.ones(g, dtype=bool)
-    solution = np.empty((n_steps + 1, g, rsys.dim))
-    with telemetry.span("spice.transient_grid", circuit=circuits[0].title,
+    solution = np.empty((n_steps + 1, g, system.dim))
+    scale = 1.0 if method == "be" else 2.0
+    geq = scale * system.cap_c / dt_eff  # (G, n_caps)
+    with telemetry.span(f"spice.{kind}", circuit=circuits[0].title,
                         replicas=g, t_stop=t_stop, steps=n_steps) as sp:
-        its, converged = _grid_newton_solve(
-            rsys, x, src_grid[0], GMIN_DEFAULT, None, alive, tracker)
-        stats.newton_iterations += its
-        alive &= converged  # a replica that fails DC is evicted outright
-        solution[0] = x
+        def solve(step: int, cap_companion) -> None:
+            its, failures = _solve(system, x, src_grid[step], cap_companion,
+                                   alive, tracker, stats, time[step])
+            if failures and kind == "transient":
+                raise ConvergenceError(failures[0])
+            stats.newton_iterations += its
+            solution[step] = x
 
-        scale = 1.0 if method == "be" else 2.0
-        geq = scale * rsys._cap_c / dt_eff  # (G, n_caps)
-        v_cap_prev = rsys.cap_voltages(x)
-        i_cap_prev = np.zeros_like(v_cap_prev)
+        solve(0, None)
+        v_cap_prev = system.cap_voltages(x)
+        i_cap_prev = np.zeros_like(v_cap_prev)  # branch currents start at 0
         for step in range(1, n_steps + 1):
             if not alive.any():
                 break
             if method == "be":
+                # i_C = C/dt * (v - v_prev): geq = C/dt, ieq = -C/dt * v_prev.
                 ieq = -geq * v_cap_prev
             else:
+                # Trapezoidal: i = 2C/dt * (v - v_prev) - i_prev.
                 ieq = -geq * v_cap_prev - i_cap_prev
-            its, converged = _grid_newton_solve(
-                rsys, x, src_grid[step], GMIN_DEFAULT, (geq, ieq),
-                alive, tracker)
-            stats.newton_iterations += its
-            alive &= converged
-            v_cap_new = rsys.cap_voltages(x)
+            solve(step, (geq, ieq))
+            v_cap_new = system.cap_voltages(x)
             if method == "trap":
                 i_cap_prev = geq * (v_cap_new - v_cap_prev) - i_cap_prev
             v_cap_prev = v_cap_new
-            solution[step] = x
-        if tracker is not None:
-            stats.budget_charges = tracker.charges
-        stats.jacobian_reuses = rsys.jacobian_cache.reuses
-        if telemetry.enabled():
-            sp.set(newton_iterations=stats.newton_iterations,
-                   survivors=int(alive.sum()),
-                   evicted=int(g - alive.sum()),
-                   dt_effective=dt_eff)
-            _record_solver_metrics("transient_grid", stats)
+        _publish(sp, kind, stats, system, tracker, dt_effective=dt_eff,
+                 survivors=int(alive.sum()),
+                 evicted=int(g - alive.sum()))
 
+    # Slice out recorded nodes; a trailing zero column serves ground
+    # aliases (index -1) without per-step special-casing.
     extended = np.concatenate(
         [solution, np.zeros((n_steps + 1, g, 1))], axis=2)
     results: list[TransientResult | None] = []
@@ -874,7 +704,7 @@ def transient_grid(
             for n, i in zip(record, record_idx)
         }
         src_currents = {
-            s.name: np.ascontiguousarray(solution[:, r, rsys.n_nodes + k])
+            s.name: np.ascontiguousarray(solution[:, r, system.n_nodes + k])
             for k, s in enumerate(circuits[r].sources)
         }
         results.append(TransientResult(

@@ -3,12 +3,13 @@
 The batched path must be a pure performance transformation of the
 per-point SPICE path:
 
-* ``ReplicatedMNASystem`` assembly is block-for-block identical to
-  assembling each replica's ``MNASystem`` alone (randomized circuits);
+* a G-replica ``MNASystem`` assembles block-for-block what each
+  replica's G=1 system assembles alone (randomized circuits);
 * masked convergence isolates failures -- an evicted replica never
-  perturbs the survivors' solutions;
+  perturbs the survivors' solutions, and the characterizer replays an
+  evicted point alone on its own grid;
 * golden INV/NAND2 arc tables from the batched path pin to 1e-9 against
-  the sequential path run point-by-point on the same union time grids,
+  the same plan replayed point-by-point on the same union time grids,
   at 300 K and 10 K.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.spice
 from repro.cells import (
     CellCharacterizer,
     CharacterizationConfig,
@@ -30,12 +32,13 @@ from repro.spice import (
     PWL,
     Circuit,
     MNASystem,
-    ReplicatedMNASystem,
     propagation_delay,
     ramp,
     transient,
     transient_grid,
 )
+
+from .grid_replay import replay_tables
 
 VDD = 0.70
 
@@ -76,36 +79,34 @@ class TestReplicatedAssembly:
     @pytest.mark.parametrize("seed", range(4))
     def test_blocks_match_single_system_reference(self, models, seed):
         circuits = _nand2_family(models, n=5)
-        rsys = ReplicatedMNASystem(circuits)
+        rsys = MNASystem(circuits)
         g, dim = rsys.n_replicas, rsys.dim
         rng = np.random.default_rng(100 + seed)
         x = rng.uniform(-0.2, VDD + 0.2, size=(g, dim))
         t = float(rng.uniform(0.0, 15e-12))
-        n_caps = rsys._cap_c.shape[1]
+        n_caps = rsys.cap_c.shape[1]
         geq = rng.uniform(1e-6, 1e-4, size=(g, n_caps))
         ieq = rng.uniform(-1e-5, 1e-5, size=(g, n_caps))
 
         sv = rsys.source_values(t)
-        a_g, z_g, fi_g = rsys.assemble_with_companions(
-            x, sv, cap_companion=(geq, ieq))
-        f_g = rsys.residual(x, t, cap_companion=(geq, ieq))
+        a_g, z_g, fi_g = rsys.assemble(x, sv, cap_companion=(geq, ieq))
         z_again = rsys.rhs(sv, (geq, ieq), fi_g)
         np.testing.assert_array_equal(z_again, z_g)
 
         for r, circuit in enumerate(circuits):
-            single = MNASystem(circuit, kernel="compiled")
-            a_1, z_1, fi_1 = single.assemble_with_companions(
-                x[r], t, cap_companion=(geq[r], ieq[r]))
-            f_1 = single.residual(x[r], t, cap_companion=(geq[r], ieq[r]))
+            single = MNASystem([circuit])
+            one = slice(r, r + 1)
+            a_1, z_1, fi_1 = single.assemble(
+                x[one], single.source_values(t),
+                cap_companion=(geq[one], ieq[one]))
             n = single.n_fets
-            assert np.array_equal(a_g[r], a_1)
-            assert np.array_equal(z_g[r], z_1)
+            assert np.array_equal(a_g[r], a_1[0])
+            assert np.array_equal(z_g[r], z_1[0])
             assert np.array_equal(fi_g[r * n:(r + 1) * n], fi_1)
-            np.testing.assert_allclose(f_g[r], f_1, rtol=0, atol=1e-18)
 
     def test_source_grid_matches_scalar_values(self, models):
         circuits = _nand2_family(models, n=3)
-        rsys = ReplicatedMNASystem(circuits)
+        rsys = MNASystem(circuits)
         times = np.linspace(0.0, 20e-12, 11)
         grid = rsys.source_grid(times)
         for k, t in enumerate(times):
@@ -115,13 +116,13 @@ class TestReplicatedAssembly:
         circuits = _nand2_family(models, n=2)
         hot = _nand2_family(models, n=1, temp=77.0)
         with pytest.raises(NetlistError):
-            ReplicatedMNASystem([circuits[0], hot[0]])
+            MNASystem([circuits[0], hot[0]])
 
     def test_topology_mismatch_rejected(self, models):
         circuits = _nand2_family(models, n=2)
         circuits[1].add_resistor("r_extra", "Y", "0", 1e6)
         with pytest.raises(NetlistError):
-            ReplicatedMNASystem(circuits)
+            MNASystem(circuits)
 
 
 class TestMaskedConvergence:
@@ -184,34 +185,6 @@ class TestGridPlanner:
             assert len(members) == len(ch.config.load_index)
 
 
-def _grid_reference_tables(ch: CellCharacterizer, cell, pin: str) -> dict:
-    """Replay the batched plan point-by-point with ``transient``.
-
-    Each point runs alone on its batch's union time grid, so the batched
-    path must reproduce these tables to floating-point noise.
-    """
-    cfg = ch.config
-    shape = (len(cfg.slew_index), len(cfg.load_index))
-    tables = {
-        key: np.zeros(shape)
-        for key in ("cell_rise", "cell_fall", "rise_transition",
-                    "fall_transition")
-    }
-    for batch in ch.plan_grid_batches(cell, pin):
-        for p in batch.points:
-            circuit = ch.build_cell_circuit(cell, p.load, p.wave_map)
-            res = transient(circuit, batch.t_stop, batch.dt,
-                            record=[pin, cell.output])
-            win = res.waveform(pin)
-            wout = res.waveform(cell.output)
-            d = propagation_delay(win, wout, cfg.vdd, p.in_tr, p.out_tr)
-            sl = wout.transition_time(0.0, cfg.vdd, direction=p.out_tr)
-            if d > tables[f"cell_{p.out_tr}"][p.i, p.j]:
-                tables[f"cell_{p.out_tr}"][p.i, p.j] = d
-                tables[f"{p.out_tr}_transition"][p.i, p.j] = sl
-    return tables
-
-
 class TestGoldenGridTables:
     @pytest.mark.parametrize("temp", [300.0, 10.0])
     @pytest.mark.parametrize("cell_name", ["INV_X1", "NAND2_X1"])
@@ -224,7 +197,7 @@ class TestGoldenGridTables:
         notes: list[str] = []
         arc = ch._characterize_arc_spice(cell, pin, notes)
         assert notes == []  # no evictions, no retries on golden cells
-        ref = _grid_reference_tables(ch, cell, pin)
+        ref = replay_tables(ch, cell, pin, own_grid=False)
         for key in ("cell_rise", "cell_fall", "rise_transition",
                     "fall_transition"):
             got = getattr(arc, key).values
@@ -233,18 +206,57 @@ class TestGoldenGridTables:
                 err_msg=f"{cell_name}@{temp}K {key}",
             )
 
-    def test_grid_batch_off_restores_sequential_path(self, models):
-        # grid_batch=False must produce tables through the per-point
-        # path; values agree with the batched path to characterization
-        # accuracy (different time grids, so not bit-identical).
+    def test_batched_tables_agree_with_per_point_replay(self, models):
+        # Every point replayed alone on its own grid through the
+        # per-point retry ladder agrees with the batched path to
+        # characterization accuracy (different time grids, so not
+        # bit-identical).
         cell = cell_by_name("INV_X1")
         pin = cell.inputs[0]
-        arc_b = _characterizer(models, 300.0)._characterize_arc_spice(
-            cell, pin, [])
-        arc_s = _characterizer(
-            models, 300.0, grid_batch=False
-        )._characterize_arc_spice(cell, pin, [])
+        ch = _characterizer(models, 300.0)
+        arc = ch._characterize_arc_spice(cell, pin, [])
+        ref = replay_tables(ch, cell, pin, own_grid=True)
         for key in ("cell_rise", "cell_fall"):
-            b = getattr(arc_b, key).values
-            s = getattr(arc_s, key).values
-            np.testing.assert_allclose(b, s, rtol=0.05, atol=0.2e-12)
+            np.testing.assert_allclose(getattr(arc, key).values, ref[key],
+                                       rtol=0.05, atol=0.2e-12)
+
+
+class TestEvictionReplay:
+    def test_evicted_point_replays_alone_on_its_own_grid(
+        self, models, monkeypatch
+    ):
+        ch = _characterizer(models, 300.0)
+        cell = cell_by_name("INV_X1")
+        pin = cell.inputs[0]
+        real = repro.spice.transient_grid
+        seen = {"calls": 0, "evicted": None}
+
+        def evict_one(circuits, *args, **kwargs):
+            # Replica 1 of the first multi-replica batch is evicted.
+            results = real(circuits, *args, **kwargs)
+            if len(circuits) > 1 and seen["evicted"] is None:
+                seen["evicted"] = seen["calls"]
+                results[1] = None
+            seen["calls"] += 1
+            return results
+
+        monkeypatch.setattr(repro.spice, "transient_grid", evict_one)
+        notes: list[str] = []
+        arc = ch._characterize_arc_spice(cell, pin, notes)
+
+        batch = ch.plan_grid_batches(cell, pin)[seen["evicted"]]
+        p = batch.points[1]
+        solo = transient(ch.build_cell_circuit(cell, p.load, p.wave_map),
+                         p.t_stop, p.dt, record=[pin, cell.output])
+        vdd = ch.config.vdd
+        wout = solo.waveform(cell.output)
+        delay = propagation_delay(solo.waveform(pin), wout, vdd,
+                                  p.in_tr, p.out_tr)
+        slew = wout.transition_time(0.0, vdd, direction=p.out_tr)
+        # INV: each output edge of a (slew, load) cell comes from one
+        # input edge, so the table entries are exactly the solo solve's.
+        assert getattr(arc, f"cell_{p.out_tr}").values[p.i, p.j] == delay
+        assert (getattr(arc, f"{p.out_tr}_transition").values[p.i, p.j]
+                == slew)
+        assert len(notes) == 1 and "grid eviction" in notes[0]
+        assert not any("analytic fallback" in n for n in notes)

@@ -1,18 +1,16 @@
-"""Equivalence of the compiled MNA kernel against the retained reference.
+"""Equivalence of the MNA engine against the test-side oracle.
 
-The compiled kernel must be a pure performance transformation: same
-stamps, same linearization, same accepted solutions.  Three layers of
-checks:
+The engine (compiled scatter stamps, masked modified Newton) must be a
+pure performance transformation of the plain per-element algorithm in
+``tests/spice/oracle.py``: same stamps, same linearization, same
+accepted solutions.  Layers of checks:
 
 * assembly equivalence on randomized circuits (resistors, capacitors,
   sources, n/p FinFETs, ground aliases): A and z agree to summation-order
-  tolerance;
-* residual consistency: the compiled ``residual`` matches ``A(v) v - z``
-  assembled at the same point (companion linearization is exact at its
-  expansion point);
+  tolerance, and the frozen-companion RHS rebuilds z exactly;
 * golden DC/transient regression: INV and NAND2 solves at 300 K and 10 K
-  agree between kernels to 1e-9, and the stacked device evaluator matches
-  per-device scalar evaluation.
+  agree with the oracle's full-Newton solves to 1e-9, and the stacked
+  device evaluator matches per-device scalar evaluation.
 """
 
 from __future__ import annotations
@@ -27,6 +25,8 @@ from repro.spice.mna import MNASystem
 from repro.spice.netlist import Circuit
 from repro.spice.solver import dc_operating_point, transient
 from repro.spice.sources import DC, ramp
+
+from .oracle import assemble_reference, dc_reference, transient_reference
 
 VDD = 0.8
 
@@ -84,112 +84,79 @@ def _nand2(temp: float) -> Circuit:
     return c
 
 
+def _batch_of_one(comp):
+    """A per-capacitor (geq, ieq) pair as the engine's (G=1, n_caps)."""
+    return None if comp is None else (comp[0][None, :], comp[1][None, :])
+
+
 class TestAssemblyEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_assembly_matches_reference(self, seed):
         circuit = _rand_circuit(seed)
-        compiled = MNASystem(circuit, kernel="compiled")
-        reference = MNASystem(circuit, kernel="reference")
+        system = MNASystem([circuit])
         rng = np.random.default_rng(1000 + seed)
         for trial in range(3):
-            v = rng.uniform(-VDD, VDD, compiled.dim)
+            v = rng.uniform(-VDD, VDD, system.dim)
             n_caps = len(circuit.capacitors)
             comp = (rng.uniform(1.0, 1e3, n_caps),
                     rng.uniform(-1e-3, 1e-3, n_caps)) if trial else None
-            a_c, z_c = compiled.assemble(v, 0.0, gmin=1e-10,
-                                         cap_companion=comp,
-                                         source_scale=0.7)
-            a_r, z_r = reference.assemble(v, 0.0, gmin=1e-10,
+            a_c, z_c, _ = system.assemble(
+                v[None, :], system.source_values(0.0), gmin=1e-10,
+                cap_companion=_batch_of_one(comp), source_scale=0.7)
+            a_r, z_r = assemble_reference(circuit, v, 0.0, gmin=1e-10,
                                           cap_companion=comp,
                                           source_scale=0.7)
             scale = np.abs(a_r).max()
-            assert np.abs(a_c - a_r).max() <= 1e-12 * scale
+            assert np.abs(a_c[0] - a_r).max() <= 1e-12 * scale
             zscale = max(np.abs(z_r).max(), 1e-12)
-            assert np.abs(z_c - z_r).max() <= 1e-12 * zscale
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_residual_matches_assembled_system(self, seed):
-        circuit = _rand_circuit(seed)
-        system = MNASystem(circuit, kernel="compiled")
-        rng = np.random.default_rng(2000 + seed)
-        v = rng.uniform(0.0, VDD, system.dim)
-        n_caps = len(circuit.capacitors)
-        comp = (rng.uniform(1.0, 1e3, n_caps),
-                rng.uniform(-1e-3, 1e-3, n_caps))
-        a, z = system.assemble(v, 0.0, gmin=1e-10, cap_companion=comp)
-        f = system.residual(v, 0.0, gmin=1e-10, cap_companion=comp)
-        # The companion linearization is exact at its expansion point, so
-        # F(v) == A(v) v - z(v) up to floating-point noise.
-        ref = a @ v - z
-        assert np.abs(f - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
+            assert np.abs(z_c[0] - z_r).max() <= 1e-12 * zscale
 
     def test_rhs_matches_assembled_z(self):
         circuit = _rand_circuit(3)
-        system = MNASystem(circuit, kernel="compiled")
+        system = MNASystem([circuit])
         rng = np.random.default_rng(99)
-        v = rng.uniform(0.0, VDD, system.dim)
+        v = rng.uniform(0.0, VDD, (1, system.dim))
         n_caps = len(circuit.capacitors)
-        comp = (rng.uniform(1.0, 1e3, n_caps),
-                rng.uniform(-1e-3, 1e-3, n_caps))
-        _, z, fet_ieq = system.assemble_with_companions(
-            v, 0.0, cap_companion=comp, source_scale=0.9)
-        z_again = system.rhs(0.0, comp, 0.9, fet_ieq)
+        comp = _batch_of_one((rng.uniform(1.0, 1e3, n_caps),
+                              rng.uniform(-1e-3, 1e-3, n_caps)))
+        sources = system.source_values(0.0)
+        _, z, fet_ieq = system.assemble(
+            v, sources, cap_companion=comp, source_scale=0.9)
+        z_again = system.rhs(sources, comp, fet_ieq, source_scale=0.9)
         np.testing.assert_allclose(z_again, z, rtol=0, atol=1e-18)
 
 
 class TestGoldenRegression:
-    """Compiled solves pin to the reference kernel within 1e-9."""
+    """Engine solves pin to the oracle's full-Newton solves within 1e-9."""
 
     @pytest.mark.parametrize("temp", [300.0, 10.0])
     @pytest.mark.parametrize("make", [_inv, _nand2])
     def test_dc_matches_reference(self, make, temp):
         circuit = make(temp)
-        op_c = dc_operating_point(circuit, kernel="compiled")
-        op_r = dc_operating_point(circuit, kernel="reference")
-        for node, val in op_r.voltages.items():
-            assert abs(op_c.voltages[node] - val) < 1e-9
-        for name, val in op_r.source_currents.items():
-            assert abs(op_c.source_currents[name] - val) < 1e-9
+        op = dc_operating_point(circuit)
+        volts, currents = dc_reference(circuit)
+        for node, val in volts.items():
+            assert abs(op.voltages[node] - val) < 1e-9
+        for name, val in currents.items():
+            assert abs(op.source_currents[name] - val) < 1e-9
 
     @pytest.mark.parametrize("temp", [300.0, 10.0])
     @pytest.mark.parametrize("make", [_inv, _nand2])
     def test_transient_matches_reference(self, make, temp):
         circuit = make(temp)
-        tr_c = transient(circuit, 60e-12, 1e-12, kernel="compiled")
-        tr_r = transient(circuit, 60e-12, 1e-12, kernel="reference")
-        for node, wave in tr_r.voltages.items():
-            assert np.abs(tr_c.voltages[node] - wave).max() < 1e-9
-        for name, wave in tr_r.source_currents.items():
-            assert np.abs(tr_c.source_currents[name] - wave).max() < 1e-9
+        tr = transient(circuit, 60e-12, 1e-12)
+        volts, currents = transient_reference(circuit, 60e-12, 1e-12)
+        for node, wave in volts.items():
+            assert np.abs(tr.voltages[node] - wave).max() < 1e-9
+        for name, wave in currents.items():
+            assert np.abs(tr.source_currents[name] - wave).max() < 1e-9
 
     def test_jacobian_reuse_stats(self):
-        circuit = _inv(300.0)
-        tr_c = transient(circuit, 60e-12, 1e-12, kernel="compiled")
-        tr_r = transient(circuit, 60e-12, 1e-12, kernel="reference")
-        # Every timestep after the first bypasses on the cached LU (the
-        # first transient step cannot: the DC solve cached a different
-        # companion key).
-        assert tr_c.stats.jacobian_reuses >= tr_c.stats.timesteps - 1
-        assert tr_r.stats.jacobian_reuses == 0
-
-    def test_device_currents_equivalent(self):
-        circuit = _nand2(300.0)
-        op = dc_operating_point(circuit, kernel="compiled")
-        compiled = MNASystem(circuit, kernel="compiled")
-        x = np.array([op.voltages[n] for n in compiled.nodes]
-                     + [op.source_currents[s.name] for s in circuit.sources])
-        currents = compiled.device_currents(x)
-        assert set(currents) == {"mpa", "mpb", "mna", "mnb"}
-        # Cross-check against direct per-device model evaluation.
-        volts = dict(op.voltages)
-        for g in ("0", "gnd", "vss"):
-            volts[g] = 0.0
-        for fet in circuit.finfets:
-            vgs = volts[fet.gate] - volts[fet.source]
-            vds = volts[fet.drain] - volts[fet.source]
-            direct = float(fet.model.ids(vgs, vds, 300.0))
-            assert currents[fet.name] == pytest.approx(direct, rel=1e-9,
-                                                       abs=1e-18)
+        tr = transient(_inv(300.0), 60e-12, 1e-12)
+        # Every timestep after the first bypasses on the cached Jacobian
+        # (the first transient step cannot: the DC solve cached a
+        # different companion key).
+        assert tr.stats.jacobian_reuses >= tr.stats.timesteps - 1
 
 
 class TestStackedEvaluator:

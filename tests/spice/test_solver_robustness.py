@@ -7,15 +7,33 @@ import pytest
 
 import repro.spice.solver as solver_mod
 from repro.errors import ReproError, SolverBudgetError, SolverError
+from repro.device.finfet import FinFET
+from repro.device.params import default_nfet, default_pfet
 from repro.spice import (
     DC,
     Circuit,
     ConvergenceError,
     SolverBudget,
     dc_operating_point,
+    ramp,
     transient,
+    transient_grid,
 )
 from repro.spice.mna import GMIN_DEFAULT
+
+
+_NMOS = FinFET(default_nfet(2))
+_PMOS = FinFET(default_pfet(3))
+
+
+def _inverter(load: float) -> Circuit:
+    c = Circuit("inv")
+    c.add_vsource("vdd", "vdd", "0", DC(0.7))
+    c.add_vsource("vin", "in", "0", ramp(10e-12, 10e-12, 0.0, 0.7))
+    c.add_finfet("mp", "out", "in", "vdd", _PMOS)
+    c.add_finfet("mn", "out", "in", "0", _NMOS)
+    c.add_capacitor("cl", "out", "0", load)
+    return c
 
 
 def _rc_circuit(vdd: float = 0.7) -> Circuit:
@@ -68,14 +86,14 @@ class TestEscalationLadder:
         state = {"source_mode": False}
         real = solver_mod._newton_solve
 
-        def flaky(system, x0, t, gmin, cap_companion, source_scale=1.0,
-                  tracker=None):
+        def flaky(system, x, sources, gmin, cap_companion, alive,
+                  source_scale=1.0, tracker=None):
             calls.append((gmin, source_scale))
             if source_scale < 1.0:
                 state["source_mode"] = True  # continuation has begun
             if not state["source_mode"]:
-                raise ConvergenceError(f"forced failure at gmin={gmin}")
-            return real(system, x0, t, gmin, cap_companion,
+                return 1, np.zeros_like(alive)  # forced failure
+            return real(system, x, sources, gmin, cap_companion, alive,
                         source_scale=source_scale, tracker=tracker)
 
         monkeypatch.setattr(solver_mod, "_newton_solve", flaky)
@@ -90,11 +108,9 @@ class TestEscalationLadder:
     def test_source_stepping_failure_keeps_ladder_context(
         self, monkeypatch
     ):
-        def always_fails(system, x0, t, gmin, cap_companion,
+        def always_fails(system, x, sources, gmin, cap_companion, alive,
                          source_scale=1.0, tracker=None):
-            raise ConvergenceError(
-                f"forced failure (gmin={gmin}, scale={source_scale})"
-            )
+            return 1, np.zeros_like(alive)
 
         monkeypatch.setattr(solver_mod, "_newton_solve", always_fails)
         with pytest.raises(ConvergenceError) as err:
@@ -103,6 +119,46 @@ class TestEscalationLadder:
         assert "plain NR failed" in msg
         assert "gmin ladder failed at gmin=0.001" in msg
         assert "source stepping failed" in msg
+
+    def test_masked_ladder_recovers_one_replica_in_batch(self, monkeypatch):
+        """One replica of a batch fails plain NR at DC: it alone walks
+        the gmin ladder inside the batch and recovers, while the frozen
+        bystanders stay bit-identical to their solo solves."""
+        circuits = [_inverter(load) for load in (1e-15, 2e-15, 4e-15)]
+        t_stop, dt = 40e-12, 0.5e-12
+        solo = [transient(c, t_stop, dt) for c in circuits]
+        real = solver_mod._newton_solve
+        calls = []
+
+        def flaky(system, x, sources, gmin, cap_companion, alive,
+                  source_scale=1.0, tracker=None):
+            its, ok = real(system, x, sources, gmin, cap_companion, alive,
+                           source_scale=source_scale, tracker=tracker)
+            calls.append((gmin, source_scale, alive.copy()))
+            if len(calls) == 1:  # the batch's plain-NR DC solve
+                assert cap_companion is None and gmin == GMIN_DEFAULT
+                x[1] = 5.0  # a diverged attempt the ladder must discard
+                ok = ok.copy()
+                ok[1] = False
+            return its, ok
+
+        monkeypatch.setattr(solver_mod, "_newton_solve", flaky)
+        results = transient_grid(circuits, t_stop, dt)
+        assert all(r is not None for r in results)
+        # Only the failed replica climbed the ladder, rung by rung.
+        rungs = calls[1:1 + len(solver_mod._GMIN_LADDER)]
+        assert [(g, s) for g, s, _ in rungs] == [
+            (g, 1.0) for g in solver_mod._GMIN_LADDER]
+        for _, _, alive in rungs:
+            assert alive.tolist() == [False, True, False]
+        stats = results[0].stats
+        assert stats.gmin_steps == len(solver_mod._GMIN_LADDER)
+        assert stats.source_steps == 0
+        for r in (0, 2):
+            for node, wave in solo[r].voltages.items():
+                assert np.array_equal(results[r].voltages[node], wave)
+        for node, wave in solo[1].voltages.items():
+            assert np.abs(results[1].voltages[node] - wave).max() < 1e-6
 
 
 class TestSolverBudget:
