@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -205,7 +204,7 @@ def _characterize_cell(
 def build_library(
     models: TechModels,
     config: CharacterizationConfig,
-    *args,
+    *,
     catalog: list[StandardCell | SequentialCell] | None = None,
     name: str | None = None,
     strict: bool = False,
@@ -235,25 +234,8 @@ def build_library(
       content digest of (models, config, catalog, strict); ``None``
       enables caching iff ``REPRO_CACHE_DIR`` is set.
 
-    Parameters after ``models``/``config`` are keyword-only; the old
-    positional form ``build_library(models, config, catalog, name,
-    strict)`` still works for one release with a DeprecationWarning.
+    Every parameter after ``models``/``config`` is keyword-only.
     """
-    if args:
-        if len(args) > 3:
-            raise TypeError(
-                f"build_library() takes at most 5 positional arguments "
-                f"({2 + len(args)} given)")
-        warnings.warn(
-            "positional catalog/name/strict arguments to build_library() "
-            "are deprecated; pass them as keywords",
-            DeprecationWarning, stacklevel=2,
-        )
-        legacy = dict(zip(("catalog", "name", "strict"), args))
-        catalog = legacy.get("catalog", catalog)
-        name = legacy.get("name", name)
-        strict = legacy.get("strict", strict)
-
     catalog = full_catalog() if catalog is None else catalog
     name = name or f"repro5nm_{config.temperature_k:g}K"
 

@@ -1,10 +1,9 @@
 """The unified classifier contract: one public API for every readout model.
 
-Before this module existed, every consumer of the classification layer
-(the experiments, the SoC kernels, the examples) reached for the
-concrete classes with ad-hoc constructor calls -- ``KNNClassifier(
-centers)`` here, ``HDCClassifier.calibrate(encoder, centers)`` there.
-The service layer (:mod:`repro.serve`) needs the opposite: a stateless,
+Every consumer of the classification layer (the experiments, the SoC
+kernels, the examples) picks a model by name and trains it through one
+API instead of a concrete class's constructor.  The service layer
+(:mod:`repro.serve`) relies on the same API being a stateless,
 serializable, versioned *protocol* it can load once, share read-only
 across worker threads, and ship across process or wire boundaries.
 

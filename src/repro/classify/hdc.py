@@ -11,13 +11,12 @@ This module is the Python reference; :mod:`repro.soc.programs` runs the
 same algorithm on the RV64 ISS, and tests assert label agreement.
 :class:`HDCClassifier` implements the unified
 :class:`~repro.classify.base.Classifier` protocol and is registered as
-``"hdc"``; the historical ``calibrate(encoder, centers)`` call form
-still works behind a ``DeprecationWarning`` shim.
+``"hdc"``; pre-estimated centers train through
+:meth:`HDCClassifier.from_centers`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,7 +155,7 @@ class HDCClassifier(Classifier):
         return self.prototypes.shape[0]
 
     @classmethod
-    def calibrate(cls, shots_0, shots_1=None, *, encoder: HDCEncoder
+    def calibrate(cls, shots_0, shots_1, *, encoder: HDCEncoder
                   | None = None, seed: int = 42) -> "HDCClassifier":
         """Train from |0>/|1> calibration shots (the unified protocol).
 
@@ -164,19 +163,8 @@ class HDCClassifier(Classifier):
         shots; centers are their per-qubit means, encoded into
         prototypes.  The item memory defaults to the seeded
         :meth:`HDCEncoder.random` ("constant and generated once").
-
-        The historical form ``calibrate(encoder, centers)`` still works
-        but warns: pass the encoder by keyword and train from shots, or
-        use :meth:`from_centers` for pre-estimated centers.
+        For pre-estimated centers use :meth:`from_centers`.
         """
-        if isinstance(shots_0, HDCEncoder):
-            warnings.warn(
-                "HDCClassifier.calibrate(encoder, centers) is deprecated; "
-                "use HDCClassifier.calibrate(shots_0, shots_1, "
-                "encoder=...) or HDCClassifier.from_centers(centers, "
-                "encoder=...)",
-                DeprecationWarning, stacklevel=2)
-            return cls.from_centers(shots_1, encoder=shots_0)
         s0 = validate_shots("shots_0", shots_0)
         s1 = validate_shots("shots_1", shots_1)
         if s0.shape[0] != s1.shape[0]:

@@ -12,13 +12,14 @@ observations stream through:
 
 * a counter's ring holds one count per slot, so :meth:`RollingCounter.rate`
   is the true windowed throughput;
-* a histogram bins observations into geometrically spaced buckets
-  (relative spacing ``rel_error``), one bin array per slot, so windowed
+* a histogram is the codebase's one histogram type,
+  :class:`repro.telemetry.Histogram` (log-spaced bins, exact
+  count/sum/min/max), plus one bin array per slot, so windowed
   quantiles (:meth:`RollingHistogram.percentile`) are exact to within
   one bin -- a bounded relative error -- and a one-million-sample soak
-  allocates nothing.  A second, cumulative bin array feeds the
-  session-record summaries (queue-depth and batch-size histograms)
-  without keeping raw samples.
+  allocates nothing.  The base class's cumulative bins feed the
+  session-record summaries (latency quantiles, queue-depth and
+  batch-size histograms) without keeping raw samples.
 
 **Request-scoped tracing** -- a :class:`TraceContext` is minted per wire
 request (in :mod:`repro.serve.protocol`) and threaded through the
@@ -38,12 +39,12 @@ and the ``repro top`` dashboard render.
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 import time
 
 import numpy as np
 
+from repro.telemetry.metrics import Histogram
 from repro.telemetry.spans import Span
 
 __all__ = [
@@ -57,10 +58,6 @@ __all__ = [
 #: Default rolling window: ten one-second slots.
 DEFAULT_WINDOW_S = 10.0
 DEFAULT_SLOTS = 10
-
-#: Default per-bin relative spacing of the log-scaled histogram: a
-#: windowed quantile is exact to within one bin, i.e. ~4 % relative.
-DEFAULT_REL_ERROR = 0.04
 
 
 class RollingCounter:
@@ -115,58 +112,30 @@ class RollingCounter:
         return self.window_count(now) / (self.slot_s * self.slots)
 
 
-class RollingHistogram:
-    """Fixed-memory rolling-window quantile estimator.
+class RollingHistogram(Histogram):
+    """A :class:`~repro.telemetry.metrics.Histogram` plus a rolling window.
 
-    Observations are binned geometrically: bin edges grow by
-    ``1 + rel_error`` per bin between ``lo`` and ``hi``, values outside
-    clamp to the end bins.  The ring holds one ``int64`` bin array per
-    slot; a windowed percentile walks the summed live slots and returns
-    the geometric midpoint of the bin holding the target rank -- exact
-    to within one bin, i.e. a relative error bounded by ``rel_error``.
-
-    A parallel *cumulative* bin array (plus exact count/sum/min/max)
-    summarizes the whole stream for session records.  Total memory is
-    ``(slots + 1) * n_bins`` int64 regardless of how many observations
-    stream through -- the property the 1M-sample soak test pins.
+    ``lo``/``hi``/``rel_error`` set the bin geometry as for the base
+    class, which keeps the cumulative bins and exact count/sum/min/max
+    (:meth:`cumulative_percentile`, :meth:`summary`).  On top, a ring
+    holds one ``int64`` bin array per slot; a windowed
+    :meth:`percentile` sums the live slots and reads them the same way.
+    Total memory is ``(slots + 1) * n_bins`` int64 regardless of how
+    many observations stream through -- the property the 1M-sample soak
+    test pins.
     """
 
-    __slots__ = ("lo", "hi", "rel_error", "slot_s", "slots", "_growth",
-                 "_n_bins", "_ring", "_stamps", "_cum", "count", "sum",
-                 "min", "max", "_lock")
+    __slots__ = ("slot_s", "slots", "_ring", "_stamps")
 
-    def __init__(self, *, lo: float = 1e-3, hi: float = 1e6,
-                 rel_error: float = DEFAULT_REL_ERROR,
-                 window_s: float = DEFAULT_WINDOW_S,
-                 slots: int = DEFAULT_SLOTS):
-        if not (0 < lo < hi):
-            raise ValueError(f"need 0 < lo < hi, got {lo!r}/{hi!r}")
-        if not 0 < rel_error < 1:
-            raise ValueError(f"rel_error must be in (0, 1), got "
-                             f"{rel_error!r}")
-        self.lo = lo
-        self.hi = hi
-        self.rel_error = rel_error
+    def __init__(self, *, window_s: float = DEFAULT_WINDOW_S,
+                 slots: int = DEFAULT_SLOTS, **geometry):
+        super().__init__(**geometry)
         self.slot_s = window_s / slots
         self.slots = slots
-        self._growth = math.log1p(rel_error)
-        self._n_bins = int(math.log(hi / lo) / self._growth) + 2
-        self._ring = np.zeros((slots, self._n_bins), dtype=np.int64)
+        self._ring = np.zeros((slots, len(self._bins)), dtype=np.int64)
         self._stamps = [-1] * slots
-        self._cum = np.zeros(self._n_bins, dtype=np.int64)
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    def _bin(self, value: float) -> int:
-        if not value > self.lo:
-            return 0
-        index = int(math.log(value / self.lo) / self._growth) + 1
-        return min(index, self._n_bins - 1)
-
     def observe(self, value: float, now: float | None = None) -> None:
         value = float(value)
         now = time.time() if now is None else now
@@ -178,45 +147,17 @@ class RollingHistogram:
                 self._stamps[index] = absolute
                 self._ring[index, :] = 0
             self._ring[index, b] += 1
-            self._cum[b] += 1
-            self.count += 1
-            self.sum += value
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
+            self._record(value, b)
 
-    # ------------------------------------------------------------------ #
     def _live_bins(self, now: float) -> np.ndarray:
         oldest = int(now / self.slot_s) - self.slots + 1
-        live = [self._ring[i] for i, s in enumerate(self._stamps)
-                if s >= oldest]
-        if not live:
-            return np.zeros(self._n_bins, dtype=np.int64)
-        return np.sum(live, axis=0)
-
-    def _bin_value(self, index: int) -> float:
-        """The geometric midpoint a bin reports as its value."""
-        if index <= 0:
-            return self.lo
-        edge_lo = self.lo * math.exp((index - 1) * self._growth)
-        return edge_lo * math.exp(self._growth / 2.0)
-
-    @staticmethod
-    def _rank_bin(bins: np.ndarray, q: float) -> int | None:
-        total = int(bins.sum())
-        if total == 0:
-            return None
-        rank = min(total - 1, max(0, round(q / 100.0 * (total - 1))))
-        cumulative = np.cumsum(bins)
-        return int(np.searchsorted(cumulative, rank + 1))
+        return self._ring[[s >= oldest for s in self._stamps]].sum(axis=0)
 
     def percentile(self, q: float, now: float | None = None) -> float:
         """Windowed percentile (0.0 when the window is empty)."""
         now = time.time() if now is None else now
         with self._lock:
-            index = self._rank_bin(self._live_bins(now), q)
-        return 0.0 if index is None else self._bin_value(index)
+            return self._value_at(self._live_bins(now), q)
 
     def window_count(self, now: float | None = None) -> int:
         now = time.time() if now is None else now
@@ -225,29 +166,11 @@ class RollingHistogram:
 
     def cumulative_percentile(self, q: float) -> float:
         """Whole-stream percentile from the cumulative bins."""
-        with self._lock:
-            index = self._rank_bin(self._cum, q)
-        return 0.0 if index is None else self._bin_value(index)
-
-    def summary(self) -> dict:
-        """Whole-stream summary for session records (plain floats)."""
-        with self._lock:
-            if not self.count:
-                return {"count": 0}
-            out = {
-                "count": self.count,
-                "mean": self.sum / self.count,
-                "min": self.min,
-                "max": self.max,
-            }
-        for q in (50, 95, 99):
-            out[f"p{q}"] = self.cumulative_percentile(q)
-        return out
+        return super().percentile(q)
 
     @property
     def nbytes(self) -> int:
-        """Bin storage footprint -- constant by construction."""
-        return self._ring.nbytes + self._cum.nbytes
+        return super().nbytes + self._ring.nbytes
 
 
 # ---------------------------------------------------------------------- #

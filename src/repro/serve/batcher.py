@@ -31,7 +31,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro import telemetry
 from repro.classify import Classifier
 from repro.errors import DeadlineError
 from repro.observe.live import LiveMetrics, TraceContext
@@ -151,9 +150,6 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         self.batches += 1
         self.batched_requests += len(live)
-        telemetry.count("serve.batches")
-        telemetry.observe("serve.batch_requests", len(live))
-        telemetry.observe("serve.batch_shots", len(fused_iq))
         if self.metrics is not None:
             self.metrics.batch_requests.observe(len(live))
             self.metrics.batch_shots.observe(len(fused_iq))

@@ -10,12 +10,14 @@ Architecture (one event loop, a small predict thread pool)::
 
 The pipeline stages are plain ``handler -> handler`` wrappers over
 :class:`RequestContext`, so every request -- served or rejected --
-lands in the same spans and counters:
+lands in the same counters:
 
 ``telemetry``
-    Wraps the request in a ``serve.request`` span, bumps
-    ``serve.requests`` / ``serve.shots`` / per-code rejection counters,
-    and feeds the latency histogram the session record summarizes.
+    Bumps the ``serve.requests`` / ``serve.shots`` / per-code rejection
+    counters of ``server.stats`` and records the request's latency
+    once, in the live latency histogram; its rolling window feeds the
+    stats snapshot and its cumulative view the session record's
+    latency quantiles.
 ``admission``
     Bounded-queue back-pressure.  If ``max_queue`` requests are already
     admitted (parsed, not yet answered), the request is rejected
@@ -60,7 +62,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import telemetry
 from repro.classify import Classifier
 from repro.errors import (
     ConfigError,
@@ -84,7 +85,7 @@ from repro.serve.protocol import (
     parse_request,
     stats_response,
 )
-from repro.telemetry.spans import Span
+from repro.telemetry import Span, iso_ts
 
 __all__ = ["ClassifierServer", "RequestContext", "ServeConfig",
            "ServerThread"]
@@ -201,7 +202,6 @@ class ClassifierServer:
         self._lag = LagTracker()
         self._counter_timeline: deque[tuple[float, dict]] = deque(
             maxlen=600)
-        self._latencies_ms: list[float] = []
         self._inflight = 0
         self._started_s = 0.0
         self._start_ts = ""
@@ -231,9 +231,8 @@ class ClassifierServer:
         self.host, self.port = \
             self._server.sockets[0].getsockname()[:2]
         self._started_s = time.perf_counter()
-        self._start_ts = telemetry.iso_ts(time.time())
+        self._start_ts = iso_ts(time.time())
         self._observer_task = asyncio.ensure_future(self._observe_loop())
-        telemetry.gauge("serve.models", len(self.registry))
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -282,7 +281,6 @@ class ClassifierServer:
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         self.stats["serve.connections"] += 1
-        telemetry.count("serve.connections")
         if self.config.sndbuf_bytes:
             sock = writer.get_extra_info("socket")
             if sock is not None:
@@ -371,7 +369,6 @@ class ClassifierServer:
                     writer.drain(), self.config.write_timeout_s)
             except (TimeoutError, asyncio.TimeoutError, ConnectionError):
                 self.stats["serve.slow_client_disconnects"] += 1
-                telemetry.count("serve.slow_client_disconnects")
                 writer.transport.abort()
 
     async def _process(self, line: bytes
@@ -406,13 +403,11 @@ class ClassifierServer:
                    400: "serve.bad_requests"}.get(code)
             if key is not None:
                 self.stats[key] += 1
-                telemetry.count(key)
             if trace is not None:
                 trace.set(status="error", code=code)
             return error_response(req_id, exc), trace
         except Exception as exc:  # noqa: BLE001 - wire boundary
             self.stats["serve.internal_errors"] += 1
-            telemetry.count("serve.internal_errors")
             self.live.errors.add()
             if trace is not None:
                 trace.set(status="error", code=500)
@@ -430,7 +425,6 @@ class ClassifierServer:
     def _admin_response(self, request: ParsedRequest) -> bytes:
         """Answer an admin op (only ``stats`` exists today)."""
         self.stats["serve.stats_scrapes"] += 1
-        telemetry.count("serve.stats_scrapes")
         return stats_response(request.req_id, self.stats_snapshot())
 
     def stats_snapshot(self) -> dict:
@@ -494,34 +488,25 @@ class ClassifierServer:
     # ------------------------------------------------------------------ #
     def _telemetry_middleware(self, nxt):
         async def run(ctx: RequestContext) -> None:
-            with telemetry.span("serve.request", model=ctx.request.model,
-                                shots=ctx.request.n_shots) as sp:
-                try:
-                    await nxt(ctx)
-                except ServeOverloadError:
-                    self.stats["serve.rejected"] += 1
-                    telemetry.count("serve.rejected")
-                    self.live.rejected.add()
-                    raise
-                except DeadlineError:
-                    self.stats["serve.deadline_expired"] += 1
-                    telemetry.count("serve.deadline_expired")
-                    self.live.errors.add()
-                    raise
-                finally:
-                    latency_ms = (time.perf_counter() - ctx.t0) * 1e3
-                    self._latencies_ms.append(latency_ms)
-                    telemetry.observe("serve.latency_ms", latency_ms)
-                    sp.set(latency_ms=round(latency_ms, 3))
-                    self.live.requests.add()
-                    self.live.latency_ms.observe(latency_ms)
-                    if latency_ms > self.config.slo_latency_ms:
-                        self.stats["serve.slo_latency_violations"] += 1
-                        self.live.latency_violations.add()
+            try:
+                await nxt(ctx)
+            except ServeOverloadError:
+                self.stats["serve.rejected"] += 1
+                self.live.rejected.add()
+                raise
+            except DeadlineError:
+                self.stats["serve.deadline_expired"] += 1
+                self.live.errors.add()
+                raise
+            finally:
+                latency_ms = (time.perf_counter() - ctx.t0) * 1e3
+                self.live.requests.add()
+                self.live.latency_ms.observe(latency_ms)
+                if latency_ms > self.config.slo_latency_ms:
+                    self.stats["serve.slo_latency_violations"] += 1
+                    self.live.latency_violations.add()
             self.stats["serve.requests"] += 1
             self.stats["serve.shots"] += ctx.request.n_shots
-            telemetry.count("serve.requests")
-            telemetry.count("serve.shots", ctx.request.n_shots)
             self.live.shots.add(ctx.request.n_shots)
 
         return run
@@ -578,17 +563,17 @@ class ClassifierServer:
         serving sessions exactly as it gates on experiment fidelity.
         """
         wall_s = max(time.perf_counter() - self._started_s, 1e-9)
-        lat = np.asarray(self._latencies_ms, dtype=float)
+        lat = self.live.latency_ms
         metrics: dict[str, float] = dict(self.stats)
         metrics["serve.batches"] = \
             self._batcher.batches if self._batcher else 0
         metrics["serve.shots_per_sec"] = \
             round(self.stats["serve.shots"] / wall_s, 1)
-        if len(lat):
+        if lat.count:
             metrics["serve.latency_p50_ms"] = \
-                round(float(np.percentile(lat, 50)), 3)
+                round(lat.cumulative_percentile(50), 3)
             metrics["serve.latency_p99_ms"] = \
-                round(float(np.percentile(lat, 99)), 3)
+                round(lat.cumulative_percentile(99), 3)
         metrics.update(self.live.record_summaries())
         slo_report = self._slo_report()
         metrics.update(slo_report.metrics())

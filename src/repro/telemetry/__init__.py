@@ -1,4 +1,4 @@
-"""repro.telemetry: dependency-free tracing + metrics for the whole flow.
+"""repro.telemetry: tracing + metrics for the whole flow (stdlib + numpy).
 
 Design goals, in priority order:
 
@@ -176,7 +176,7 @@ def merge_snapshot(snap: dict, parent: Span | None = None) -> None:
 
     Span trees attach under ``parent`` (default: the calling thread's
     active span, falling back to new roots); metrics merge with their
-    natural semantics (counters add, histograms extend, gauges
+    natural semantics (counters add, histogram bins add, gauges
     last-write-win).
     """
     spans = [Span.from_dict(d) for d in snap.get("spans", [])]

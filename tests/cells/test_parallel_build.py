@@ -103,10 +103,9 @@ class TestDiskCache:
 
 class TestDeprecationShim:
     def test_positional_extras_warn(self, models, config):
-        catalog = full_catalog()[:3]
-        with pytest.warns(DeprecationWarning):
-            lib = build_library(models, config, catalog)
-        assert len(lib.cells) > 0
+        """The positional catalog form is gone: extras raise."""
+        with pytest.raises(TypeError):
+            build_library(models, config, full_catalog()[:3])
 
     def test_keyword_form_does_not_warn(self, models, config,
                                         recwarn):

@@ -109,15 +109,13 @@ def test_malformed_predict_points_rejected(kind, shots):
 
 
 def test_hdc_legacy_calibrate_shim(shots):
-    """The historical calibrate(encoder, centers) form still works but
-    warns; labels match the replacement from_centers call."""
+    """The historical calibrate(encoder, centers) form is gone: an
+    encoder passed as shots_0 is rejected by shot validation."""
     encoder = HDCEncoder.random(seed=4)
     centers = np.stack([shots[0].mean(axis=1), shots[1].mean(axis=1)],
                        axis=1)
-    with pytest.warns(DeprecationWarning, match="from_centers"):
-        legacy = HDCClassifier.calibrate(encoder, centers)
-    modern = HDCClassifier.from_centers(centers, encoder=encoder)
-    assert legacy.model_digest == modern.model_digest
+    with pytest.raises(ValidationError, match="shots_0"):
+        HDCClassifier.calibrate(encoder, centers)
 
 
 def test_duplicate_registration_rejected():

@@ -12,6 +12,7 @@ from repro.observe.live import (
     TraceContext,
     render_top,
 )
+from repro.telemetry import Histogram
 
 T0 = 1_000_000.0  # deterministic "now" base for injected clocks
 
@@ -52,37 +53,67 @@ class TestRollingCounter:
 
 
 # ---------------------------------------------------------------------- #
-# RollingHistogram: the quantile-estimator contract
+# RollingHistogram: the quantile-estimator contract.  The numpy-quantile
+# and soak tests also cover its base class, telemetry's Histogram.
 # ---------------------------------------------------------------------- #
+def _histogram(kind, window_s=10.0, slots=10):
+    if kind == "telemetry":
+        return Histogram(lo=1e-3, hi=1e6, rel_error=0.04)
+    return RollingHistogram(lo=1e-3, hi=1e6, rel_error=0.04,
+                            window_s=window_s, slots=slots)
+
+
+def _observe(hist, value, now):
+    if isinstance(hist, RollingHistogram):
+        hist.observe(value, now=now)
+    else:
+        hist.observe(value)
+
+
+def _cumulative(hist, q):
+    if isinstance(hist, RollingHistogram):
+        return hist.cumulative_percentile(q)
+    return hist.percentile(q)
+
+
+KINDS = ["rolling", "telemetry"]
+
+
 class TestRollingHistogram:
-    def test_quantiles_match_numpy_within_bin_error(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_quantiles_match_numpy_within_bin_error(self, kind):
         """Seeded stream: every windowed quantile lands within the
         histogram's declared relative error of exact numpy.percentile."""
         rng = np.random.default_rng(42)
-        hist = RollingHistogram(lo=1e-3, hi=1e6, rel_error=0.04,
-                                window_s=10.0, slots=10)
+        hist = _histogram(kind)
         values = rng.lognormal(mean=1.0, sigma=1.2, size=20_000)
         now = T0
         for value in values:
-            hist.observe(value, now=now)
+            _observe(hist, value, now)
         for q in (10, 50, 90, 95, 99, 99.9):
             exact = float(np.percentile(values, q))
-            approx = hist.percentile(q, now=now)
+            if kind == "telemetry":
+                approx = hist.percentile(q)
+            else:
+                approx = hist.percentile(q, now=now)
             assert approx == pytest.approx(exact, rel=0.05), f"p{q}"
 
-    @pytest.mark.parametrize("sigma", [0.3, 2.0])
-    def test_cumulative_quantiles_match_numpy(self, sigma):
+    # The rolling cases keep their historical ids.
+    @pytest.mark.parametrize("kind,sigma", [
+        ("rolling", 0.3), ("rolling", 2.0),
+        ("telemetry", 0.3), ("telemetry", 2.0),
+    ], ids=["0.3", "2.0", "telemetry-0.3", "telemetry-2.0"])
+    def test_cumulative_quantiles_match_numpy(self, kind, sigma):
         rng = np.random.default_rng(7)
-        hist = RollingHistogram(lo=1e-3, hi=1e6, rel_error=0.04)
+        hist = _histogram(kind)
         values = rng.lognormal(mean=0.0, sigma=sigma, size=10_000)
         for i, value in enumerate(values):
             # Spread over minutes: the *cumulative* view must still see
             # everything even after the rolling window forgot it.
-            hist.observe(value, now=T0 + i * 0.01)
+            _observe(hist, value, T0 + i * 0.01)
         for q in (50, 95, 99):
             exact = float(np.percentile(values, q))
-            assert hist.cumulative_percentile(q) == \
-                pytest.approx(exact, rel=0.05)
+            assert _cumulative(hist, q) == pytest.approx(exact, rel=0.05)
 
     def test_window_expiry(self):
         hist = RollingHistogram(window_s=10.0, slots=10)
@@ -107,26 +138,26 @@ class TestRollingHistogram:
         assert hist.percentile(50, now=now) == pytest.approx(1000.0,
                                                              rel=0.05)
 
-    def test_fixed_memory_under_1m_sample_soak(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fixed_memory_under_1m_sample_soak(self, kind):
         """One million observations allocate nothing: bin storage is
         identical before and after, and exact stats stay exact."""
         rng = np.random.default_rng(3)
-        hist = RollingHistogram(lo=1e-3, hi=1e6, rel_error=0.04,
-                                window_s=1.0, slots=4)
+        hist = _histogram(kind, window_s=1.0, slots=4)
         nbytes_before = hist.nbytes
         values = rng.exponential(scale=50.0, size=1_000_000) + 1e-3
         now = T0
         for chunk_start in range(0, len(values), 10_000):
             chunk = values[chunk_start:chunk_start + 10_000]
             for value in chunk:
-                hist.observe(value, now=now)
+                _observe(hist, value, now)
             now += 0.05  # walk time so the ring recycles many times
         assert hist.nbytes == nbytes_before
         assert hist.count == 1_000_000
         assert hist.min == pytest.approx(float(values.min()))
         assert hist.max == pytest.approx(float(values.max()))
         assert hist.sum == pytest.approx(float(values.sum()), rel=1e-9)
-        assert hist.cumulative_percentile(99) == pytest.approx(
+        assert _cumulative(hist, 99) == pytest.approx(
             float(np.percentile(values, 99)), rel=0.05)
 
     def test_clamping_outside_range(self):
@@ -153,7 +184,7 @@ class TestRollingHistogram:
         assert summary["mean"] == pytest.approx(2.5)
         assert summary["min"] == 1.0
         assert summary["max"] == 4.0
-        assert set(summary) == {"count", "mean", "min", "max",
+        assert set(summary) == {"count", "total", "mean", "min", "max",
                                 "p50", "p95", "p99"}
 
     def test_validation(self):
