@@ -18,11 +18,31 @@
     python -m repro serve           # batched classification service
     python -m repro top host:port   # live serving dashboard (stats op)
 
-The command list is *generated* from the experiment registry
-(:mod:`repro.experiments.registry`): every registered
-:class:`~repro.experiments.registry.ExperimentSpec` is a command,
-umbrella groups (``extensions``) expand to their members, and ``all``
-expands to every spec flagged for it.
+The subcommands are *generated* from the experiment registry
+(:mod:`repro.experiments.registry`) by :func:`build_parser`: every
+registered :class:`~repro.experiments.registry.ExperimentSpec` is a
+command, umbrella groups (``extensions``) expand to their members, and
+``all`` expands to every spec flagged for it.  Each command accepts only
+the flags it honours (``repro <command> --help`` lists them); the shared
+sets come from one parent parser each:
+
+* flow -- ``--calibrated`` runs the honest flow (staged calibration
+  first) instead of the fast golden-parameter flow; ``--shots N`` sets
+  the ISS workload size; ``--jobs N`` parallelizes the flow's fan-outs
+  (library builds, and -- for multi-experiment commands -- the
+  experiments themselves) over the :mod:`repro.runtime` executor.
+  ``REPRO_JOBS`` in the environment is the ``--jobs`` default;
+  ``REPRO_CACHE_DIR`` additionally turns on the on-disk result cache so
+  repeat runs skip finished work;
+* logging -- ``-v`` / ``--quiet`` raise/suppress diagnostic logging
+  (the package logs through the stdlib ``repro`` logger hierarchy);
+* telemetry -- ``--trace`` enables span tracing and prints the timing
+  tree at exit; ``--trace FILE`` writes the full trace to FILE instead,
+  as flat span-per-line JSONL when FILE ends in ``.jsonl`` and as
+  Chrome/Perfetto ``trace_event`` JSON (open it at ``ui.perfetto.dev``)
+  otherwise -- on parallel runs, worker spans are merged back into one
+  tree.  ``--metrics`` prints the flat metrics-registry summary at exit;
+* ledger -- ``--runs-dir`` / ``--no-ledger``, below.
 
 Provenance (the run ledger, :mod:`repro.provenance`): every experiment
 invocation appends a :class:`~repro.provenance.records.RunRecord` to
@@ -36,37 +56,20 @@ latest-vs-paper and latest-vs-previous drift tables (``--json`` /
 ``repro compare <runA> <runB>`` diffs two ledger entries, including
 ingested benchmark records.  ``--no-ledger`` skips the append.
 
-``--calibrated`` runs the honest flow (staged calibration first) instead
-of the fast golden-parameter flow; ``--shots N`` controls the ISS
-workload size; ``--jobs N`` parallelizes the flow's fan-outs (library
-builds, and -- for multi-experiment commands -- the experiments
-themselves) over the :mod:`repro.runtime` executor.  ``REPRO_JOBS`` in
-the environment is the flag's default; ``REPRO_CACHE_DIR`` additionally
-turns on the on-disk result cache so repeat runs skip finished work.
-
-Observability flags (global):
-
-* ``-v`` / ``--quiet`` raise/suppress diagnostic logging (the package
-  logs through the stdlib ``repro`` logger hierarchy);
-* ``--trace`` enables span tracing and prints the timing tree at exit;
-  ``--trace FILE`` writes the full trace to FILE -- on parallel runs,
-  worker spans are merged back into one tree.  ``--trace-format
-  chrome|jsonl`` picks the encoding: ``chrome`` is Chrome/Perfetto
-  ``trace_event`` JSON (open it at ``ui.perfetto.dev``), ``jsonl`` the
-  flat span-per-line form;
-* ``--metrics`` prints the flat metrics-registry summary at exit.
-
 Deep observability (:mod:`repro.observe`): ``repro profile <exp>`` runs
 one registered experiment under the resource sampler, the tracer and
 executor health monitoring, prints a self-time attribution table (top
-span names by exclusive wall time) plus resource peaks, writes a
-Perfetto trace, and appends a ``kind="profile"`` RunRecord.  Every
-experiment invocation additionally runs the sampler, so RunRecords
-carry peak RSS / CPU utilization and ``repro report`` renders a
-resource table.
+span names by exclusive wall time) plus resource peaks, writes a trace
+(``--trace FILE``, default ``profile_<exp>.trace.json``), and appends a
+``kind="profile"`` RunRecord.  Every experiment invocation additionally
+runs the sampler, so RunRecords carry peak RSS / CPU utilization and
+``repro report`` renders a resource table.
 
-Reports go through :func:`_report` (a thin ``logging`` wrapper), so
-``--quiet`` silences everything below WARNING with no print() to chase.
+Usage errors and invalid configurations
+(:class:`~repro.errors.ConfigError`) exit with status 2 after one
+``error:`` line.  Reports go through :func:`_report` (a thin
+``logging`` wrapper), so ``--quiet`` silences everything below WARNING
+with no print() to chase.
 """
 
 from __future__ import annotations
@@ -118,31 +121,12 @@ def _report(text: str = "") -> None:
     _LOG.info("%s", text)
 
 
-def _build_study(args):
-    from repro.core import CryoStudy, StudyConfig
+def _study_config(args):
+    """The :class:`~repro.core.StudyConfig` the flow flags describe."""
+    from repro.core import StudyConfig
 
-    return CryoStudy(
-        StudyConfig(fast=not args.calibrated, shots=args.shots,
-                    jobs=args.jobs)
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Registry-driven command set.
-# ---------------------------------------------------------------------- #
-#: Commands that dispatch on their own rather than expanding to
-#: experiment specs through the registry ("all" expands, so it is not
-#: one of these).
-BUILTIN_COMMANDS = ("stats", "run", "report", "compare", "assault",
-                    "profile", "serve", "top")
-
-
-def _commands() -> list[str]:
-    """Every accepted command: specs, groups, and the builtins."""
-    from repro.experiments import registry
-
-    return (registry.names() + sorted(registry.groups())
-            + ["all", *BUILTIN_COMMANDS])
+    return StudyConfig(fast=not args.calibrated, shots=args.shots,
+                       jobs=args.jobs)
 
 
 def _expand(command: str):
@@ -158,7 +142,8 @@ def _expand(command: str):
 
 
 # ---------------------------------------------------------------------- #
-# Provenance: every experiment execution yields (report text, RunRecord).
+# Provenance: every experiment execution yields (report text, RunRecord)
+# from ExperimentSpec.run_recorded.
 # ---------------------------------------------------------------------- #
 def _ledger(args):
     """The run ledger for this invocation (None with ``--no-ledger``)."""
@@ -167,36 +152,6 @@ def _ledger(args):
     from repro.provenance import RunLedger
 
     return RunLedger(args.runs_dir)
-
-
-def _execute_recorded(spec, study, config):
-    """Run one experiment; return its report text and its RunRecord.
-
-    Every execution runs under a :class:`~repro.observe.ResourceSampler`
-    so the record carries peak RSS / CPU utilization -- the resource
-    column ``repro report`` renders.
-    """
-    from repro.observe import ResourceSampler
-    from repro.provenance import RunRecord, telemetry_snapshot
-
-    start_ts = telemetry.iso_ts(time.time())
-    t0 = time.perf_counter()
-    with ResourceSampler() as sampler:
-        result = spec.run_result(study, config)
-    wall_s = time.perf_counter() - t0
-    text = spec.report(result)
-    fidelity = spec.check_fidelity(result)
-    record = RunRecord(
-        experiment=spec.name,
-        start_ts=start_ts,
-        wall_s=wall_s,
-        config_digest=config.config_digest() if config is not None else None,
-        telemetry=telemetry_snapshot(study if spec.needs_study else None),
-        resources=sampler.summary(),
-        metrics=fidelity.metrics if fidelity is not None else {},
-        fidelity=fidelity.to_dict() if fidelity is not None else None,
-    )
-    return text, record
 
 
 def _report_verdict(record, ledger) -> None:
@@ -213,6 +168,19 @@ def _report_verdict(record, ledger) -> None:
     if ledger is not None:
         ledger.append(record)
         _report(f"run {record.run_id} appended to {ledger.path}")
+
+
+def _run_serial(specs, config):
+    """Yield ``(text, RunRecord)`` per spec, sharing one lazy study."""
+    from repro.core import CryoStudy
+
+    study = None
+    for spec in specs:
+        if spec.needs_study and study is None:
+            study = CryoStudy(config)
+        with telemetry.span("cli.experiment", experiment=spec.name):
+            run = spec.run_recorded(study, config)
+        yield run
 
 
 # ---------------------------------------------------------------------- #
@@ -241,29 +209,49 @@ def _experiment_task(config_data: dict, name: str) -> tuple[str, dict]:
     if spec.needs_study:
         study = _TASK_STUDY or CryoStudy(config)
     with telemetry.span("cli.experiment", experiment=name):
-        text, record = _execute_recorded(spec, study, config)
+        text, record = spec.run_recorded(study, config)
     return text, record.to_dict()
 
 
-def _run_parallel(specs, args) -> list[tuple[str, dict]]:
+def _run_parallel(specs, config) -> list:
     """Fan independent experiments out over the executor."""
     global _TASK_STUDY
+    from repro.core import CryoStudy
+    from repro.provenance import RunRecord
     from repro.runtime import get_executor
 
     study = None
     if any(s.needs_study for s in specs):
-        study = _build_study(args)
+        study = CryoStudy(config)
         with telemetry.span("cli.prebuild_shared_stages"):
             study.timing  # noqa: B018 - forces libraries/soc/placement
     _TASK_STUDY = study
     try:
-        executor = get_executor(args.jobs)
-        task = partial(_experiment_task,
-                       study.config.to_dict() if study is not None
-                       else _build_study(args).config.to_dict())
-        return executor.map(task, [s.name for s in specs])
+        executor = get_executor(config.jobs)
+        results = executor.map(partial(_experiment_task, config.to_dict()),
+                               [s.name for s in specs])
     finally:
         _TASK_STUDY = None
+    return [(text, RunRecord.from_dict(data)) for text, data in results]
+
+
+def _run_experiments(args) -> int:
+    """An experiment, group or ``all``: run, report, grade, record."""
+    from repro.runtime import resolve_jobs
+
+    config = _study_config(args)
+    ledger = _ledger(args)
+    specs = _expand(args.experiment)
+    if resolve_jobs(args.jobs) > 1 and len(specs) > 1:
+        runs = _run_parallel(specs, config)
+    else:
+        runs = _run_serial(specs, config)
+    for text, record in runs:
+        _report(text)
+        _report_verdict(record, ledger)
+        _report()
+    _emit_telemetry(args)
+    return 0
 
 
 # ---------------------------------------------------------------------- #
@@ -351,11 +339,12 @@ def _health_lines(summary: dict) -> str:
     return "\n".join(lines)
 
 
-def _run_stats(args) -> None:
+def _run_stats(args) -> int:
     """The ``repro stats`` command: trace one pass through the stack."""
+    from repro.core import CryoStudy
     from repro.observe import health
 
-    study = _build_study(args)
+    study = CryoStudy(_study_config(args))
     health.enable()
     try:
         with telemetry.span("repro.stats", fast=not args.calibrated):
@@ -385,36 +374,43 @@ def _run_stats(args) -> None:
             "health": health_summary,
         }
         _report(json.dumps(payload, indent=2, sort_keys=True, default=str))
-        return
-    _report("Flow stage timings (fast mode)"
-            if not args.calibrated else "Flow stage timings (calibrated)")
-    # Depth 3 keeps the per-corner library builds visible while folding
-    # the ~200 per-cell spans into their parents (the JSONL export via
-    # --trace FILE keeps everything).
-    _report(telemetry.render_tree(min_duration_s=1e-4, max_depth=3))
-    cache = study.stage_cache_stats()
+    else:
+        _report("Flow stage timings (fast mode)"
+                if not args.calibrated else "Flow stage timings (calibrated)")
+        # Depth 3 keeps the per-corner library builds visible while
+        # folding the ~200 per-cell spans into their parents (the trace
+        # file via --trace FILE keeps everything).
+        _report(telemetry.render_tree(min_duration_s=1e-4, max_depth=3))
+        cache = study.stage_cache_stats()
+        _report()
+        _report("stage cache accounting: "
+                + "  ".join(f"{name}={ev['hits']}h/{ev['misses']}m"
+                            for name, ev in cache.items()))
+        _report()
+        _report(_health_lines(health_summary))
     _report()
-    _report("stage cache accounting: "
-            + "  ".join(f"{name}={ev['hits']}h/{ev['misses']}m"
-                        for name, ev in cache.items()))
-    _report()
-    _report(_health_lines(health_summary))
+    _emit_telemetry(args)
+    return 0
 
 
 # ---------------------------------------------------------------------- #
-def _emit_telemetry(args) -> None:
-    """Flush --trace/--metrics output after the commands ran."""
-    if args.trace is not None and args.trace != "-":
-        if args.trace_format == "chrome":
-            from repro.observe import write_chrome_trace
+# --trace / --metrics output.
+# ---------------------------------------------------------------------- #
+def _emit_telemetry(args, roots=None, counters=None) -> None:
+    """Write ``--trace FILE``, then print the rest of the telemetry."""
+    if args.trace not in (None, "-"):
+        from repro.observe import write_trace
 
-            n = write_chrome_trace(args.trace, telemetry.trace_roots())
-            _report(f"wrote {n} trace events to {args.trace} "
-                    "(open at ui.perfetto.dev)")
-        else:
-            n = telemetry.export_jsonl(args.trace)
-            _report(f"wrote {n} spans to {args.trace}")
-    elif args.trace == "-" and args.command != "stats":
+        n = write_trace(args.trace,
+                        telemetry.trace_roots() if roots is None else roots,
+                        counters=counters)
+        _report(f"wrote {n} trace records to {args.trace}")
+    _print_telemetry(args)
+
+
+def _print_telemetry(args) -> None:
+    """The bare ``--trace`` timing tree and the ``--metrics`` summary."""
+    if args.trace == "-" and args.command != "stats":
         # stats already printed its tree.
         _report(telemetry.render_tree(min_duration_s=1e-4, max_depth=3))
     if args.metrics:
@@ -445,18 +441,14 @@ def _run_report(args) -> int:
 def _run_compare(args) -> int:
     from repro.provenance import RunLedger, compare_records, render_compare
 
-    if len(args.targets) != 2:
-        _LOG.error("usage: repro compare <runA> <runB> "
-                   "(run ids or unambiguous prefixes)")
-        return 2
     ledger = RunLedger(args.runs_dir)
     if not ledger.exists():
         _report(f"no runs recorded yet under {ledger.runs_dir} -- "
                 "run `repro run <experiment>` first")
         return 1
     try:
-        a = ledger.find(args.targets[0])
-        b = ledger.find(args.targets[1])
+        a = ledger.find(args.run_a)
+        b = ledger.find(args.run_b)
     except KeyError as exc:
         _LOG.error("%s", exc.args[0])
         return 2
@@ -469,31 +461,14 @@ def _run_compare(args) -> int:
 # repro profile: one experiment under sampler + tracer + health.
 # ---------------------------------------------------------------------- #
 def _run_profile(args) -> int:
-    from repro.errors import ConfigError
-    from repro.experiments import registry
     from repro.observe import run_profile
 
-    if len(args.targets) != 1:
-        _LOG.error("usage: repro profile <experiment> "
-                   "(known: %s)", ", ".join(registry.names()))
-        return 2
-    name = args.targets[0]
-    if name not in registry.names():
-        _LOG.error("unknown experiment %r (known: %s)", name,
-                   ", ".join(registry.names()))
-        return 2
-    trace_path = args.trace if args.trace not in (None, "-") else None
-    try:
-        profile = run_profile(
-            name,
-            _default_config(args),
-            interval_s=args.sample_interval,
-            trace_format=args.trace_format or "chrome",
-            trace_path=trace_path,
-        )
-    except ConfigError as exc:
-        _LOG.error("%s", exc)
-        return 2
+    profile = run_profile(
+        args.experiment,
+        _study_config(args),
+        interval_s=args.sample_interval,
+        trace_path=args.trace if args.trace != "-" else None,
+    )
     _report(profile.report_text)
     _report()
     _report(profile.attribution)
@@ -508,12 +483,11 @@ def _run_profile(args) -> int:
             f"({res['samples']} samples at {res['interval_s'] * 1e3:.0f} ms)"
         )
     _report(_health_lines(profile.health))
-    _report(f"{profile.trace_format} trace: {profile.trace_path} "
-            f"({profile.trace_events} events"
-            + (", open at ui.perfetto.dev)"
-               if profile.trace_format == "chrome" else ")"))
+    _report(f"wrote {profile.trace_events} trace records to "
+            f"{profile.trace_path}")
     _report()
     _report_verdict(profile.record, _ledger(args))
+    _print_telemetry(args)
     return 0
 
 
@@ -530,21 +504,16 @@ def _run_assault(args) -> int:
         run_assault,
     )
     from repro.assault.corpus import TIERS
-    from repro.errors import ConfigError
     from repro.provenance.fidelity import FAIL
 
     requested = tuple(t.strip() for t in args.tier.split(",") if t.strip())
     if requested == ("all",):
         requested = TIERS
-    try:
-        config = AssaultConfig(
-            tiers=requested,
-            seed=args.seed,
-            jobs=1 if args.jobs is None else args.jobs,
-        )
-    except ConfigError as exc:
-        _LOG.error("%s", exc)
-        return 2
+    config = AssaultConfig(
+        tiers=requested,
+        seed=args.seed,
+        jobs=1 if args.jobs is None else args.jobs,
+    )
     start_ts = telemetry.iso_ts(time.time())
     reports = run_assault(config)
     _report(render_reports(reports, "json" if args.json else "text"))
@@ -558,10 +527,12 @@ def _run_assault(args) -> int:
         Path(args.report_json).write_text(
             render_reports(reports, "json") + "\n", encoding="utf-8")
         _report(f"wrote tier report to {args.report_json}")
+    code = 0
     if args.strict and any(r.verdict == FAIL for r in reports):
         _LOG.error("assault verdict is FAIL (--strict)")
-        return 1
-    return 0
+        code = 1
+    _emit_telemetry(args)
+    return code
 
 
 # ---------------------------------------------------------------------- #
@@ -570,20 +541,15 @@ def _run_assault(args) -> int:
 def _run_serve(args) -> int:
     import asyncio
 
-    from repro.errors import ConfigError
     from repro.serve import ClassifierServer, ModelRegistry, ServeConfig
 
-    try:
-        config = ServeConfig(
-            host=args.host,
-            port=args.port,
-            batch_window_ms=args.batch_window_ms,
-            max_queue=args.max_queue,
-            slo_latency_ms=args.slo_latency_ms,
-        )
-    except ConfigError as exc:
-        _LOG.error("%s", exc)
-        return 2
+    config = ServeConfig(
+        host=args.host,
+        port=args.port,
+        batch_window_ms=args.batch_window_ms,
+        max_queue=args.max_queue,
+        slo_latency_ms=args.slo_latency_ms,
+    )
     registry = ModelRegistry.calibrated(jobs=args.jobs)
     server = ClassifierServer(registry, config, ledger=_ledger(args))
 
@@ -611,36 +577,19 @@ def _run_serve(args) -> int:
                 f"{c['name']} burn {c['burn_rate']:.2f}x {c['status']}"
                 for c in slo.get("checks", []))
             _report(f"SLO [{slo.get('verdict', '?')}]: {checks}")
-            _export_serve_trace(args, server)
+            # Session spans plus the tail-sampled per-request traces
+            # (queue -> batch -> predict -> write) and the observer's
+            # counter timeline, in one trace file.
+            _emit_telemetry(
+                args,
+                roots=list(telemetry.trace_roots()) + server.sampled_traces,
+                counters=server.counter_timeline())
 
     try:
         asyncio.run(run())
     except KeyboardInterrupt:
         pass
     return 0
-
-
-def _export_serve_trace(args, server) -> None:
-    """Write the session's span trees + tail-sampled request traces.
-
-    ``repro serve --trace trace.json --trace-format chrome`` lands the
-    per-request queue -> batch -> predict -> write spans and the
-    observer's counter timeline in one Perfetto document.
-    """
-    if args.trace in (None, "-"):
-        return
-    roots = list(telemetry.trace_roots()) + server.sampled_traces
-    if (args.trace_format or "chrome") == "chrome":
-        from repro.observe import write_chrome_trace
-
-        n = write_chrome_trace(args.trace, roots,
-                               counters=server.counter_timeline())
-        _report(f"wrote {n} trace events ({len(server.sampled_traces)} "
-                f"tail-sampled request trace(s)) to {args.trace} "
-                "(open at ui.perfetto.dev)")
-    else:
-        n = telemetry.export_jsonl(args.trace)
-        _report(f"wrote {n} spans to {args.trace}")
 
 
 # ---------------------------------------------------------------------- #
@@ -651,15 +600,7 @@ def _run_top(args) -> int:
     from repro.observe import render_top
     from repro.serve import ServeClient
 
-    if len(args.targets) != 1 or ":" not in args.targets[0]:
-        _LOG.error("usage: repro top <host:port>")
-        return 2
-    host, _, port_text = args.targets[0].rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        _LOG.error("invalid port %r in %r", port_text, args.targets[0])
-        return 2
+    host, port = args.endpoint
     frames = 0
     try:
         with ServeClient(host, port) as client:
@@ -684,185 +625,212 @@ def _run_top(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    from repro.runtime import resolve_jobs
+# ---------------------------------------------------------------------- #
+# The parser: one subcommand per spec, group, ``all`` and builtin.
+# ---------------------------------------------------------------------- #
+def _positive(kind):
+    """An argparse ``type``: ``kind(text)``, rejecting values <= 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0 (got {text})")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid <type> value"
+    return parse
+
+
+def _endpoint(text: str) -> tuple[str, int]:
+    """``host:port`` -> ``(host, port)``."""
+    host, _, port = text.rpartition(":")
+    if not host or not port.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected host:port, got {text!r}")
+    return host, int(port)
+
+
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A parent parser holding one shared flag set."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser, generated from the experiment registry."""
+    from repro.experiments import registry
+
+    logs = _flags()
+    logs.add_argument("-v", "--verbose", action="store_true",
+                      help="show debug-level diagnostics")
+    logs.add_argument("-q", "--quiet", action="store_true",
+                      help="suppress reports; warnings only")
+    jobs = _flags()
+    jobs.add_argument(
+        "--jobs", "-j", type=int, default=None, metavar="N",
+        help="parallel workers for the fan-outs (default: REPRO_JOBS or "
+             "serial; 0 = one per CPU)",
+    )
+    flow = _flags(jobs)
+    flow.add_argument(
+        "--calibrated", action="store_true",
+        help="run the full flow including compact-model calibration",
+    )
+    flow.add_argument("--shots", type=int, default=15,
+                      help="shots per qubit for ISS workloads")
+    tele = _flags()
+    tele.add_argument(
+        "--trace", nargs="?", const="-", default=None, metavar="FILE",
+        help="enable span tracing; print the timing tree at exit, or "
+             "write the trace to FILE (JSONL if FILE ends in .jsonl, "
+             "else Chrome/Perfetto JSON)",
+    )
+    tele.add_argument("--metrics", action="store_true",
+                      help="enable metrics; print the registry summary "
+                           "at exit")
+    runs = _flags()
+    runs.add_argument(
+        "--runs-dir", default=None, metavar="DIR",
+        help="run-ledger directory (default: REPRO_RUNS_DIR or "
+             ".repro/runs)",
+    )
+    ledger = _flags(runs)
+    ledger.add_argument("--no-ledger", action="store_true",
+                        help="do not append RunRecords to the run ledger")
 
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the paper's tables and figures.",
     )
-    parser.add_argument("command", choices=_commands())
-    parser.add_argument(
-        "targets", nargs="*", metavar="ARG",
-        help="command arguments: the experiment for `run`, two run ids "
-             "for `compare`",
-    )
-    parser.add_argument(
-        "--calibrated", action="store_true",
-        help="run the full flow including compact-model calibration",
-    )
-    parser.add_argument("--shots", type=int, default=15,
-                        help="shots per qubit for ISS workloads")
-    parser.add_argument(
-        "--jobs", "-j", type=int, default=None, metavar="N",
-        help="parallel workers for the flow's fan-outs (default: "
-             "REPRO_JOBS or serial; 0 = one per CPU)",
-    )
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="show debug-level diagnostics")
-    parser.add_argument("-q", "--quiet", action="store_true",
-                        help="suppress reports; warnings only")
-    parser.add_argument(
-        "--trace", nargs="?", const="-", default=None, metavar="FILE",
-        help="enable span tracing; print the timing tree at exit, or "
-             "write the trace to FILE (see --trace-format)",
-    )
-    parser.add_argument(
-        "--trace-format", choices=["chrome", "jsonl"], default=None,
-        help="trace file encoding: Chrome/Perfetto trace_event JSON "
-             "(opens at ui.perfetto.dev) or flat JSONL (default: jsonl; "
-             "profile defaults to chrome)",
-    )
-    parser.add_argument(
-        "--sample-interval", type=float, default=0.05, metavar="SEC",
-        help="profile: resource-sampler period in seconds "
-             "(default: 0.05)",
-    )
-    parser.add_argument("--metrics", action="store_true",
-                        help="enable metrics; print the registry summary "
-                             "at exit")
-    parser.add_argument(
-        "--runs-dir", default=None, metavar="DIR",
-        help="run-ledger directory (default: REPRO_RUNS_DIR or "
-             ".repro/runs)",
-    )
-    parser.add_argument("--no-ledger", action="store_true",
-                        help="do not append RunRecords to the run ledger")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable output for stats/report/"
-                             "compare")
-    parser.add_argument("--markdown", action="store_true",
-                        help="markdown output for report")
-    parser.add_argument("--strict", action="store_true",
-                        help="report/assault: exit non-zero on any FAIL "
-                             "verdict")
-    parser.add_argument(
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="COMMAND")
+
+    def command(name, help_text, handler, *parents, **defaults):
+        sub = commands.add_parser(name, help=help_text,
+                                  description=help_text,
+                                  parents=[logs, *parents])
+        sub.set_defaults(handler=handler, **defaults)
+        return sub
+
+    experiment_flags = (flow, tele, ledger)
+    for spec in registry.all_specs():
+        command(spec.name, spec.title, _run_experiments, *experiment_flags,
+                experiment=spec.name)
+    groups = registry.groups()
+    for group in sorted(groups):
+        command(group, "runs " + ", ".join(s.name for s in groups[group]),
+                _run_experiments, *experiment_flags, experiment=group)
+    command("all", "every artifact, in order", _run_experiments,
+            *experiment_flags, experiment="all")
+    command("run", "one experiment (or group, or all) with its fidelity "
+            "verdict", _run_experiments, *experiment_flags).add_argument(
+        "experiment", metavar="EXPERIMENT",
+        choices=[*registry.names(), *sorted(groups), "all"])
+
+    sub = command("stats", "trace one pass through every instrumented "
+                  "layer", _run_stats, flow, tele)
+    sub.add_argument("--json", action="store_true",
+                     help="span trees, stage cache, metrics and health "
+                          "as JSON")
+
+    sub = command("report", "latest-vs-paper and drift tables from the "
+                  "run ledger", _run_report, runs)
+    sub.add_argument("--json", action="store_true", help="JSON output")
+    sub.add_argument("--markdown", action="store_true",
+                     help="markdown output")
+    sub.add_argument("--strict", action="store_true",
+                     help="exit 1 on any FAIL verdict")
+
+    sub = command("compare", "per-metric deltas of two ledger runs",
+                  _run_compare, runs)
+    sub.add_argument("run_a", metavar="RUN_A",
+                     help="run id or unambiguous prefix")
+    sub.add_argument("run_b", metavar="RUN_B",
+                     help="run id or unambiguous prefix")
+    sub.add_argument("--json", action="store_true", help="JSON output")
+
+    sub = command("assault", "hostile-scenario campaign", _run_assault,
+                  jobs, tele, ledger)
+    sub.add_argument(
         "--tier", default="smoke", metavar="T[,T...]",
-        help="assault: comma-separated tiers to run "
-             "(smoke, edge, storm, endurance, or 'all')",
+        help="comma-separated tiers to run (smoke, edge, storm, "
+             "endurance, or 'all')",
     )
-    parser.add_argument("--seed", type=int, default=2023,
-                        help="assault: campaign seed (scenarios replay "
-                             "bit-identically for one seed)")
-    parser.add_argument(
-        "--report-json", default=None, metavar="FILE",
-        help="assault: also write the tier report as JSON to FILE",
+    sub.add_argument("--seed", type=int, default=2023,
+                     help="campaign seed (scenarios replay bit-identically "
+                          "for one seed)")
+    sub.add_argument("--strict", action="store_true",
+                     help="exit 1 on any FAIL verdict")
+    sub.add_argument("--json", action="store_true",
+                     help="tier report as JSON")
+    sub.add_argument("--report-json", default=None, metavar="FILE",
+                     help="also write the tier report as JSON to FILE")
+
+    sub = command("profile", "one experiment under sampler, tracer and "
+                  "executor health", _run_profile, *experiment_flags)
+    sub.add_argument("experiment", metavar="EXPERIMENT",
+                     choices=registry.names())
+    sub.add_argument(
+        "--sample-interval", type=_positive(float), default=0.05,
+        metavar="SEC",
+        help="resource-sampler period in seconds (default: 0.05)",
     )
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="serve: bind address (default: 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=8742,
-                        help="serve: TCP port (default: 8742; 0 = OS "
-                             "pick)")
-    parser.add_argument(
+
+    sub = command("serve", "batched classification service", _run_serve,
+                  jobs, tele, ledger)
+    sub.add_argument("--host", default="127.0.0.1",
+                     help="bind address (default: 127.0.0.1)")
+    sub.add_argument("--port", type=int, default=8742,
+                     help="TCP port (default: 8742; 0 = OS pick)")
+    sub.add_argument(
         "--batch-window-ms", type=float, default=2.0, metavar="MS",
-        help="serve: micro-batch coalescing window (default: 2.0)",
+        help="micro-batch coalescing window (default: 2.0)",
     )
-    parser.add_argument(
+    sub.add_argument(
         "--max-queue", type=int, default=64, metavar="N",
-        help="serve: admitted-request cap before 429 back-pressure "
+        help="admitted-request cap before 429 back-pressure "
              "(default: 64)",
     )
-    parser.add_argument(
+    sub.add_argument(
         "--slo-latency-ms", type=float, default=110.0, metavar="MS",
-        help="serve: declared per-request latency objective (default: "
-             "110.0 -- the paper's 110 us decoherence budget at the "
-             "serving benchmark's wire scale)",
+        help="declared per-request latency objective (default: 110.0 -- "
+             "the paper's 110 us decoherence budget at the serving "
+             "benchmark's wire scale)",
     )
-    parser.add_argument(
-        "--interval", type=float, default=2.0, metavar="SEC",
-        help="top: refresh period between stats scrapes (default: 2.0)",
+
+    sub = command("top", "live serving dashboard", _run_top)
+    sub.add_argument("endpoint", type=_endpoint, metavar="HOST:PORT")
+    sub.add_argument("--json", action="store_true",
+                     help="one JSON stats snapshot per frame")
+    sub.add_argument(
+        "--interval", type=_positive(float), default=2.0, metavar="SEC",
+        help="refresh period between stats scrapes (default: 2.0)",
     )
-    parser.add_argument(
-        "--count", type=int, default=None, metavar="N",
-        help="top: exit after N frames (default: poll until Ctrl-C)",
+    sub.add_argument(
+        "--count", type=_positive(int), default=None, metavar="N",
+        help="exit after N frames (default: poll until Ctrl-C)",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    from repro.errors import ConfigError
+
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # Usage errors (status 2) and --help (0) return their status so
+        # callers of main() see an exit code either way.
+        return exc.code
     _configure_logging(args.verbose, args.quiet)
-
-    if args.command == "report":
-        return _run_report(args)
-    if args.command == "compare":
-        return _run_compare(args)
-
-    if args.trace is not None or args.metrics or args.command == "stats":
+    if args.command == "stats" or (
+            "trace" in args and (args.trace is not None or args.metrics)):
         telemetry.reset()
         telemetry.enable()
-
-    if args.command == "profile":
-        # profile owns its own telemetry lifecycle (reset+enable); the
-        # global --trace flag only contributes the output path.
-        return _run_profile(args)
-
-    if args.command == "assault":
-        code = _run_assault(args)
-        _emit_telemetry(args)
-        return code
-
-    if args.command == "serve":
-        return _run_serve(args)
-
-    if args.command == "top":
-        return _run_top(args)
-
-    if args.command == "stats":
-        _run_stats(args)
-        _report()
-        _emit_telemetry(args)
-        return 0
-
-    command = args.command
-    if command == "run":
-        if len(args.targets) != 1:
-            _LOG.error("usage: repro run <experiment>")
-            return 2
-        command = args.targets[0]
-        if command not in _commands() or command in BUILTIN_COMMANDS:
-            _LOG.error("unknown experiment %r (known: %s)", command,
-                       ", ".join(n for n in _commands()
-                                 if n not in BUILTIN_COMMANDS))
-            return 2
-
-    ledger = _ledger(args)
-    specs = _expand(command)
-    if resolve_jobs(args.jobs) > 1 and len(specs) > 1:
-        from repro.provenance import RunRecord
-
-        for text, record_data in _run_parallel(specs, args):
-            _report(text)
-            _report_verdict(RunRecord.from_dict(record_data), ledger)
-            _report()
-    else:
-        study = None
-        for spec in specs:
-            if spec.needs_study and study is None:
-                study = _build_study(args)
-            with telemetry.span("cli.experiment", experiment=spec.name):
-                text, record = _execute_recorded(
-                    spec, study,
-                    study.config if study is not None
-                    else _default_config(args))
-            _report(text)
-            _report_verdict(record, ledger)
-            _report()
-    _emit_telemetry(args)
-    return 0
-
-
-def _default_config(args):
-    from repro.core import StudyConfig
-
-    return StudyConfig(fast=not args.calibrated, shots=args.shots,
-                       jobs=args.jobs)
+    try:
+        return args.handler(args)
+    except ConfigError as exc:
+        _LOG.error("%s", exc)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ __all__ = [
     "run_knn_sqrt",
     "run_hdc_precompute",
     "run_sram_sweep",
-    "report_all",
 ]
 
 
@@ -179,11 +178,6 @@ def report(result: dict | None = None) -> str:
         )
     )
     return "\n\n".join(sections)
-
-
-def report_all(study=None) -> str:
-    """Back-compat wrapper: run + report in one call."""
-    return report(run(study))
 
 
 # ---------------------------------------------------------------------- #

@@ -12,9 +12,9 @@ the printable artifact.  Modules register their spec with the
         return run(study)
 
 The CLI (``python -m repro``) is *generated* from this registry -- its
-command list, ``repro all`` expansion and the parallel experiment
-fan-out all consume the same specs, so registering an experiment is the
-single step that plugs it into everything.
+subcommands, ``repro all`` expansion, the parallel experiment fan-out
+and ``repro profile`` all consume the same specs, so registering an
+experiment is the single step that plugs it into everything.
 
 Conventions:
 
@@ -31,9 +31,11 @@ Conventions:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable
 
+from repro import telemetry
 from repro.provenance.fidelity import FidelityReport, FidelitySpec
 
 __all__ = [
@@ -41,7 +43,6 @@ __all__ = [
     "all_specs",
     "experiment",
     "get",
-    "group_members",
     "groups",
     "names",
     "register",
@@ -71,11 +72,6 @@ class ExperimentSpec:
     """Paper-anchored figures of merit checked after every run (the
     provenance layer's PASS/WARN/FAIL verdict); None = unchecked."""
 
-    def execute(self, study, config) -> str:
-        """Run + report in one step (what the CLI fan-out calls)."""
-        return self.report(self.run(study if self.needs_study else None,
-                                    config))
-
     def run_result(self, study, config):
         """The raw result dict (what fidelity checks extract from)."""
         return self.run(study if self.needs_study else None, config)
@@ -85,6 +81,42 @@ class ExperimentSpec:
         if self.fidelity is None:
             return None
         return self.fidelity.evaluate(self.name, result)
+
+    def run_recorded(self, study, config, *, kind: str = "experiment",
+                     sampler=None):
+        """Run, report and grade; return ``(report text, RunRecord)``.
+
+        The one place an experiment's
+        :class:`~repro.provenance.records.RunRecord` is built.  The run
+        goes under ``sampler`` (a fresh
+        :class:`~repro.observe.sampler.ResourceSampler` by default), so
+        the record carries peak RSS / CPU utilization.
+        """
+        from repro.observe.sampler import ResourceSampler
+        from repro.provenance.records import RunRecord, telemetry_snapshot
+
+        sampler = sampler or ResourceSampler()
+        start_ts = telemetry.iso_ts(time.time())
+        t0 = time.perf_counter()
+        with sampler:
+            result = self.run_result(study, config)
+        wall_s = time.perf_counter() - t0
+        text = self.report(result)
+        fidelity = self.check_fidelity(result)
+        record = RunRecord(
+            experiment=self.name,
+            kind=kind,
+            start_ts=start_ts,
+            wall_s=wall_s,
+            config_digest=(config.config_digest() if config is not None
+                           else None),
+            telemetry=telemetry_snapshot(study if self.needs_study
+                                         else None),
+            resources=sampler.summary(),
+            metrics=fidelity.metrics if fidelity is not None else {},
+            fidelity=fidelity.to_dict() if fidelity is not None else None,
+        )
+        return text, record
 
 
 _REGISTRY: dict[str, ExperimentSpec] = {}
@@ -155,9 +187,3 @@ def groups() -> dict[str, list[ExperimentSpec]]:
             out.setdefault(spec.group, []).append(spec)
     return out
 
-
-def group_members(group: str) -> list[ExperimentSpec]:
-    members = groups().get(group)
-    if not members:
-        raise KeyError(f"no experiment group {group!r}")
-    return members

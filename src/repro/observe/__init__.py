@@ -48,6 +48,7 @@ from repro.observe.perfetto import (
     counter_track_events,
     trace_events,
     write_chrome_trace,
+    write_trace,
 )
 from repro.observe.profile import (
     ProfileResult,
@@ -79,4 +80,5 @@ __all__ = [
     "slo",
     "trace_events",
     "write_chrome_trace",
+    "write_trace",
 ]

@@ -20,7 +20,9 @@ so any run opens directly in ``ui.perfetto.dev`` or
   thread count drawn above the spans.
 
 The output is one JSON object (``{"traceEvents": [...]}``), the
-variant every trace viewer accepts.
+variant every trace viewer accepts.  :func:`write_trace` is the one
+entry point that picks between this document and the JSONL form from
+the file name.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable
 
+from repro.telemetry.sinks import write_jsonl
 from repro.telemetry.spans import Span
 
-__all__ = ["counter_track_events", "trace_events", "write_chrome_trace"]
+__all__ = ["counter_track_events", "trace_events", "write_chrome_trace",
+           "write_trace"]
 
 #: Synthetic pid for all events: the tree may span real processes, but
 #: by merge time it is one logical trace.
@@ -208,3 +212,18 @@ def write_chrome_trace(file: str | IO[str], roots: Iterable[Span],
         if own:
             fh.close()
     return len(events)
+
+
+def write_trace(path: str, roots: Iterable[Span], samples=None,
+                counters=None) -> int:
+    """Write a trace file whose format its name selects.
+
+    ``*.jsonl`` gets the flat span-per-line JSONL (returns the span
+    count); any other name gets the Chrome/Perfetto ``trace_event``
+    document (returns the event count).  ``samples`` and ``counters``
+    only have a place in the Chrome form.
+    """
+    if str(path).endswith(".jsonl"):
+        return write_jsonl(roots, str(path))
+    return write_chrome_trace(str(path), roots, samples=samples,
+                              counters=counters)

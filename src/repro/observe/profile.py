@@ -9,8 +9,10 @@ One call wires together everything this package provides:
   threads/FDs for the duration;
 * executor health monitoring (:mod:`repro.observe.health`) collects
   per-task heartbeats from any fan-out the experiment performs;
-* the span tree is exported as a Chrome/Perfetto ``trace_event`` JSON
-  (or the legacy JSONL), ready for ``ui.perfetto.dev``;
+* the span tree is exported through
+  :func:`~repro.observe.perfetto.write_trace`: Chrome/Perfetto
+  ``trace_event`` JSON ready for ``ui.perfetto.dev``, or JSONL when the
+  file name ends in ``.jsonl``;
 * a **self-time attribution table** ranks span names by *exclusive*
   wall time -- the time spent in a span minus its children -- which is
   the "what should I optimize next" view the inclusive tree hides;
@@ -22,12 +24,11 @@ One call wires together everything this package provides:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro import telemetry
 from repro.observe import health
-from repro.observe.perfetto import write_chrome_trace
+from repro.observe.perfetto import write_trace
 from repro.observe.sampler import DEFAULT_INTERVAL_S, ResourceSampler
 
 __all__ = ["ProfileResult", "run_profile", "self_time_rows",
@@ -35,8 +36,6 @@ __all__ = ["ProfileResult", "run_profile", "self_time_rows",
 
 #: Rows shown in the attribution table by default.
 DEFAULT_TOP_N = 15
-
-TRACE_FORMATS = ("chrome", "jsonl")
 
 
 # ---------------------------------------------------------------------- #
@@ -101,7 +100,6 @@ class ProfileResult:
     attribution: str
     """The rendered self-time table."""
     trace_path: str
-    trace_format: str
     trace_events: int
     resources: dict = field(default_factory=dict)
     health: dict = field(default_factory=dict)
@@ -109,89 +107,56 @@ class ProfileResult:
     """The ledger :class:`~repro.provenance.records.RunRecord`."""
 
 
-def _default_trace_path(name: str, trace_format: str) -> str:
-    suffix = "trace.json" if trace_format == "chrome" else "trace.jsonl"
-    return f"profile_{name}.{suffix}"
-
-
 def run_profile(name: str, config, *,
                 interval_s: float = DEFAULT_INTERVAL_S,
-                trace_format: str = "chrome",
                 trace_path: str | None = None,
                 stall_timeout_s: float = health.DEFAULT_STALL_TIMEOUT_S,
                 top_n: int = DEFAULT_TOP_N) -> ProfileResult:
     """Run registered experiment ``name`` under sampler+tracer+health.
 
-    The caller owns ledger appends (the CLI does it so ``--no-ledger``
-    keeps working); everything else -- tracing lifecycle, trace file,
+    The trace goes to ``trace_path`` (default
+    ``profile_<name>.trace.json``) in the format its name selects.  The
+    caller owns ledger appends (the CLI does it so ``--no-ledger`` keeps
+    working); everything else -- tracing lifecycle, trace file,
     attribution, resource fold-in -- happens here.
     """
-    from repro.errors import ConfigError
     from repro.experiments import registry
-    from repro.provenance import RunRecord, telemetry_snapshot
 
-    if trace_format not in TRACE_FORMATS:
-        raise ConfigError(
-            f"unknown trace format {trace_format!r}; "
-            f"pick from {TRACE_FORMATS}", field="trace_format")
     spec = registry.get(name)
-    path = trace_path or _default_trace_path(name, trace_format)
+    path = trace_path or f"profile_{name}.trace.json"
 
     telemetry.reset()
     telemetry.enable()
     health.enable(stall_timeout_s=stall_timeout_s)
     sampler = ResourceSampler(interval_s=interval_s)
-    start_ts = telemetry.iso_ts(time.time())
-    t0 = time.perf_counter()
-    study = None
     try:
-        with sampler, telemetry.span("profile", experiment=name):
+        with telemetry.span("profile", experiment=name):
+            study = None
             if spec.needs_study:
                 from repro.core import CryoStudy
 
                 study = CryoStudy(config)
-            result = spec.run_result(study, config)
-        wall_s = time.perf_counter() - t0
-        report_text = spec.report(result)
-        fidelity = spec.check_fidelity(result)
-        resources = sampler.summary()
+            report_text, record = spec.run_recorded(
+                study, config, kind="profile", sampler=sampler)
         health_summary = health.summary()
     finally:
         health.disable()
+    record.telemetry["health"] = health_summary
 
     telemetry.gauge("observe.peak_rss_bytes",
-                    resources.get("peak_rss_bytes", 0))
+                    record.resources.get("peak_rss_bytes", 0))
     telemetry.gauge("observe.cpu_utilization",
-                    resources.get("cpu_utilization", 0.0))
+                    record.resources.get("cpu_utilization", 0.0))
 
     roots = telemetry.trace_roots()
-    if trace_format == "chrome":
-        n_events = write_chrome_trace(path, roots,
-                                      samples=sampler.samples)
-    else:
-        n_events = telemetry.write_jsonl(roots, path)
-
-    snapshot = telemetry_snapshot(study)
-    snapshot["health"] = health_summary
-    record = RunRecord(
-        experiment=name,
-        kind="profile",
-        start_ts=start_ts,
-        wall_s=wall_s,
-        config_digest=config.config_digest() if config is not None else None,
-        telemetry=snapshot,
-        resources=resources,
-        metrics=fidelity.metrics if fidelity is not None else {},
-        fidelity=fidelity.to_dict() if fidelity is not None else None,
-    )
+    n_events = write_trace(path, roots, samples=sampler.samples)
     return ProfileResult(
         experiment=name,
         report_text=report_text,
         attribution=self_time_table(roots, top_n=top_n),
         trace_path=path,
-        trace_format=trace_format,
         trace_events=n_events,
-        resources=resources,
+        resources=record.resources,
         health=health_summary,
         record=record,
     )

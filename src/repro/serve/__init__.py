@@ -23,7 +23,7 @@ in-band ``{"op": "stats"}`` request (or ``client.stats()`` /
 ``repro top host:port``) returns rolling-window metrics, SLO burn
 rates and health without disturbing traffic, and slow/failed requests
 tail-sample their queue -> batch -> predict -> write span trees for
-Perfetto export (``repro serve --trace-format chrome``).
+Perfetto export (``repro serve --trace trace.json``).
 
 Quick start (in process)::
 

@@ -70,7 +70,7 @@ class TestStudyBacked:
         assert "Fig. 7" in fig7_scaling.report(result)
 
     def test_ablation_report_all(self, study):
-        text = ablations.report_all(study)
+        text = ablations.report(ablations.run(study))
         for tag in ("ABL-1", "ABL-2", "ABL-3", "ABL-4"):
             assert tag in text
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
-from repro.__main__ import BUILTIN_COMMANDS, _commands, _expand
+from repro.__main__ import _expand, build_parser
 from repro.experiments import registry
 from repro.experiments.registry import ExperimentSpec, experiment
 
@@ -26,7 +28,7 @@ class TestRegistryContents:
         assert orders == sorted(orders)
 
     def test_extensions_group(self):
-        members = registry.group_members("extensions")
+        members = registry.groups()["extensions"]
         assert {"ext_thermal", "ext_fpga", "ext_qec", "ext_vdd",
                 "ext_vqe", "ext_mismatch"} == {s.name for s in members}
 
@@ -56,13 +58,22 @@ class TestRegistryContents:
             registry._REGISTRY.pop("_test_exp", None)
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    """The generated parser's subcommand -> subparser map."""
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 class TestCLIIntegration:
     def test_every_cli_command_resolves(self):
         groups = registry.groups()
-        for command in _commands():
+        for command, sub in _subcommands().items():
+            target = sub.get_default("experiment")
             # Builtins dispatch on their own, not through the registry.
-            if command in BUILTIN_COMMANDS:
+            if target is None:
                 continue
+            assert target == command
             specs = _expand(command)
             assert specs, command
             for spec in specs:
@@ -78,7 +89,7 @@ class TestCLIIntegration:
 
 
 class TestSpecExecution:
-    def test_execute_passes_none_when_study_not_needed(self):
+    def test_run_result_passes_none_when_study_not_needed(self):
         captured = {}
 
         def run(study, config):
@@ -88,11 +99,30 @@ class TestSpecExecution:
         spec = ExperimentSpec(name="_t", title="t", run=run,
                               report=lambda r: f"x={r['x']}",
                               needs_study=False)
-        assert spec.execute("STUDY", None) == "x=1"
+        assert spec.report(spec.run_result("STUDY", None)) == "x=1"
         assert captured["study"] is None
 
-    def test_execute_forwards_study(self):
+    def test_run_result_forwards_study(self):
         spec = ExperimentSpec(name="_t", title="t",
                               run=lambda study, config: study,
                               report=lambda r: r)
-        assert spec.execute("STUDY", None) == "STUDY"
+        assert spec.report(spec.run_result("STUDY", None)) == "STUDY"
+
+    def test_run_recorded_returns_text_and_record(self):
+        spec = ExperimentSpec(name="_t", title="t",
+                              run=lambda study, config: {"x": 2},
+                              report=lambda r: f"x={r['x']}",
+                              needs_study=False)
+        text, record = spec.run_recorded("STUDY", None, kind="profile")
+        assert text == "x=2"
+        assert record.experiment == "_t"
+        assert record.kind == "profile"
+        assert record.start_ts.endswith("Z")
+        assert record.wall_s >= 0
+        assert record.config_digest is None
+        assert record.resources["peak_rss_bytes"] > 0
+        # No declared fidelity spec: no metrics, no verdict.
+        assert record.metrics == {}
+        assert record.fidelity is None
+        # needs_study=False: the snapshot carries no stage cache.
+        assert "stage_cache" not in record.telemetry

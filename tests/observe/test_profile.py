@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.core import StudyConfig
-from repro.errors import ConfigError
 from repro.observe import run_profile, self_time_rows, self_time_table
 from repro.telemetry.spans import Span
 
@@ -49,10 +48,6 @@ class TestSelfTime:
 
 
 class TestRunProfile:
-    def test_unknown_trace_format_rejected(self):
-        with pytest.raises(ConfigError):
-            run_profile("fig2", StudyConfig(), trace_format="svg")
-
     def test_profile_fig2_end_to_end(self, tmp_path):
         path = tmp_path / "fig2.trace.json"
         profile = run_profile("fig2", StudyConfig(),
@@ -79,8 +74,7 @@ class TestRunProfile:
 
     def test_jsonl_format(self, tmp_path):
         path = tmp_path / "fig2.trace.jsonl"
-        profile = run_profile("fig2", StudyConfig(),
-                              trace_format="jsonl", trace_path=str(path))
+        profile = run_profile("fig2", StudyConfig(), trace_path=str(path))
         lines = [ln for ln in path.read_text().splitlines() if ln]
         assert len(lines) == profile.trace_events
         assert all(isinstance(json.loads(ln), dict) for ln in lines)
@@ -97,6 +91,16 @@ class TestProfileCli:
         assert "peak RSS" in out
         assert "executor health" in out
         json.loads(path.read_text())
+
+    def test_profile_metrics_prints_summary(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "cli.trace.json"
+        assert main(["profile", "fig2", "--trace", str(path),
+                     "--metrics"]) == 0
+        out = capsys.readouterr().out
+        assert "metrics summary" in out
+        assert "observe.peak_rss_bytes" in out
 
     def test_profile_unknown_experiment(self, tmp_path):
         from repro.__main__ import main
