@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NLDMTable", "TimingArc", "DEFAULT_SLEW_INDEX", "DEFAULT_LOAD_INDEX"]
+__all__ = ["NLDMTable", "TimingArc", "DEFAULT_SLEW_INDEX", "DEFAULT_LOAD_INDEX",
+           "bilinear"]
 
 #: Default 7-point input-slew axis in seconds (10 %-90 %).
 DEFAULT_SLEW_INDEX: tuple[float, ...] = (
@@ -23,6 +24,29 @@ DEFAULT_SLEW_INDEX: tuple[float, ...] = (
 DEFAULT_LOAD_INDEX: tuple[float, ...] = (
     0.2e-15, 0.5e-15, 1e-15, 2e-15, 4e-15, 8e-15, 16e-15
 )
+
+
+def bilinear(slews, loads, values, table, slew, load):
+    """Bilinear interpolation in ``values[table]``, tables stacked on one
+    (slews, loads) grid; ``table``, ``slew`` and ``load`` broadcast.
+
+    Clamping (rather than extrapolating) matches signoff-tool behaviour
+    for mildly out-of-range queries and keeps STA robust.
+    """
+    s = np.clip(slew, slews[0], slews[-1])
+    c = np.clip(load, loads[0], loads[-1])
+    i = np.clip(np.searchsorted(slews, s) - 1, 0, len(slews) - 2)
+    j = np.clip(np.searchsorted(loads, c) - 1, 0, len(loads) - 2)
+    s0, s1 = slews[i], slews[i + 1]
+    c0, c1 = loads[j], loads[j + 1]
+    fs = (s - s0) / (s1 - s0)
+    fc = (c - c0) / (c1 - c0)
+    return (
+        values[table, i, j] * (1 - fs) * (1 - fc)
+        + values[table, i + 1, j] * fs * (1 - fc)
+        + values[table, i, j + 1] * (1 - fs) * fc
+        + values[table, i + 1, j + 1] * fs * fc
+    )
 
 
 @dataclass
@@ -48,36 +72,12 @@ class NLDMTable:
     def lookup(self, slew, load):
         """Bilinear interpolation; clamps outside the characterized box.
 
-        Clamping (rather than extrapolating) matches signoff-tool behaviour
-        for mildly out-of-range queries and keeps STA robust.
-
         Accepts scalars (returns ``float``) or array-valued slew/load
-        queries (broadcast together; returns an ``ndarray``), so callers
-        with many queries against one table -- the STA hot loop, the
-        library QA sweeps -- pay one ``searchsorted`` per axis instead
-        of one Python call per point.
+        queries (broadcast together; returns an ``ndarray``).
         """
-        scalar = np.ndim(slew) == 0 and np.ndim(load) == 0
-        s = np.clip(slew, self.slews[0], self.slews[-1])
-        c = np.clip(load, self.loads[0], self.loads[-1])
-        i = np.clip(np.searchsorted(self.slews, s) - 1, 0,
-                    len(self.slews) - 2)
-        j = np.clip(np.searchsorted(self.loads, c) - 1, 0,
-                    len(self.loads) - 2)
-        s0, s1 = self.slews[i], self.slews[i + 1]
-        c0, c1 = self.loads[j], self.loads[j + 1]
-        fs = (s - s0) / (s1 - s0)
-        fc = (c - c0) / (c1 - c0)
-        v = self.values
-        out = (
-            v[i, j] * (1 - fs) * (1 - fc)
-            + v[i + 1, j] * fs * (1 - fc)
-            + v[i, j + 1] * (1 - fs) * fc
-            + v[i + 1, j + 1] * fs * fc
-        )
-        if scalar:
-            return float(out)
-        return np.asarray(out)
+        out = bilinear(self.slews, self.loads, self.values[None], 0,
+                       slew, load)
+        return float(out) if np.ndim(out) == 0 else out
 
     @classmethod
     def from_function(

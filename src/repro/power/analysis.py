@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from repro.power.activity import WorkloadActivity
 from repro.power.sram import SRAMPowerModel
 from repro.synth.netlist import GateNetlist
+from repro.synth.opt import net_load
 from repro.synth.placement import Placement
 
 __all__ = ["PowerReport", "UncoreModel", "analyze_power"]
@@ -148,13 +149,10 @@ def analyze_power(
     for gate in netlist.gates.values():
         cell = library[gate.cell]
         alpha = activity.activity_of(gate.module)
-        # Net capacitance at the gate output.
-        c_net = placement.net_wire_cap(gate.output) if placement else 0.0
-        for inst, pin in netlist.loads_of(gate.output):
-            if inst in netlist.gates:
-                c_net += library[netlist.gates[inst].cell].pin_capacitance(pin)
-            else:
-                c_net += 1.0e-15
+        c_net = net_load(
+            netlist, gate.output, library,
+            placement.net_wire_cap(gate.output) if placement else 0.0,
+        )
         event_energy = c_net * vdd * vdd + sc * cell.switching_energy
         dyn_logic += alpha * event_energy * frequency_hz
         leak_logic += cell.leakage_avg

@@ -1,7 +1,7 @@
 """Static timing analysis (PrimeTime substitute) -- see Table 1."""
 
-from repro.sta.analysis import PathPoint, TimingReport, analyze
-from repro.sta.hold import HoldReport, analyze_hold
+from repro.sta.analysis import (HoldReport, PathPoint, TimingReport,
+                                analyze, analyze_hold)
 
 __all__ = ["HoldReport", "PathPoint", "TimingReport", "analyze",
            "analyze_hold"]

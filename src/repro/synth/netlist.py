@@ -222,6 +222,20 @@ class GateNetlist:
                 element=stuck[0] if stuck else "")
         return order
 
+    def levels(self, library) -> dict[str, int]:
+        """Topological depth of every gate: the placement column and the
+        STA propagation order.  Flops sit at 0, a combinational gate one
+        deeper than its deepest gate driver (0 with none)."""
+        depth = {g.name: 0 for g in self.sequential_gates(library)}
+        for gate in self.topological_gates(library):
+            d = 0
+            for net in gate.input_nets():
+                drv = self._drivers.get(net)
+                if drv in depth:
+                    d = max(d, depth[drv] + 1)
+            depth[gate.name] = d
+        return depth
+
     def sequential_gates(self, library) -> list[Gate]:
         """All flip-flop/latch instances."""
         return [

@@ -68,20 +68,7 @@ def place(netlist: GateNetlist, library) -> Placement:
     """Levelized placement of all gates and macros."""
     placement = Placement(netlist=netlist)
 
-    # Topological depth per gate (sequential cells sit at depth 0).
-    depth: dict[str, int] = {}
-    seq = {g.name for g in netlist.sequential_gates(library)}
-    for g in netlist.sequential_gates(library):
-        depth[g.name] = 0
-    for gate in netlist.topological_gates(library):
-        d = 0
-        for net in gate.input_nets():
-            drv = netlist.driver_of(net)
-            if drv and drv in depth and drv not in seq:
-                d = max(d, depth[drv] + 1)
-            elif drv and drv in seq:
-                d = max(d, 1)
-        depth[gate.name] = d
+    depth = netlist.levels(library)
 
     # Rows per column sized so the die is roughly square.
     columns: dict[int, int] = {}
