@@ -29,11 +29,6 @@ _XREG["fp"] = 8
 _FREG = {name: i for i, name in enumerate(FREGISTER_NAMES)}
 _FREG.update({f"f{i}": i for i in range(32)})
 
-_FP_MNEMONICS = {
-    m for m in OPCODES if m.startswith("f") and m not in ("fence",)
-}
-
-
 class AssemblyError(ValueError):
     """Raised on malformed assembly input."""
 
@@ -83,18 +78,13 @@ class Program:
         return 4 * len(self.text) + len(self.data)
 
 
-def _xreg(token: str) -> int:
+def _register(file: str, token: str) -> int:
+    """Number of register ``token`` in ``file`` (``x`` or ``f``)."""
+    names, kind = (_XREG, "integer") if file == "x" else (_FREG, "FP")
     try:
-        return _XREG[token]
+        return names[token]
     except KeyError:
-        raise AssemblyError(f"unknown integer register {token!r}") from None
-
-
-def _freg(token: str) -> int:
-    try:
-        return _FREG[token]
-    except KeyError:
-        raise AssemblyError(f"unknown FP register {token!r}") from None
+        raise AssemblyError(f"unknown {kind} register {token!r}") from None
 
 
 def _tokenize(operands: str) -> list[str]:
@@ -161,6 +151,40 @@ def _expand_pseudo(mnemonic: str, ops: list[str]) -> list[tuple[str, list[str]]]
         # fsgnj.d is not in the subset; use x-register bounce.
         raise AssemblyError("fmv.d unsupported; copy through fmv.x.d/fmv.d.x")
     return [(mnemonic, ops)]
+
+
+def _instruction(mnemonic: str, ops: list[str], labels: dict[str, int],
+                 pc: int) -> Instruction:
+    """Build one base instruction from its operand tokens, by the table.
+
+    Operands are the register fields ``rd, rs1, rs2`` the table gives a
+    file for, in that order, then the immediate of non-R formats; loads
+    and stores read ``reg, imm(base)`` instead.  Each register must come
+    from its field's file.  An omitted I-type immediate reads 0
+    (``ecall``, ``jalr rd, rs1``).
+    """
+    spec = OPCODES[mnemonic]
+    files = dict(zip(("rd", "rs1", "rs2"), spec.files))
+    names = [name for name, file in files.items() if file != "-"]
+    if spec.kind in ("load", "store"):
+        names = ["rd" if spec.kind == "load" else "rs2", "rs1"]
+        if len(ops) == 3:  # reg, imm(base) -> reg, base, imm
+            ops = [ops[0], ops[2], ops[1]]
+    n = len(names) + (spec.fmt != "R")
+    if not (len(ops) == n or (spec.fmt == "I" and len(ops) == n - 1)):
+        raise AssemblyError(
+            f"{mnemonic} takes {n} operands, got {len(ops)}: {ops}")
+    fields = {name: _register(files[name], token)
+              for name, token in zip(names, ops)}
+    if len(ops) > len(names):
+        token = ops[-1]
+        if spec.fmt in ("B", "J"):
+            fields["imm"] = _parse_imm(token, labels, pc=pc, relative=True)
+        else:
+            fields["imm"] = _parse_imm(token, labels)
+            if spec.fmt == "U":
+                fields["imm"] &= 0xFFFFF
+    return Instruction(mnemonic, **fields)
 
 
 def assemble(
@@ -259,13 +283,13 @@ def assemble(
 
     for mnemonic, ops in text_items:
         if mnemonic == "li":
-            rd = _xreg(ops[0])
+            rd = _register("x", ops[0])
             value = _parse_imm(ops[1], labels)
             for instr in _li_sequence(rd, value):
                 emit(instr)
             continue
         if mnemonic == "la":
-            rd = _xreg(ops[0])
+            rd = _register("x", ops[0])
             value = _parse_imm(ops[1], labels)
             upper = (value + 0x800) >> 12
             lower = ((value & 0xFFF) ^ 0x800) - 0x800
@@ -275,65 +299,7 @@ def assemble(
 
         if mnemonic not in OPCODES:
             raise AssemblyError(f"unknown mnemonic {mnemonic!r}")
-        fmt = OPCODES[mnemonic][0]
-        is_fp = mnemonic in _FP_MNEMONICS
-
-        if mnemonic == "ecall":
-            emit(Instruction("ecall"))
-        elif fmt == "R":
-            if mnemonic in ("fmv.x.d", "fcvt.w.d"):
-                emit(Instruction(mnemonic, rd=_xreg(ops[0]),
-                                 rs1=_freg(ops[1])))
-            elif mnemonic in ("fmv.d.x", "fcvt.d.w", "fcvt.d.l"):
-                emit(Instruction(mnemonic, rd=_freg(ops[0]),
-                                 rs1=_xreg(ops[1])))
-            elif mnemonic in ("feq.d", "flt.d", "fle.d"):
-                emit(Instruction(mnemonic, rd=_xreg(ops[0]),
-                                 rs1=_freg(ops[1]), rs2=_freg(ops[2])))
-            elif is_fp:
-                emit(Instruction(mnemonic, rd=_freg(ops[0]),
-                                 rs1=_freg(ops[1]), rs2=_freg(ops[2])))
-            else:
-                emit(Instruction(mnemonic, rd=_xreg(ops[0]),
-                                 rs1=_xreg(ops[1]), rs2=_xreg(ops[2])))
-        elif fmt in ("I", "I*"):
-            if mnemonic in ("lb", "lh", "lw", "ld", "lbu", "lhu", "lwu"):
-                emit(Instruction(mnemonic, rd=_xreg(ops[0]),
-                                 rs1=_xreg(ops[2]),
-                                 imm=_parse_imm(ops[1], labels)))
-            elif mnemonic == "fld":
-                emit(Instruction(mnemonic, rd=_freg(ops[0]),
-                                 rs1=_xreg(ops[2]),
-                                 imm=_parse_imm(ops[1], labels)))
-            elif mnemonic == "jalr":
-                if len(ops) == 3:
-                    emit(Instruction(mnemonic, rd=_xreg(ops[0]),
-                                     rs1=_xreg(ops[1]),
-                                     imm=_parse_imm(ops[2], labels)))
-                else:
-                    emit(Instruction(mnemonic, rd=_xreg(ops[0]),
-                                     rs1=_xreg(ops[1])))
-            else:
-                emit(Instruction(mnemonic, rd=_xreg(ops[0]),
-                                 rs1=_xreg(ops[1]),
-                                 imm=_parse_imm(ops[2], labels)))
-        elif fmt == "S":
-            reg = _freg(ops[0]) if mnemonic == "fsd" else _xreg(ops[0])
-            emit(Instruction(mnemonic, rs2=reg, rs1=_xreg(ops[2]),
-                             imm=_parse_imm(ops[1], labels)))
-        elif fmt == "B":
-            emit(Instruction(mnemonic, rs1=_xreg(ops[0]), rs2=_xreg(ops[1]),
-                             imm=_parse_imm(ops[2], labels, pc=pc,
-                                            relative=True)))
-        elif fmt == "U":
-            emit(Instruction(mnemonic, rd=_xreg(ops[0]),
-                             imm=_parse_imm(ops[1], labels) & 0xFFFFF))
-        elif fmt == "J":
-            emit(Instruction(mnemonic, rd=_xreg(ops[0]),
-                             imm=_parse_imm(ops[1], labels, pc=pc,
-                                            relative=True)))
-        else:  # pragma: no cover - formats are exhaustive
-            raise AssemblyError(f"unhandled format {fmt!r}")
+        emit(_instruction(mnemonic, ops, labels, pc))
 
     return Program(
         text_base=text_base,

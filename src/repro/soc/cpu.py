@@ -11,6 +11,15 @@ in-order single-issue pipeline:
 * taken branches and jumps redirect fetch: +2 cycles;
 * I-cache and D-cache miss stalls come from the cache hierarchy.
 
+Decode once, dispatch by table: :data:`repro.soc.isa.OPCODES` says what a
+mnemonic is (encoding, operand register files, timing class).  Each
+fetched word becomes, once, a :class:`Decoded` record (handler from
+:data:`HANDLERS`, latency, fields, scoreboard slots), so
+:meth:`CPU.step` holds no per-mnemonic code.  The decode cache is keyed
+by the *word*, not the PC: an SEU that flips an instruction in memory
+(:meth:`~repro.soc.memory.Memory.flip_bit`) changes the word fetched
+next, so the corrupted instruction decodes afresh.
+
 The optional ``popcount_extension`` enables the custom ``cpop``
 instruction for the ABL-1 ablation ("hardware support would reduce the
 computation time significantly", paper Section VI-C).
@@ -18,13 +27,15 @@ computation time significantly", paper Section VI-C).
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from repro.errors import HangError, WorkloadError
 from repro.soc.assembler import Program
 from repro.soc.cache import CacheHierarchy
-from repro.soc.isa import Instruction, decode
+from repro.soc.isa import OPCODES, decode
 from repro.soc.memory import Memory
 
 __all__ = ["CPU", "ExecutionStats", "HaltError"]
@@ -106,6 +117,238 @@ def _b2f(b: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", b & _MASK64))[0]
 
 
+# ---------------------------------------------------------------------- #
+# Handlers: ``handler(cpu, op, pc)`` executes one decoded instruction and
+# returns the redirect target of a taken branch or jump, else None.
+# Timing is not theirs: step() waits, stalls and commits for them.
+# ---------------------------------------------------------------------- #
+def _x_rr(fn):
+    def run(cpu, op, pc):
+        x = cpu.x
+        x[op.rd] = fn(x[op.rs1], x[op.rs2])
+    return run
+
+
+def _x_ri(fn):
+    def run(cpu, op, pc):
+        x = cpu.x
+        x[op.rd] = fn(x[op.rs1], op.imm)
+    return run
+
+
+def _fp(dst, fn):
+    def run(cpu, op, pc):
+        f = cpu.f
+        getattr(cpu, dst)[op.rd] = fn(f[op.rs1], f[op.rs2])
+    return run
+
+
+def _branch(taken):
+    def run(cpu, op, pc):
+        x = cpu.x
+        if taken(x[op.rs1], x[op.rs2]):
+            return pc + op.imm
+    return run
+
+
+def _load(size, signed):
+    def run(cpu, op, pc):
+        read = cpu.memory.load_s if signed else cpu.memory.load_u
+        cpu.x[op.rd] = read((cpu.x[op.rs1] + op.imm) & _MASK64, size)
+    return run
+
+
+def _store(size):
+    def run(cpu, op, pc):
+        x = cpu.x
+        cpu.memory.store_u((x[op.rs1] + op.imm) & _MASK64, size, x[op.rs2])
+    return run
+
+
+def _fld(cpu, op, pc):
+    cpu.f[op.rd] = cpu.memory.load_double((cpu.x[op.rs1] + op.imm) & _MASK64)
+
+
+def _fsd(cpu, op, pc):
+    cpu.memory.store_double((cpu.x[op.rs1] + op.imm) & _MASK64, cpu.f[op.rs2])
+
+
+def _lui(cpu, op, pc):
+    cpu.x[op.rd] = _to_signed(op.imm << 12)
+
+
+def _auipc(cpu, op, pc):
+    cpu.x[op.rd] = _to_signed(pc + (op.imm << 12))
+
+
+def _jal(cpu, op, pc):
+    cpu.x[op.rd] = pc + 4
+    return pc + op.imm
+
+
+def _jalr(cpu, op, pc):
+    target = (cpu.x[op.rs1] + op.imm) & ~1
+    cpu.x[op.rd] = pc + 4
+    return target
+
+
+def _ecall(cpu, op, pc):
+    cpu.halted = True
+    cpu.exit_code = cpu.x[10]
+
+
+def _cpop(cpu, op, pc):
+    if not cpu.popcount_extension:
+        raise ValueError(
+            "cpop executed without popcount_extension -- the "
+            "base RISC-V ISA has no popcount instruction"
+        )
+    cpu.x[op.rd] = (cpu.x[op.rs1] & _MASK64).bit_count()
+
+
+def _div(a, b):
+    if b == 0:
+        return -1
+    q = abs(a) // abs(b)
+    return _to_signed(-q if (a < 0) != (b < 0) else q)
+
+
+def _rem(a, b):
+    if b == 0:
+        return a
+    q = abs(a) % abs(b)
+    return _to_signed(-q if a < 0 else q)
+
+
+def _move(dst, src, convert):
+    """Handler copying ``convert(src[rs1])`` to ``dst[rd]`` across files."""
+    def run(cpu, op, pc):
+        getattr(cpu, dst)[op.rd] = convert(getattr(cpu, src)[op.rs1])
+    return run
+
+
+#: Semantics per mnemonic; the keys are exactly those of ``OPCODES``.
+HANDLERS: dict[str, Callable] = {
+    "lui": _lui,
+    "auipc": _auipc,
+    "jal": _jal,
+    "jalr": _jalr,
+    "beq": _branch(operator.eq),
+    "bne": _branch(operator.ne),
+    "blt": _branch(operator.lt),
+    "bge": _branch(operator.ge),
+    "bltu": _branch(lambda a, b: (a & _MASK64) < (b & _MASK64)),
+    "bgeu": _branch(lambda a, b: (a & _MASK64) >= (b & _MASK64)),
+    "lb": _load(1, True),
+    "lh": _load(2, True),
+    "lw": _load(4, True),
+    "ld": _load(8, True),
+    "lbu": _load(1, False),
+    "lhu": _load(2, False),
+    "lwu": _load(4, False),
+    "sb": _store(1),
+    "sh": _store(2),
+    "sw": _store(4),
+    "sd": _store(8),
+    "addi": _x_ri(lambda a, i: _to_signed(a + i)),
+    "slti": _x_ri(lambda a, i: int(a < i)),
+    "sltiu": _x_ri(lambda a, i: int((a & _MASK64) < (i & _MASK64))),
+    "xori": _x_ri(lambda a, i: _to_signed(a ^ i)),
+    "ori": _x_ri(lambda a, i: _to_signed(a | i)),
+    "andi": _x_ri(lambda a, i: _to_signed(a & i)),
+    "slli": _x_ri(lambda a, i: _to_signed(a << i)),
+    "srli": _x_ri(lambda a, i: _to_signed((a & _MASK64) >> i)),
+    "srai": _x_ri(lambda a, i: a >> i),
+    "add": _x_rr(lambda a, b: _to_signed(a + b)),
+    "sub": _x_rr(lambda a, b: _to_signed(a - b)),
+    "sll": _x_rr(lambda a, b: _to_signed(a << (b & 63))),
+    "slt": _x_rr(lambda a, b: int(a < b)),
+    "sltu": _x_rr(lambda a, b: int((a & _MASK64) < (b & _MASK64))),
+    "xor": _x_rr(lambda a, b: _to_signed(a ^ b)),
+    "srl": _x_rr(lambda a, b: _to_signed((a & _MASK64) >> (b & 63))),
+    "sra": _x_rr(lambda a, b: a >> (b & 63)),
+    "or": _x_rr(lambda a, b: _to_signed(a | b)),
+    "and": _x_rr(lambda a, b: _to_signed(a & b)),
+    "addiw": _x_ri(lambda a, i: _to_signed32(a + i)),
+    "slliw": _x_ri(lambda a, i: _to_signed32(a << i)),
+    "srliw": _x_ri(lambda a, i: _to_signed32((a & 0xFFFFFFFF) >> i)),
+    "sraiw": _x_ri(lambda a, i: _to_signed32(_to_signed32(a) >> i)),
+    "addw": _x_rr(lambda a, b: _to_signed32(a + b)),
+    "subw": _x_rr(lambda a, b: _to_signed32(a - b)),
+    "sllw": _x_rr(lambda a, b: _to_signed32(a << (b & 31))),
+    "srlw": _x_rr(lambda a, b: _to_signed32((a & 0xFFFFFFFF) >> (b & 31))),
+    "sraw": _x_rr(lambda a, b: _to_signed32(_to_signed32(a) >> (b & 31))),
+    "ecall": _ecall,
+    "mul": _x_rr(lambda a, b: _to_signed(a * b)),
+    "mulh": _x_rr(lambda a, b: _to_signed((a * b) >> 64)),
+    "div": _x_rr(_div),
+    "divu": _x_rr(lambda a, b: _to_signed((a & _MASK64) // (b & _MASK64))
+                  if b else -1),
+    "rem": _x_rr(_rem),
+    "remu": _x_rr(lambda a, b: _to_signed((a & _MASK64) % (b & _MASK64))
+                  if b else a),
+    "mulw": _x_rr(lambda a, b: _to_signed32(a * b)),
+    "fld": _fld,
+    "fsd": _fsd,
+    "fadd.d": _fp("f", operator.add),
+    "fsub.d": _fp("f", operator.sub),
+    "fmul.d": _fp("f", operator.mul),
+    "fdiv.d": _fp("f", lambda a, b: a / b if b != 0 else float("inf")),
+    "feq.d": _fp("x", lambda a, b: int(a == b)),
+    "flt.d": _fp("x", lambda a, b: int(a < b)),
+    "fle.d": _fp("x", lambda a, b: int(a <= b)),
+    "fmv.x.d": _move("x", "f", lambda v: _to_signed(_f2b(v))),
+    "fmv.d.x": _move("f", "x", _b2f),
+    "fcvt.w.d": _move("x", "f", lambda v: _to_signed32(int(v))),
+    "fcvt.d.w": _move("f", "x", lambda v: float(_to_signed32(v))),
+    "fcvt.d.l": _move("f", "x", float),
+    "cpop": _cpop,
+}
+
+
+class Decoded(NamedTuple):
+    """One instruction word, decoded once: all ``step`` needs to run it.
+
+    ``sources``/``dest`` are the scoreboard slots read and written (x0,
+    always ready, is neither); ``access`` is the D-cache access: None,
+    False (load) or True (store).
+    """
+
+    handler: Callable
+    kind: str
+    latency: int
+    rd: int
+    rs1: int
+    rs2: int
+    imm: int
+    sources: tuple[int, ...]
+    dest: int | None
+    access: bool | None
+
+
+def _slot(file: str, reg: int) -> int | None:
+    """Scoreboard slot of one operand: x0-x31 at 0-31, f0-f31 at 32-63."""
+    if file == "f":
+        return 32 + reg
+    return reg if file == "x" and reg else None
+
+
+def _decode(word: int) -> Decoded:
+    instr = decode(word)
+    spec = OPCODES[instr.mnemonic]
+    files = spec.files
+    reads = (_slot(files[1], instr.rs1), _slot(files[2], instr.rs2))
+    return Decoded(
+        handler=HANDLERS[instr.mnemonic],
+        kind=spec.kind,
+        latency=LATENCY[spec.kind],
+        rd=instr.rd, rs1=instr.rs1, rs2=instr.rs2, imm=instr.imm,
+        sources=tuple(s for s in reads if s is not None),
+        dest=_slot(files[0], instr.rd),
+        access={"load": False, "store": True}.get(spec.kind),
+    )
+
+
 class CPU:
     """One in-order RV64 hart with caches."""
 
@@ -124,9 +367,8 @@ class CPU:
         self.halted = False
         self.exit_code = 0
         self.stats = ExecutionStats()
-        self._ready_x = [0] * 32
-        self._ready_f = [0] * 32
-        self._decode_cache: dict[int, Instruction] = {}
+        self._ready = [0] * 64  # cycle each scoreboard slot is ready
+        self._decoded: dict[int, Decoded] = {}
 
     # ------------------------------------------------------------------ #
     def load_program(self, program: Program) -> None:
@@ -139,286 +381,54 @@ class CPU:
         self.x[2] = 0x7FFF000  # stack pointer
 
     # ------------------------------------------------------------------ #
-    def _wait_x(self, reg: int, now: int) -> int:
-        return max(now, self._ready_x[reg])
-
-    def _wait_f(self, reg: int, now: int) -> int:
-        return max(now, self._ready_f[reg])
-
-    def _classify(self, m: str) -> str:
-        if m in ("lb", "lh", "lw", "ld", "lbu", "lhu", "lwu", "fld"):
-            return "load"
-        if m in ("sb", "sh", "sw", "sd", "fsd"):
-            return "store"
-        if m.startswith("b") or m in ("jal", "jalr"):
-            return "branch"
-        if m.startswith("mul"):
-            return "mul"
-        if m.startswith(("div", "rem")):
-            return "div"
-        if m == "fdiv.d":
-            return "fp_div"
-        if m in ("feq.d", "flt.d", "fle.d", "fmv.x.d", "fmv.d.x"):
-            return "fp_short"
-        if m.startswith("f"):
-            return "fp"
-        return "alu"
-
     def step(self) -> None:
         """Execute one instruction, updating state and timing."""
         stats = self.stats
+        counts = stats.class_counts
+        pc = self.pc
         now = stats.cycles
 
-        # Fetch (I-cache).
-        icache_stall = self.caches.fetch(self.pc)
-        if icache_stall:
-            stats.stall_cycles_icache += icache_stall
-            stats.class_counts["l1i_miss"] = stats.count("l1i_miss") + 1
-            now += icache_stall
-
-        word = self.memory.load_u(self.pc, 4)
-        instr = self._decode_cache.get(word)
-        if instr is None:
-            instr = decode(word)
-            self._decode_cache[word] = instr
-        m = instr.mnemonic
-        kind = self._classify(m)
-        stats.class_counts[kind] = stats.count(kind) + 1
+        # Fetch (I-cache) and decode, once per distinct word.
+        stall = self.caches.fetch(pc)
+        if stall:
+            stats.stall_cycles_icache += stall
+            counts["l1i_miss"] = counts.get("l1i_miss", 0) + 1
+            now += stall
+        word = self.memory.load_u(pc, 4)
+        op = self._decoded.get(word)
+        if op is None:
+            op = self._decoded[word] = _decode(word)
+        counts[op.kind] = counts.get(op.kind, 0) + 1
         stats.instructions += 1
 
+        # Issue once every source is ready; memory ops add D-cache stall.
+        ready = self._ready
         issue = now
-        next_pc = self.pc + 4
-        redirect = False
-
-        x, f = self.x, self.f
-        rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-
-        # ---------------- integer ALU ----------------------------------- #
-        if m == "lui":
-            issue = now
-            x[rd] = _to_signed(imm << 12)
-        elif m == "auipc":
-            x[rd] = _to_signed(self.pc + (imm << 12))
-        elif m in ("addi", "slti", "sltiu", "xori", "ori", "andi",
-                   "slli", "srli", "srai", "addiw", "slliw", "srliw",
-                   "sraiw"):
-            issue = self._wait_x(rs1, now)
-            a = x[rs1]
-            if m == "addi":
-                x[rd] = _to_signed(a + imm)
-            elif m == "slti":
-                x[rd] = int(a < imm)
-            elif m == "sltiu":
-                x[rd] = int((a & _MASK64) < (imm & _MASK64))
-            elif m == "xori":
-                x[rd] = _to_signed(a ^ imm)
-            elif m == "ori":
-                x[rd] = _to_signed(a | imm)
-            elif m == "andi":
-                x[rd] = _to_signed(a & imm)
-            elif m == "slli":
-                x[rd] = _to_signed(a << imm)
-            elif m == "srli":
-                x[rd] = _to_signed((a & _MASK64) >> imm)
-            elif m == "srai":
-                x[rd] = a >> imm
-            elif m == "addiw":
-                x[rd] = _to_signed32(a + imm)
-            elif m == "slliw":
-                x[rd] = _to_signed32(a << imm)
-            elif m == "srliw":
-                x[rd] = _to_signed32((a & 0xFFFFFFFF) >> imm)
-            else:  # sraiw
-                x[rd] = _to_signed32(_to_signed32(a) >> imm)
-        elif m in ("add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra",
-                   "or", "and", "addw", "subw", "sllw", "srlw", "sraw",
-                   "mul", "mulh", "mulw", "div", "divu", "rem", "remu",
-                   "cpop"):
-            issue = max(self._wait_x(rs1, now), self._wait_x(rs2, now))
-            a, b = x[rs1], x[rs2]
-            if m == "add":
-                x[rd] = _to_signed(a + b)
-            elif m == "sub":
-                x[rd] = _to_signed(a - b)
-            elif m == "sll":
-                x[rd] = _to_signed(a << (b & 63))
-            elif m == "slt":
-                x[rd] = int(a < b)
-            elif m == "sltu":
-                x[rd] = int((a & _MASK64) < (b & _MASK64))
-            elif m == "xor":
-                x[rd] = _to_signed(a ^ b)
-            elif m == "srl":
-                x[rd] = _to_signed((a & _MASK64) >> (b & 63))
-            elif m == "sra":
-                x[rd] = a >> (b & 63)
-            elif m == "or":
-                x[rd] = _to_signed(a | b)
-            elif m == "and":
-                x[rd] = _to_signed(a & b)
-            elif m == "addw":
-                x[rd] = _to_signed32(a + b)
-            elif m == "subw":
-                x[rd] = _to_signed32(a - b)
-            elif m == "sllw":
-                x[rd] = _to_signed32(a << (b & 31))
-            elif m == "srlw":
-                x[rd] = _to_signed32((a & 0xFFFFFFFF) >> (b & 31))
-            elif m == "sraw":
-                x[rd] = _to_signed32(_to_signed32(a) >> (b & 31))
-            elif m == "mul":
-                x[rd] = _to_signed(a * b)
-            elif m == "mulh":
-                x[rd] = _to_signed((a * b) >> 64)
-            elif m == "mulw":
-                x[rd] = _to_signed32(a * b)
-            elif m in ("div", "divu", "rem", "remu"):
-                if b == 0:
-                    x[rd] = -1 if m in ("div", "divu") else a
-                else:
-                    if m == "div":
-                        q = abs(a) // abs(b)
-                        x[rd] = -q if (a < 0) != (b < 0) else q
-                    elif m == "divu":
-                        x[rd] = (a & _MASK64) // (b & _MASK64)
-                    elif m == "rem":
-                        q = abs(a) % abs(b)
-                        x[rd] = -q if a < 0 else q
-                    else:
-                        x[rd] = (a & _MASK64) % (b & _MASK64)
-                    x[rd] = _to_signed(x[rd])
-            elif m == "cpop":
-                if not self.popcount_extension:
-                    raise ValueError(
-                        "cpop executed without popcount_extension -- the "
-                        "base RISC-V ISA has no popcount instruction"
-                    )
-                x[rd] = bin(a & _MASK64).count("1")
-        # ---------------- memory ---------------------------------------- #
-        elif kind == "load":
-            issue = self._wait_x(rs1, now)
-            addr = (x[rs1] + imm) & _MASK64
-            stall = self.caches.data_access(addr, write=False)
+        for slot in op.sources:
+            if ready[slot] > issue:
+                issue = ready[slot]
+        if op.access is not None:
+            stall = self.caches.data_access(
+                (self.x[op.rs1] + op.imm) & _MASK64, write=op.access)
             if stall:
                 stats.stall_cycles_dcache += stall
-                stats.class_counts["l1d_miss"] = stats.count("l1d_miss") + 1
-            issue += stall
-            if m == "fld":
-                f[rd] = self.memory.load_double(addr)
-            elif m == "ld":
-                x[rd] = self.memory.load_s(addr, 8)
-            elif m == "lw":
-                x[rd] = self.memory.load_s(addr, 4)
-            elif m == "lwu":
-                x[rd] = self.memory.load_u(addr, 4)
-            elif m == "lh":
-                x[rd] = self.memory.load_s(addr, 2)
-            elif m == "lhu":
-                x[rd] = self.memory.load_u(addr, 2)
-            elif m == "lb":
-                x[rd] = self.memory.load_s(addr, 1)
-            else:  # lbu
-                x[rd] = self.memory.load_u(addr, 1)
-        elif kind == "store":
-            issue = self._wait_x(rs1, now)
-            if m == "fsd":
-                issue = max(issue, self._wait_f(rs2, now))
-            else:
-                issue = max(issue, self._wait_x(rs2, now))
-            addr = (x[rs1] + imm) & _MASK64
-            stall = self.caches.data_access(addr, write=True)
-            if stall:
-                stats.stall_cycles_dcache += stall
-                stats.class_counts["l1d_miss"] = stats.count("l1d_miss") + 1
-            issue += stall
-            if m == "fsd":
-                self.memory.store_double(addr, f[rs2])
-            elif m == "sd":
-                self.memory.store_u(addr, 8, x[rs2])
-            elif m == "sw":
-                self.memory.store_u(addr, 4, x[rs2])
-            elif m == "sh":
-                self.memory.store_u(addr, 2, x[rs2])
-            else:  # sb
-                self.memory.store_u(addr, 1, x[rs2])
-        # ---------------- control flow ----------------------------------- #
-        elif m in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
-            issue = max(self._wait_x(rs1, now), self._wait_x(rs2, now))
-            a, b = x[rs1], x[rs2]
-            taken = {
-                "beq": a == b,
-                "bne": a != b,
-                "blt": a < b,
-                "bge": a >= b,
-                "bltu": (a & _MASK64) < (b & _MASK64),
-                "bgeu": (a & _MASK64) >= (b & _MASK64),
-            }[m]
-            if taken:
-                next_pc = self.pc + imm
-                redirect = True
-        elif m == "jal":
-            x[rd] = self.pc + 4
-            next_pc = self.pc + imm
-            redirect = True
-        elif m == "jalr":
-            issue = self._wait_x(rs1, now)
-            target = (x[rs1] + imm) & ~1
-            x[rd] = self.pc + 4
-            next_pc = target
-            redirect = True
-        elif m == "ecall":
-            self.halted = True
-            self.exit_code = x[10]
-        # ---------------- floating point ---------------------------------- #
-        elif m in ("fadd.d", "fsub.d", "fmul.d", "fdiv.d"):
-            issue = max(self._wait_f(rs1, now), self._wait_f(rs2, now))
-            a, b = f[rs1], f[rs2]
-            if m == "fadd.d":
-                f[rd] = a + b
-            elif m == "fsub.d":
-                f[rd] = a - b
-            elif m == "fmul.d":
-                f[rd] = a * b
-            else:
-                f[rd] = a / b if b != 0 else float("inf")
-        elif m in ("feq.d", "flt.d", "fle.d"):
-            issue = max(self._wait_f(rs1, now), self._wait_f(rs2, now))
-            a, b = f[rs1], f[rs2]
-            x[rd] = int({"feq.d": a == b, "flt.d": a < b,
-                         "fle.d": a <= b}[m])
-        elif m == "fmv.x.d":
-            issue = self._wait_f(rs1, now)
-            x[rd] = _to_signed(_f2b(f[rs1]))
-        elif m == "fmv.d.x":
-            issue = self._wait_x(rs1, now)
-            f[rd] = _b2f(x[rs1])
-        elif m == "fcvt.w.d":
-            issue = self._wait_f(rs1, now)
-            x[rd] = _to_signed32(int(f[rs1]))
-        elif m in ("fcvt.d.w", "fcvt.d.l"):
-            issue = self._wait_x(rs1, now)
-            f[rd] = float(x[rs1] if m == "fcvt.d.l" else _to_signed32(x[rs1]))
-        else:  # pragma: no cover - decoder guarantees coverage
-            raise ValueError(f"unimplemented instruction {m!r}")
+                counts["l1d_miss"] = counts.get("l1d_miss", 0) + 1
+                issue += stall
 
-        x[0] = 0  # x0 is hard-wired
+        target = op.handler(self, op, pc)
+        self.x[0] = 0  # x0 is hard-wired
 
-        # ---------------- timing commit ----------------------------------- #
-        stall = issue - now
-        stats.stall_cycles_raw += stall
-        latency = LATENCY.get(kind, 1)
-        if rd != 0 or kind in ("fp", "fp_div"):
-            if m in ("fld", "fadd.d", "fsub.d", "fmul.d", "fdiv.d",
-                     "fmv.d.x", "fcvt.d.w", "fcvt.d.l"):
-                self._ready_f[rd] = issue + latency
-            elif rd != 0:
-                self._ready_x[rd] = issue + latency
-        cycles = issue + 1
-        if redirect:
-            cycles += REDIRECT_PENALTY
+        # Timing commit and PC update.
+        stats.stall_cycles_raw += issue - now
+        if op.dest is not None:
+            ready[op.dest] = issue + op.latency
+        if target is None:
+            stats.cycles = issue + 1
+            self.pc = pc + 4
+        else:
+            stats.cycles = issue + 1 + REDIRECT_PENALTY
             stats.redirect_cycles += REDIRECT_PENALTY
-        stats.cycles = cycles
-        self.pc = next_pc
+            self.pc = target
 
     # ------------------------------------------------------------------ #
     def run(

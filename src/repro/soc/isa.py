@@ -15,14 +15,21 @@ Notably there is **no popcount instruction** -- the paper's central
 observation about HDC performance ("the lack of a popcount instruction in
 the RISC-V instruction set architecture").  The ABL-1 ablation bench adds
 a custom one to quantify exactly that gap.
+
+:data:`OPCODES` is the one instruction table: per mnemonic, its encoding,
+the register file of each operand and its timing class.  The assembler,
+:func:`decode` and :mod:`repro.soc.cpu` (which decodes each word once and
+dispatches on the record) all read it; the CPU adds only one handler per
+mnemonic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-__all__ = ["Instruction", "decode", "encode", "OPCODES", "REGISTER_NAMES",
-           "FREGISTER_NAMES"]
+__all__ = ["Instruction", "Opcode", "decode", "encode", "OPCODES",
+           "REGISTER_NAMES", "FREGISTER_NAMES"]
 
 # ABI register names, index = architectural number.
 REGISTER_NAMES = (
@@ -45,7 +52,6 @@ class Instruction:
     rs1: int = 0
     rs2: int = 0
     imm: int = 0
-    raw: int = 0
 
 
 def _sext(value: int, bits: int) -> int:
@@ -54,88 +60,101 @@ def _sext(value: int, bits: int) -> int:
     return (value & (sign - 1)) - (value & sign)
 
 
-# (mnemonic) -> (format, opcode, funct3, funct7)
-# formats: R, I, S, B, U, J, R4 unused here.
-OPCODES: dict[str, tuple[str, int, int | None, int | None]] = {
+class Opcode(NamedTuple):
+    """One row of :data:`OPCODES`: everything the tools know of a mnemonic."""
+
+    fmt: str  # R, I, I* (6-bit shamt), S, B, U or J
+    opcode: int
+    funct3: int | None
+    funct7: int | None
+    files: str  # register file of rd, rs1, rs2: x, f or - (not a register)
+    kind: str  # timing class, priced by repro.soc.cpu.LATENCY
+
+
+_R, _I, _S, _B = 0b0110011, 0b0010011, 0b0100011, 0b1100011
+_RW, _IW, _LD, _FP = 0b0111011, 0b0011011, 0b0000011, 0b1010011
+
+#: The instruction table (see the module docstring).
+OPCODES: dict[str, Opcode] = {m: Opcode(*row) for m, row in {
     # RV64I
-    "lui": ("U", 0b0110111, None, None),
-    "auipc": ("U", 0b0010111, None, None),
-    "jal": ("J", 0b1101111, None, None),
-    "jalr": ("I", 0b1100111, 0b000, None),
-    "beq": ("B", 0b1100011, 0b000, None),
-    "bne": ("B", 0b1100011, 0b001, None),
-    "blt": ("B", 0b1100011, 0b100, None),
-    "bge": ("B", 0b1100011, 0b101, None),
-    "bltu": ("B", 0b1100011, 0b110, None),
-    "bgeu": ("B", 0b1100011, 0b111, None),
-    "lb": ("I", 0b0000011, 0b000, None),
-    "lh": ("I", 0b0000011, 0b001, None),
-    "lw": ("I", 0b0000011, 0b010, None),
-    "ld": ("I", 0b0000011, 0b011, None),
-    "lbu": ("I", 0b0000011, 0b100, None),
-    "lhu": ("I", 0b0000011, 0b101, None),
-    "lwu": ("I", 0b0000011, 0b110, None),
-    "sb": ("S", 0b0100011, 0b000, None),
-    "sh": ("S", 0b0100011, 0b001, None),
-    "sw": ("S", 0b0100011, 0b010, None),
-    "sd": ("S", 0b0100011, 0b011, None),
-    "addi": ("I", 0b0010011, 0b000, None),
-    "slti": ("I", 0b0010011, 0b010, None),
-    "sltiu": ("I", 0b0010011, 0b011, None),
-    "xori": ("I", 0b0010011, 0b100, None),
-    "ori": ("I", 0b0010011, 0b110, None),
-    "andi": ("I", 0b0010011, 0b111, None),
-    "slli": ("I*", 0b0010011, 0b001, 0b000000),
-    "srli": ("I*", 0b0010011, 0b101, 0b000000),
-    "srai": ("I*", 0b0010011, 0b101, 0b010000),
-    "add": ("R", 0b0110011, 0b000, 0b0000000),
-    "sub": ("R", 0b0110011, 0b000, 0b0100000),
-    "sll": ("R", 0b0110011, 0b001, 0b0000000),
-    "slt": ("R", 0b0110011, 0b010, 0b0000000),
-    "sltu": ("R", 0b0110011, 0b011, 0b0000000),
-    "xor": ("R", 0b0110011, 0b100, 0b0000000),
-    "srl": ("R", 0b0110011, 0b101, 0b0000000),
-    "sra": ("R", 0b0110011, 0b101, 0b0100000),
-    "or": ("R", 0b0110011, 0b110, 0b0000000),
-    "and": ("R", 0b0110011, 0b111, 0b0000000),
-    "addiw": ("I", 0b0011011, 0b000, None),
-    "slliw": ("I*", 0b0011011, 0b001, 0b000000),
-    "srliw": ("I*", 0b0011011, 0b101, 0b000000),
-    "sraiw": ("I*", 0b0011011, 0b101, 0b010000),
-    "addw": ("R", 0b0111011, 0b000, 0b0000000),
-    "subw": ("R", 0b0111011, 0b000, 0b0100000),
-    "sllw": ("R", 0b0111011, 0b001, 0b0000000),
-    "srlw": ("R", 0b0111011, 0b101, 0b0000000),
-    "sraw": ("R", 0b0111011, 0b101, 0b0100000),
-    "ecall": ("I", 0b1110011, 0b000, None),
+    "lui": ("U", 0b0110111, None, None, "x--", "alu"),
+    "auipc": ("U", 0b0010111, None, None, "x--", "alu"),
+    "jal": ("J", 0b1101111, None, None, "x--", "branch"),
+    "jalr": ("I", 0b1100111, 0b000, None, "xx-", "branch"),
+    "beq": ("B", _B, 0b000, None, "-xx", "branch"),
+    "bne": ("B", _B, 0b001, None, "-xx", "branch"),
+    "blt": ("B", _B, 0b100, None, "-xx", "branch"),
+    "bge": ("B", _B, 0b101, None, "-xx", "branch"),
+    "bltu": ("B", _B, 0b110, None, "-xx", "branch"),
+    "bgeu": ("B", _B, 0b111, None, "-xx", "branch"),
+    "lb": ("I", _LD, 0b000, None, "xx-", "load"),
+    "lh": ("I", _LD, 0b001, None, "xx-", "load"),
+    "lw": ("I", _LD, 0b010, None, "xx-", "load"),
+    "ld": ("I", _LD, 0b011, None, "xx-", "load"),
+    "lbu": ("I", _LD, 0b100, None, "xx-", "load"),
+    "lhu": ("I", _LD, 0b101, None, "xx-", "load"),
+    "lwu": ("I", _LD, 0b110, None, "xx-", "load"),
+    "sb": ("S", _S, 0b000, None, "-xx", "store"),
+    "sh": ("S", _S, 0b001, None, "-xx", "store"),
+    "sw": ("S", _S, 0b010, None, "-xx", "store"),
+    "sd": ("S", _S, 0b011, None, "-xx", "store"),
+    "addi": ("I", _I, 0b000, None, "xx-", "alu"),
+    "slti": ("I", _I, 0b010, None, "xx-", "alu"),
+    "sltiu": ("I", _I, 0b011, None, "xx-", "alu"),
+    "xori": ("I", _I, 0b100, None, "xx-", "alu"),
+    "ori": ("I", _I, 0b110, None, "xx-", "alu"),
+    "andi": ("I", _I, 0b111, None, "xx-", "alu"),
+    "slli": ("I*", _I, 0b001, 0b000000, "xx-", "alu"),
+    "srli": ("I*", _I, 0b101, 0b000000, "xx-", "alu"),
+    "srai": ("I*", _I, 0b101, 0b010000, "xx-", "alu"),
+    "add": ("R", _R, 0b000, 0b0000000, "xxx", "alu"),
+    "sub": ("R", _R, 0b000, 0b0100000, "xxx", "alu"),
+    "sll": ("R", _R, 0b001, 0b0000000, "xxx", "alu"),
+    "slt": ("R", _R, 0b010, 0b0000000, "xxx", "alu"),
+    "sltu": ("R", _R, 0b011, 0b0000000, "xxx", "alu"),
+    "xor": ("R", _R, 0b100, 0b0000000, "xxx", "alu"),
+    "srl": ("R", _R, 0b101, 0b0000000, "xxx", "alu"),
+    "sra": ("R", _R, 0b101, 0b0100000, "xxx", "alu"),
+    "or": ("R", _R, 0b110, 0b0000000, "xxx", "alu"),
+    "and": ("R", _R, 0b111, 0b0000000, "xxx", "alu"),
+    "addiw": ("I", _IW, 0b000, None, "xx-", "alu"),
+    "slliw": ("I*", _IW, 0b001, 0b000000, "xx-", "alu"),
+    "srliw": ("I*", _IW, 0b101, 0b000000, "xx-", "alu"),
+    "sraiw": ("I*", _IW, 0b101, 0b010000, "xx-", "alu"),
+    "addw": ("R", _RW, 0b000, 0b0000000, "xxx", "alu"),
+    "subw": ("R", _RW, 0b000, 0b0100000, "xxx", "alu"),
+    "sllw": ("R", _RW, 0b001, 0b0000000, "xxx", "alu"),
+    "srlw": ("R", _RW, 0b101, 0b0000000, "xxx", "alu"),
+    "sraw": ("R", _RW, 0b101, 0b0100000, "xxx", "alu"),
+    "ecall": ("I", 0b1110011, 0b000, None, "---", "alu"),
     # RV64M
-    "mul": ("R", 0b0110011, 0b000, 0b0000001),
-    "mulh": ("R", 0b0110011, 0b001, 0b0000001),
-    "div": ("R", 0b0110011, 0b100, 0b0000001),
-    "divu": ("R", 0b0110011, 0b101, 0b0000001),
-    "rem": ("R", 0b0110011, 0b110, 0b0000001),
-    "remu": ("R", 0b0110011, 0b111, 0b0000001),
-    "mulw": ("R", 0b0111011, 0b000, 0b0000001),
-    # RV64D subset
-    "fld": ("I", 0b0000111, 0b011, None),
-    "fsd": ("S", 0b0100111, 0b011, None),
-    "fadd.d": ("R", 0b1010011, None, 0b0000001),
-    "fsub.d": ("R", 0b1010011, None, 0b0000101),
-    "fmul.d": ("R", 0b1010011, None, 0b0001001),
-    "fdiv.d": ("R", 0b1010011, None, 0b0001101),
-    "feq.d": ("R", 0b1010011, 0b010, 0b1010001),
-    "flt.d": ("R", 0b1010011, 0b001, 0b1010001),
-    "fle.d": ("R", 0b1010011, 0b000, 0b1010001),
-    "fmv.x.d": ("R", 0b1010011, 0b000, 0b1110001),
-    "fmv.d.x": ("R", 0b1010011, 0b000, 0b1111001),
-    "fcvt.w.d": ("R", 0b1010011, 0b001, 0b1100001),  # rm=rtz encoded in f3
-    "fcvt.d.w": ("R", 0b1010011, 0b000, 0b1101001),
-    "fcvt.d.l": ("R", 0b1010011, 0b000, 0b1101001 | 0),  # distinguished by rs2
+    "mul": ("R", _R, 0b000, 0b0000001, "xxx", "mul"),
+    "mulh": ("R", _R, 0b001, 0b0000001, "xxx", "mul"),
+    "div": ("R", _R, 0b100, 0b0000001, "xxx", "div"),
+    "divu": ("R", _R, 0b101, 0b0000001, "xxx", "div"),
+    "rem": ("R", _R, 0b110, 0b0000001, "xxx", "div"),
+    "remu": ("R", _R, 0b111, 0b0000001, "xxx", "div"),
+    "mulw": ("R", _RW, 0b000, 0b0000001, "xxx", "mul"),
+    # RV64D subset (funct3 None: the rm field, encoded as dynamic)
+    "fld": ("I", 0b0000111, 0b011, None, "fx-", "load"),
+    "fsd": ("S", 0b0100111, 0b011, None, "-xf", "store"),
+    "fadd.d": ("R", _FP, None, 0b0000001, "fff", "fp"),
+    "fsub.d": ("R", _FP, None, 0b0000101, "fff", "fp"),
+    "fmul.d": ("R", _FP, None, 0b0001001, "fff", "fp"),
+    "fdiv.d": ("R", _FP, None, 0b0001101, "fff", "fp_div"),
+    "feq.d": ("R", _FP, 0b010, 0b1010001, "xff", "fp_short"),
+    "flt.d": ("R", _FP, 0b001, 0b1010001, "xff", "fp_short"),
+    "fle.d": ("R", _FP, 0b000, 0b1010001, "xff", "fp_short"),
+    "fmv.x.d": ("R", _FP, 0b000, 0b1110001, "xf-", "fp_short"),
+    "fmv.d.x": ("R", _FP, 0b000, 0b1111001, "fx-", "fp_short"),
+    "fcvt.w.d": ("R", _FP, 0b001, 0b1100001, "xf-", "fp"),  # rm=rtz
+    "fcvt.d.w": ("R", _FP, 0b000, 0b1101001, "fx-", "fp"),
+    "fcvt.d.l": ("R", _FP, 0b000, 0b1101001, "fx-", "fp"),  # rs2 = 2
     # Custom ablation instruction (ABL-1): population count.  Encoded in
     # the custom-0 opcode space; OFF by default in the CPU unless the
     # `popcount_extension` flag is set.
-    "cpop": ("R", 0b0001011, 0b000, 0b0000000),
-}
+    "cpop": ("R", 0b0001011, 0b000, 0b0000000, "xxx", "alu"),
+}.items()}
 
 # fcvt.d.l shares funct7 with fcvt.d.w; rs2 field disambiguates (0 vs 2).
 _FCVT_RS2 = {"fcvt.w.d": 0, "fcvt.d.w": 0, "fcvt.d.l": 2}
@@ -143,7 +162,7 @@ _FCVT_RS2 = {"fcvt.w.d": 0, "fcvt.d.w": 0, "fcvt.d.l": 2}
 
 def encode(instr: Instruction) -> int:
     """Encode a decoded instruction back to its 32-bit word."""
-    fmt, opcode, funct3, funct7 = OPCODES[instr.mnemonic]
+    fmt, opcode, funct3, funct7, _, _ = OPCODES[instr.mnemonic]
     rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
     if instr.mnemonic in _FCVT_RS2:
         rs2 = _FCVT_RS2[instr.mnemonic]
@@ -184,13 +203,11 @@ def encode(instr: Instruction) -> int:
 
 def _build_decode_table() -> dict[tuple, str]:
     table: dict[tuple, str] = {}
-    for mnemonic, (fmt, opcode, funct3, funct7) in OPCODES.items():
-        if fmt == "R" and opcode == 0b1010011:
+    for mnemonic, (fmt, opcode, funct3, funct7, _, _) in OPCODES.items():
+        if fmt == "R" and opcode == _FP:
             # FP: funct7 is the discriminator; funct3 may be rm.
-            key = ("fp", opcode, funct7,
-                   funct3 if funct3 is not None else None,
-                   _FCVT_RS2.get(mnemonic))
-            table[key] = mnemonic
+            table[("fp", opcode, funct7, funct3,
+                   _FCVT_RS2.get(mnemonic))] = mnemonic
         elif fmt == "R":
             table[("r", opcode, funct3, funct7)] = mnemonic
         elif fmt == "I*":
@@ -206,66 +223,68 @@ _DECODE = _build_decode_table()
 
 
 def decode(word: int) -> Instruction:
-    """Decode a 32-bit instruction word; raises on unknown encodings."""
+    """Decode a 32-bit instruction word; raises on unknown encodings.
+
+    Register fields the table marks ``-`` for the mnemonic read as 0, so
+    a decoded instruction names only the registers it really uses.
+    """
     opcode = word & 0x7F
-    rd = (word >> 7) & 0x1F
     funct3 = (word >> 12) & 0x7
-    rs1 = (word >> 15) & 0x1F
     rs2 = (word >> 20) & 0x1F
     funct7 = (word >> 25) & 0x7F
+    imm = 0
 
     if opcode in (0b0110111, 0b0010111):  # U
         mnemonic = _DECODE[("u", opcode)]
-        return Instruction(mnemonic, rd=rd, imm=_sext(word >> 12, 20), raw=word)
-    if opcode == 0b1101111:  # J
-        imm = (
+        imm = _sext(word >> 12, 20)
+    elif opcode == 0b1101111:  # J
+        mnemonic = "jal"
+        imm = _sext(
             (((word >> 31) & 1) << 20)
             | (((word >> 21) & 0x3FF) << 1)
             | (((word >> 20) & 1) << 11)
-            | (((word >> 12) & 0xFF) << 12)
+            | (((word >> 12) & 0xFF) << 12),
+            21,
         )
-        return Instruction("jal", rd=rd, imm=_sext(imm, 21), raw=word)
-    if opcode == 0b1100011:  # B
+    elif opcode == _B:
         mnemonic = _DECODE[("b", opcode, funct3)]
-        imm = (
+        imm = _sext(
             (((word >> 31) & 1) << 12)
             | (((word >> 25) & 0x3F) << 5)
             | (((word >> 8) & 0xF) << 1)
-            | (((word >> 7) & 1) << 11)
+            | (((word >> 7) & 1) << 11),
+            13,
         )
-        return Instruction(mnemonic, rs1=rs1, rs2=rs2, imm=_sext(imm, 13),
-                           raw=word)
-    if opcode in (0b0100011, 0b0100111):  # S
+    elif opcode in (_S, 0b0100111):
         mnemonic = _DECODE[("s", opcode, funct3)]
-        imm = ((word >> 25) << 5) | ((word >> 7) & 0x1F)
-        return Instruction(mnemonic, rs1=rs1, rs2=rs2, imm=_sext(imm, 12),
-                           raw=word)
-    if opcode == 0b1010011:  # FP R-type
+        imm = _sext(((word >> 25) << 5) | ((word >> 7) & 0x1F), 12)
+    elif opcode == _FP:
         for key in (
             ("fp", opcode, funct7, funct3, rs2),
             ("fp", opcode, funct7, funct3, None),
-            ("fp", opcode, funct7, None, rs2),
             ("fp", opcode, funct7, None, None),
         ):
             if key in _DECODE:
-                return Instruction(_DECODE[key], rd=rd, rs1=rs1, rs2=rs2,
-                                   raw=word)
-        raise ValueError(f"unknown FP encoding: {word:#010x}")
-    if opcode in (0b0110011, 0b0111011, 0b0001011):  # R
+                mnemonic = _DECODE[key]
+                break
+        else:
+            raise ValueError(f"unknown FP encoding: {word:#010x}")
+    elif opcode in (_R, _RW, 0b0001011):
         mnemonic = _DECODE[("r", opcode, funct3, funct7)]
-        return Instruction(mnemonic, rd=rd, rs1=rs1, rs2=rs2, raw=word)
-    if opcode in (0b0010011, 0b0011011):
-        funct6 = (word >> 26) & 0x3F
-        key_star = ("istar", opcode, funct3, funct6)
-        if key_star in _DECODE:
-            shamt = (word >> 20) & 0x3F
-            return Instruction(_DECODE[key_star], rd=rd, rs1=rs1, imm=shamt,
-                               raw=word)
+    elif opcode in (_I, _IW) and ("istar", opcode, funct3,
+                                  (word >> 26) & 0x3F) in _DECODE:
+        mnemonic = _DECODE[("istar", opcode, funct3, (word >> 26) & 0x3F)]
+        imm = (word >> 20) & 0x3F
+    elif opcode in (_I, _IW, _LD, 0b0000111, 0b1100111, 0b1110011):
         mnemonic = _DECODE[("i", opcode, funct3)]
-        return Instruction(mnemonic, rd=rd, rs1=rs1, imm=_sext(word >> 20, 12),
-                           raw=word)
-    if opcode in (0b0000011, 0b0000111, 0b1100111, 0b1110011):  # I
-        mnemonic = _DECODE[("i", opcode, funct3)]
-        return Instruction(mnemonic, rd=rd, rs1=rs1, imm=_sext(word >> 20, 12),
-                           raw=word)
-    raise ValueError(f"unknown opcode {opcode:#04x} in word {word:#010x}")
+        imm = _sext(word >> 20, 12)
+    else:
+        raise ValueError(f"unknown opcode {opcode:#04x} in word {word:#010x}")
+    files = OPCODES[mnemonic].files
+    return Instruction(
+        mnemonic,
+        rd=(word >> 7) & 0x1F if files[0] != "-" else 0,
+        rs1=(word >> 15) & 0x1F if files[1] != "-" else 0,
+        rs2=rs2 if files[2] != "-" else 0,
+        imm=imm,
+    )

@@ -170,6 +170,18 @@ class TestTiming:
         ).stats.cycles
         assert dep > indep
 
+    @pytest.mark.parametrize("reg", ["ft0", "ft2"])
+    @pytest.mark.parametrize("write", ["fld", "fmv.d.x"])
+    def test_fp_destination_marks_scoreboard(self, write, reg):
+        # f0 is an ordinary FP register: its reader waits out the
+        # 2-cycle load/move latency like any other.
+        operand = "0(sp)" if write == "fld" else "zero"
+        stats = run(
+            f"_start:\n {write} {reg}, {operand}\n"
+            f" fadd.d ft1, {reg}, {reg}\n ecall\n"
+        ).stats
+        assert stats.stall_cycles_raw - stats.stall_cycles_dcache == 1
+
     def test_load_use_bubble(self):
         base = run(
             """

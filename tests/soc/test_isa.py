@@ -6,7 +6,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.soc.isa import Instruction, OPCODES, decode, encode
+from repro.soc.assembler import AssemblyError, assemble
+from repro.soc.isa import (
+    FREGISTER_NAMES,
+    OPCODES,
+    REGISTER_NAMES,
+    Instruction,
+    decode,
+    encode,
+)
+
+_IMM = {"I": 100, "I*": 7, "S": -12, "B": 2048, "U": 0x12345, "J": 4096}
+_REGS = {"rd": 3, "rs1": 4, "rs2": 5}
+
+
+def _source(mnemonic: str, files: str) -> str:
+    """One instruction in text, each register named from ``files``."""
+    spec = OPCODES[mnemonic]
+    name = {field: (FREGISTER_NAMES if file == "f" else REGISTER_NAMES)[i]
+            for (field, i), file in zip(_REGS.items(), files)}
+    if spec.kind == "load":
+        return f"{mnemonic} {name['rd']}, {_IMM['I']}({name['rs1']})"
+    if spec.kind == "store":
+        return f"{mnemonic} {name['rs2']}, {_IMM['S']}({name['rs1']})"
+    ops = [name[f] for f, file in zip(_REGS, spec.files) if file != "-"]
+    if ops and spec.fmt != "R":
+        ops.append(str(_IMM[spec.fmt]))
+    return f"{mnemonic} {', '.join(ops)}"
 
 
 class TestRoundTrip:
@@ -25,6 +51,21 @@ class TestRoundTrip:
         assert back.mnemonic == mnemonic
         if fmt in ("I", "S", "B", "J", "I*"):
             assert back.imm == instr.imm
+
+        # From text, with each operand in the file the table gives it.
+        files = OPCODES[mnemonic].files
+        (word,) = assemble(_source(mnemonic, files)).text
+        back = decode(word)
+        used = [f for f, file in zip(_REGS, files) if file != "-"]
+        assert back.mnemonic == mnemonic
+        assert back.imm == (_IMM.get(fmt, 0) if used else 0)
+        assert {f: getattr(back, f) for f in _REGS} == {
+            f: _REGS[f] if f in used else 0 for f in _REGS}
+        for k, file in enumerate(files):
+            if file != "-":  # the same operand from the other file
+                wrong = files[:k] + ("x" if file == "f" else "f") + files[k + 1:]
+                with pytest.raises(AssemblyError, match="register"):
+                    assemble(_source(mnemonic, wrong))
 
     @given(
         rd=st.integers(1, 31), rs1=st.integers(0, 31),
