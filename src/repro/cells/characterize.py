@@ -6,18 +6,20 @@ capacitances, state-dependent leakage and switching energy -- at any
 temperature the compact model supports.  Two engines are provided:
 
 * ``analytic`` (default) -- effective-current / RC delay model evaluated
-  directly from the compact model.  Fast enough to characterize the full
-  ~200-cell catalog at two temperatures in seconds.  All temperature
-  dependence flows through the compact model (Ieff, Ioff), so 300 K vs
-  10 K *ratios* -- the paper's object of study -- are preserved.
+  directly from the compact model: one mesh evaluation of the stage DAG
+  over all slew x load points per arc and input edge.  The full ~200-cell
+  catalog characterizes at two temperatures in under a second.  All
+  temperature dependence flows through the compact model (Ieff, Ioff), so
+  300 K vs 10 K *ratios* -- the paper's object of study -- are preserved.
 * ``spice`` -- full transient simulation of the transistor netlist via
   :mod:`repro.spice`, each arc's table points solved as a handful of
   lockstep batched-grid transients.  Used for representative cells and
   for validating the analytic engine (see
   tests/cells/test_engines_agree.py).
 
-The analytic constants (`REFF_GAMMA`, `SLEW_GAMMA`, `SLEW_COUPLING`) were
-fitted once against the SPICE engine on inverter/NAND cells at 300 K.
+The analytic constants (`REFF_GAMMA`, `SLEW_GAMMA`, `SLEW_COUPLING`,
+`SLEW_FEEDTHROUGH`) were fitted once against the SPICE engine on
+inverter/NAND cells at 300 K.
 """
 
 from __future__ import annotations
@@ -361,20 +363,22 @@ class CellCharacterizer:
         cell: StandardCell,
         pin: str,
         input_transition: str,
-        slew_in: float,
-        load: float,
-    ) -> dict[str, tuple[float, float]]:
-        """Worst (arrival, slew) per output transition for one input edge.
+        slews: np.ndarray,
+        loads: np.ndarray,
+    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Worst (arrival, slew) per output transition for one input edge,
+        on the mesh that ``slews`` and ``loads`` broadcast to.
 
         Returns ``{"rise": (delay, slew), ...}`` with only the transitions
-        that can actually occur at the output.
+        that can actually occur at the output.  Where two paths meet, the
+        strictly later arrival wins and keeps its slew.
         """
         # state: (signal, transition) -> (arrival, slew)
-        state: dict[tuple[str, str], tuple[float, float]] = {
-            (pin, input_transition): (0.0, slew_in)
+        state: dict[tuple[str, str], tuple] = {
+            (pin, input_transition): (0.0, slews)
         }
         for stage in cell.sized_stages:
-            stage_load = self._stage_output_load(cell, stage, load)
+            stage_load = self._stage_output_load(cell, stage, loads)
             for signal in stage.pdn.inputs():
                 for tr in ("rise", "fall"):
                     if (signal, tr) not in state:
@@ -384,70 +388,33 @@ class CellCharacterizer:
                     d, s = self._stage_delay_slew(stage, out_tr, slew, stage_load)
                     cand = (arrival + d, s)
                     key = (stage.output, out_tr)
-                    if key not in state or cand[0] > state[key][0]:
-                        state[key] = cand
-        out: dict[str, tuple[float, float]] = {}
-        for tr in ("rise", "fall"):
-            if (cell.output, tr) in state:
-                out[tr] = state[(cell.output, tr)]
-        return out
+                    if key in state:
+                        later = cand[0] > state[key][0]
+                        cand = (np.where(later, cand[0], state[key][0]),
+                                np.where(later, cand[1], state[key][1]))
+                    state[key] = cand
+        return {tr: state[(cell.output, tr)] for tr in ("rise", "fall")
+                if (cell.output, tr) in state}
+
+    def _arc_meshes(self, cell: StandardCell, pin: str) -> dict[str, dict]:
+        """Per input edge, the analytic timing on the whole table grid."""
+        slews = np.asarray(self.config.slew_index)[:, None]
+        loads = np.asarray(self.config.load_index)[None, :]
+        return {
+            in_tr: self._arc_timing_analytic(cell, pin, in_tr, slews, loads)
+            for in_tr in ("rise", "fall")
+        }
 
     def _characterize_arc_analytic(
         self, cell: StandardCell, pin: str
     ) -> TimingArc:
-        slews = self.config.slew_index
-        loads = self.config.load_index
-
-        shape = (len(slews), len(loads))
-        tables = {
-            key: np.zeros(shape)
-            for key in ("cell_rise", "cell_fall", "rise_transition",
-                        "fall_transition")
-        }
-        reach_rise_from = set()
-        reach_fall_from = set()
-        for i, s in enumerate(slews):
-            for j, c in enumerate(loads):
-                for in_tr in ("rise", "fall"):
-                    result = self._arc_timing_analytic(cell, pin, in_tr, s, c)
-                    for out_tr, (delay, out_slew) in result.items():
-                        dkey = f"cell_{out_tr}"
-                        skey = f"{out_tr}_transition"
-                        if delay > tables[dkey][i, j]:
-                            tables[dkey][i, j] = delay
-                            tables[skey][i, j] = out_slew
-                        if out_tr == "rise":
-                            reach_rise_from.add(in_tr)
-                        else:
-                            reach_fall_from.add(in_tr)
-
-        if reach_rise_from == {"fall"} and reach_fall_from == {"rise"}:
-            sense = "negative_unate"
-        elif reach_rise_from == {"rise"} and reach_fall_from == {"fall"}:
-            sense = "positive_unate"
-        else:
-            sense = "non_unate"
-
-        # A transition that never occurs keeps zeros; fill it with the
-        # other polarity so downstream lookups stay sane.
-        for a, b in (("cell_rise", "cell_fall"),
-                     ("rise_transition", "fall_transition")):
-            if not tables[a].any():
-                tables[a] = tables[b].copy()
-            if not tables[b].any():
-                tables[b] = tables[a].copy()
-
-        def mk(key: str) -> NLDMTable:
-            return NLDMTable(np.asarray(slews), np.asarray(loads), tables[key])
-
-        return TimingArc(
-            related_pin=pin,
-            sense=sense,
-            cell_rise=mk("cell_rise"),
-            cell_fall=mk("cell_fall"),
-            rise_transition=mk("rise_transition"),
-            fall_transition=mk("fall_transition"),
-        )
+        tables = self._blank_tables()
+        senses = set()
+        for in_tr, mesh in self._arc_meshes(cell, pin).items():
+            for out_tr, (delay, slew) in mesh.items():
+                senses.add((in_tr, out_tr))
+                self._keep_worst(tables, out_tr, ..., delay, slew)
+        return self._finish_arc(pin, senses, tables)
 
     # ------------------------------------------------------------------ #
     # SPICE timing
@@ -542,6 +509,20 @@ class CellCharacterizer:
             telemetry.count("cells.point_fallbacks")
             return None
 
+    def _blank_tables(self) -> dict[str, np.ndarray]:
+        shape = (len(self.config.slew_index), len(self.config.load_index))
+        return {key: np.zeros(shape) for key in ("cell_rise", "cell_fall",
+                                                 "rise_transition",
+                                                 "fall_transition")}
+
+    @staticmethod
+    def _keep_worst(tables: dict, out_tr: str, at, delay, slew) -> None:
+        """Store (delay, slew) at ``at`` where the delay beats the stored one."""
+        dkey, skey = f"cell_{out_tr}", f"{out_tr}_transition"
+        later = delay > tables[dkey][at]
+        tables[dkey][at] = np.where(later, delay, tables[dkey][at])
+        tables[skey][at] = np.where(later, slew, tables[skey][at])
+
     def _arc_sense(self, senses: set) -> str:
         if senses == {("rise", "fall"), ("fall", "rise")}:
             return "negative_unate"
@@ -608,6 +589,7 @@ class CellCharacterizer:
                 raise ValueError(
                     f"{cell.name}: pin {pin!r} cannot toggle output")
         fn = cell.function()
+        meshes = self._arc_meshes(cell, pin)
 
         rows: list[GridBatch] = []
         for i, s in enumerate(cfg.slew_index):
@@ -617,12 +599,13 @@ class CellCharacterizer:
                 out0 = fn.evaluate({**side, pin: v0 > cfg.vdd / 2})
                 out1 = fn.evaluate({**side, pin: v1 > cfg.vdd / 2})
                 out_tr = "rise" if (out1 and not out0) else "fall"
+                est = meshes[in_tr].get(out_tr)
                 t_start = 3e-12 + 2 * s
                 ramp_dur = s / 0.8
                 points = []
                 for j, c in enumerate(cfg.load_index):
-                    est = self._arc_timing_analytic(cell, pin, in_tr, s, c)
-                    est_d, est_s = est.get(out_tr, (20e-12, 20e-12))
+                    est_d, est_s = ((20e-12, 20e-12) if est is None
+                                    else (est[0][i, j], est[1][i, j]))
                     t_stop = (t_start + ramp_dur + 4 * est_d + 4 * est_s
                               + 20e-12)
                     dt = max(min(s / 30.0, est_s / 20.0, 0.5e-12), 0.02e-12)
@@ -676,12 +659,7 @@ class CellCharacterizer:
         if side is None:
             raise ValueError(f"{cell.name}: pin {pin!r} cannot toggle output")
 
-        shape = (len(cfg.slew_index), len(cfg.load_index))
-        tables = {
-            key: np.zeros(shape)
-            for key in ("cell_rise", "cell_fall", "rise_transition",
-                        "fall_transition")
-        }
+        tables = self._blank_tables()
         senses = set()
         record = [pin, cell.output]
         for batch in self.plan_grid_batches(cell, pin, side):
@@ -736,9 +714,7 @@ class CellCharacterizer:
                     sl = wout.transition_time(
                         0.0, cfg.vdd, direction=p.out_tr
                     )
-                if d > tables[f"cell_{p.out_tr}"][p.i, p.j]:
-                    tables[f"cell_{p.out_tr}"][p.i, p.j] = d
-                    tables[f"{p.out_tr}_transition"][p.i, p.j] = sl
+                self._keep_worst(tables, p.out_tr, (p.i, p.j), d, sl)
 
         return self._finish_arc(pin, senses, tables)
 

@@ -153,8 +153,7 @@ class _CellOutcome:
 
 
 def _characterize_cell(
-    models: TechModels,
-    config: CharacterizationConfig,
+    characterizer: CellCharacterizer,
     strict: bool,
     cell: StandardCell | SequentialCell,
 ) -> _CellOutcome:
@@ -165,7 +164,7 @@ def _characterize_cell(
     records the irrecoverable failure for quarantine.
     """
     t_cell = time.perf_counter()
-    characterizer = CellCharacterizer(models, config)
+    config = characterizer.config
     failure = ""
     with telemetry.span("cells.characterize", cell=cell.name):
         try:
@@ -182,7 +181,7 @@ def _characterize_cell(
                 # Last rung of the ladder: the whole cell falls back to
                 # the analytic engine.
                 analytic = CellCharacterizer(
-                    models, replace(config, engine="analytic")
+                    characterizer.models, replace(config, engine="analytic")
                 )
                 try:
                     characterized = analytic.characterize(cell)
@@ -268,7 +267,10 @@ def build_library(
     )
     t_build = time.perf_counter()
     with build_span:
-        worker = partial(_characterize_cell, models, config, strict)
+        # One characterizer per build: its compact-model figures (Ieff,
+        # Ioff per polarity) are shared by every cell.
+        worker = partial(_characterize_cell,
+                         CellCharacterizer(models, config), strict)
         try:
             outcomes = executor.map(worker, catalog)
         except ExecutorError as exc:

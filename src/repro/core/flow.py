@@ -209,12 +209,10 @@ class CryoStudy:
     def libraries(self) -> dict[float, CellLibrary]:
         # The SoC netlist needs the full catalog's drive variants; fast
         # mode saves time by skipping calibration, not the catalog.
-        catalog = None
         return {
             t: build_library(
                 self.models,
                 CharacterizationConfig(temperature_k=t),
-                catalog=catalog,
                 jobs=self.config.jobs,
             )
             for t in (T_ROOM, T_CRYO)

@@ -235,10 +235,10 @@ def decode(word: int) -> Instruction:
     imm = 0
 
     if opcode in (0b0110111, 0b0010111):  # U
-        mnemonic = _DECODE[("u", opcode)]
+        key: tuple | None = ("u", opcode)
         imm = _sext(word >> 12, 20)
     elif opcode == 0b1101111:  # J
-        mnemonic = "jal"
+        key = ("j", opcode)
         imm = _sext(
             (((word >> 31) & 1) << 20)
             | (((word >> 21) & 0x3FF) << 1)
@@ -247,7 +247,7 @@ def decode(word: int) -> Instruction:
             21,
         )
     elif opcode == _B:
-        mnemonic = _DECODE[("b", opcode, funct3)]
+        key = ("b", opcode, funct3)
         imm = _sext(
             (((word >> 31) & 1) << 12)
             | (((word >> 25) & 0x3F) << 5)
@@ -256,30 +256,29 @@ def decode(word: int) -> Instruction:
             13,
         )
     elif opcode in (_S, 0b0100111):
-        mnemonic = _DECODE[("s", opcode, funct3)]
+        key = ("s", opcode, funct3)
         imm = _sext(((word >> 25) << 5) | ((word >> 7) & 0x1F), 12)
     elif opcode == _FP:
-        for key in (
+        key = next((k for k in (
             ("fp", opcode, funct7, funct3, rs2),
             ("fp", opcode, funct7, funct3, None),
             ("fp", opcode, funct7, None, None),
-        ):
-            if key in _DECODE:
-                mnemonic = _DECODE[key]
-                break
-        else:
-            raise ValueError(f"unknown FP encoding: {word:#010x}")
+        ) if k in _DECODE), None)
     elif opcode in (_R, _RW, 0b0001011):
-        mnemonic = _DECODE[("r", opcode, funct3, funct7)]
+        key = ("r", opcode, funct3, funct7)
     elif opcode in (_I, _IW) and ("istar", opcode, funct3,
                                   (word >> 26) & 0x3F) in _DECODE:
-        mnemonic = _DECODE[("istar", opcode, funct3, (word >> 26) & 0x3F)]
+        key = ("istar", opcode, funct3, (word >> 26) & 0x3F)
         imm = (word >> 20) & 0x3F
     elif opcode in (_I, _IW, _LD, 0b0000111, 0b1100111, 0b1110011):
-        mnemonic = _DECODE[("i", opcode, funct3)]
+        key = ("i", opcode, funct3)
         imm = _sext(word >> 20, 12)
     else:
         raise ValueError(f"unknown opcode {opcode:#04x} in word {word:#010x}")
+    mnemonic = _DECODE.get(key)
+    # ebreak, mret, wfi, ... share ecall's opcode and funct3.
+    if mnemonic is None or (mnemonic == "ecall" and imm):
+        raise ValueError(f"undefined encoding {word:#010x}")
     files = OPCODES[mnemonic].files
     return Instruction(
         mnemonic,

@@ -8,6 +8,7 @@ __all__ = ["Memory"]
 
 _PAGE_BITS = 12
 _PAGE_SIZE = 1 << _PAGE_BITS
+_ZERO_PAGE = bytes(_PAGE_SIZE)
 
 
 class Memory:
@@ -27,7 +28,9 @@ class Memory:
     def load_bytes(self, addr: int, size: int) -> bytes:
         out = bytearray()
         while size:
-            page, offset = self._page(addr)
+            # A read of an untouched page sees zeros and allocates nothing.
+            page = self._pages.get(addr >> _PAGE_BITS, _ZERO_PAGE)
+            offset = addr & (_PAGE_SIZE - 1)
             chunk = min(size, _PAGE_SIZE - offset)
             out += page[offset : offset + chunk]
             addr += chunk

@@ -44,8 +44,10 @@ class TestRoundTrip:
             rd=3 if fmt != "B" else 0,
             rs1=4 if fmt not in ("U", "J") else 0,
             rs2=5 if fmt in ("R", "S", "B") else 0,
-            imm={"I": 100, "I*": 7, "S": -12, "B": 2048, "U": 0x12345,
-                 "J": 4096}.get(fmt, 0),
+            # ecall is the SYSTEM word whose immediate is 0.
+            imm=0 if mnemonic == "ecall" else
+            {"I": 100, "I*": 7, "S": -12, "B": 2048, "U": 0x12345,
+             "J": 4096}.get(fmt, 0),
         )
         back = decode(encode(instr))
         assert back.mnemonic == mnemonic
@@ -91,6 +93,22 @@ class TestRoundTrip:
     def test_unknown_word_raises(self):
         with pytest.raises(ValueError):
             decode(0xFFFFFFFF)
+
+    @pytest.mark.parametrize("word", [
+        0x0A000033,  # OP, funct7 0x05
+        0x0200103B,  # OP-32, funct3 1 / funct7 0x01
+        0x0000700B,  # custom-0, funct3 7
+        0x00002063,  # BRANCH, funct3 2
+        0x00007023,  # STORE, funct3 7
+        0x00007003,  # LOAD, funct3 7
+        0x00001073,  # SYSTEM, funct3 1 (csrrw)
+        0x00100073,  # ebreak: ecall's opcode and funct3, imm 1
+        0x30200073,  # mret
+        0x10500073,  # wfi
+    ])
+    def test_undefined_encoding_under_known_opcode_raises(self, word):
+        with pytest.raises(ValueError, match=f"{word:#010x}"):
+            decode(word)
 
     def test_fp_discriminators(self):
         # fcvt.d.w and fcvt.d.l share funct7; rs2 disambiguates.

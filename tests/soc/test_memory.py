@@ -48,6 +48,14 @@ class TestSparseMemory:
         mem.store_u(0, 1, 1)
         mem.store_u(100_000, 1, 1)
         assert mem.touched_bytes == 2 * 4096
+        # Reads of untouched pages (one straddling two) see zeros and
+        # allocate nothing; a flip allocates.
+        assert mem.load_u(0x123456789, 8) == 0
+        assert mem.load_bytes(3 * 4096 - 4, 8) == bytes(8)
+        assert mem.touched_bytes == 2 * 4096
+        mem.flip_bit(0x123456789, 0)
+        assert mem.load_u(0x123456789, 8) == 1
+        assert mem.touched_bytes == 3 * 4096
 
     def test_partial_overwrite(self):
         mem = Memory()
