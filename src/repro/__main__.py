@@ -14,7 +14,7 @@
     python -m repro report          # latest-vs-paper / drift tables
     python -m repro compare A B     # per-metric deltas of two runs
     python -m repro assault         # hostile-scenario campaign (--tier)
-    python -m repro profile fig2    # sampler+tracer+health deep profile
+    python -m repro profile fig2    # sampler+tracer deep profile
     python -m repro serve           # batched classification service
     python -m repro top host:port   # live serving dashboard (stats op)
 
@@ -57,9 +57,10 @@ latest-vs-paper and latest-vs-previous drift tables (``--json`` /
 ingested benchmark records.  ``--no-ledger`` skips the append.
 
 Deep observability (:mod:`repro.observe`): ``repro profile <exp>`` runs
-one registered experiment under the resource sampler, the tracer and
-executor health monitoring, prints a self-time attribution table (top
-span names by exclusive wall time) plus resource peaks, writes a trace
+one registered experiment under the resource sampler and the tracer,
+prints a self-time attribution table (top span names by exclusive wall
+time) plus resource peaks -- under ``--jobs N`` the merged worker spans
+show the time of every fanned-out item -- writes a trace
 (``--trace FILE``, default ``profile_<exp>.trace.json``), and appends a
 ``kind="profile"`` RunRecord.  Every experiment invocation additionally
 runs the sampler, so RunRecords carry peak RSS / CPU utilization and
@@ -293,85 +294,30 @@ def _reliability_probe() -> None:
     )
 
 
-def _sleepy_task(i: int) -> int:
-    """Stats executor probe payload (module-level: pickles if needed)."""
-    time.sleep(0.002 * (1 + i % 3))
-    return i * i
-
-
-def _executor_probe() -> None:
-    """A small heartbeat-monitored fan-out for the health section."""
-    from repro.runtime import get_executor
-
-    get_executor(2, "thread").map(_sleepy_task, list(range(8)))
-
-
-def _health_lines(summary: dict) -> str:
-    """Render a health-monitor summary as the stats/profile section."""
-    if not summary:
-        return "executor health: no heartbeats recorded"
-    lines = [
-        f"executor health: {summary.get('workers', 0)} worker(s), "
-        f"{summary.get('tasks_completed', 0)}/"
-        f"{summary.get('tasks_started', 0)} tasks completed, "
-        f"{summary.get('active', 0)} active"
-    ]
-    if "task_p50_s" in summary:
-        lines.append(
-            f"  task wall: p50 {summary['task_p50_s'] * 1e3:.2f} ms, "
-            f"p99 {summary['task_p99_s'] * 1e3:.2f} ms"
-        )
-    if "straggler_skew" in summary:
-        flag = (" (STRAGGLERS)" if summary.get("stragglers_flagged")
-                else "")
-        lines.append(
-            f"  straggler skew (p99/median): "
-            f"{summary['straggler_skew']:.2f}{flag}"
-        )
-    stalls = summary.get("stall_events", [])
-    if stalls:
-        lines.append(f"  STALLED: {len(stalls)} event(s), e.g. "
-                     f"{stalls[0]['worker']} stuck on {stalls[0]['task']} "
-                     f"for {stalls[0]['age_s']:.1f} s")
-    else:
-        lines.append(f"  no stalls (timeout "
-                     f"{summary.get('stall_timeout_s', 0):.1f} s)")
-    return "\n".join(lines)
-
-
 def _run_stats(args) -> int:
     """The ``repro stats`` command: trace one pass through the stack."""
     from repro.core import CryoStudy
-    from repro.observe import health
 
     study = CryoStudy(_study_config(args))
-    health.enable()
-    try:
-        with telemetry.span("repro.stats", fast=not args.calibrated):
-            # Flow stages trace themselves (flow.libraries,
-            # flow.soc_model, flow.timing...); timing forces the chain.
-            study.timing
-            study.knn_cycles(20)
-            with telemetry.span("stats.spice_probe"):
-                _spice_probe(study)
-            with telemetry.span("stats.reliability_probe"):
-                _reliability_probe()
-            with telemetry.span("stats.executor_probe"):
-                _executor_probe()
-        health_summary = health.summary()
-    finally:
-        health.disable()
+    with telemetry.span("repro.stats", fast=not args.calibrated):
+        # Flow stages trace themselves (flow.libraries,
+        # flow.soc_model, flow.timing...); timing forces the chain.
+        study.timing
+        study.knn_cycles(20)
+        with telemetry.span("stats.spice_probe"):
+            _spice_probe(study)
+        with telemetry.span("stats.reliability_probe"):
+            _reliability_probe()
     if args.json:
         # Machine-readable twin of the text report: the full span trees
-        # (nested dicts), the stage-cache ledger, the flat metrics
-        # summary and the executor-health summary, so CI and the run
-        # ledger consume stats without scraping the table.
+        # (nested dicts), the stage-cache ledger and the flat metrics
+        # summary, so CI and the run ledger consume stats without
+        # scraping the table.
         payload = {
             "mode": "calibrated" if args.calibrated else "fast",
             "spans": [root.to_dict() for root in telemetry.trace_roots()],
             "stage_cache": study.stage_cache_stats(),
             "metrics": telemetry.metrics_summary(),
-            "health": health_summary,
         }
         _report(json.dumps(payload, indent=2, sort_keys=True, default=str))
     else:
@@ -386,8 +332,6 @@ def _run_stats(args) -> int:
         _report("stage cache accounting: "
                 + "  ".join(f"{name}={ev['hits']}h/{ev['misses']}m"
                             for name, ev in cache.items()))
-        _report()
-        _report(_health_lines(health_summary))
     _report()
     _emit_telemetry(args)
     return 0
@@ -458,7 +402,7 @@ def _run_compare(args) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# repro profile: one experiment under sampler + tracer + health.
+# repro profile: one experiment under sampler + tracer.
 # ---------------------------------------------------------------------- #
 def _run_profile(args) -> int:
     from repro.observe import run_profile
@@ -482,7 +426,6 @@ def _run_profile(args) -> int:
             f"peak fds {res['peak_fds']} "
             f"({res['samples']} samples at {res['interval_s'] * 1e3:.0f} ms)"
         )
-    _report(_health_lines(profile.health))
     _report(f"wrote {profile.trace_events} trace records to "
             f"{profile.trace_path}")
     _report()
@@ -729,8 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = command("stats", "trace one pass through every instrumented "
                   "layer", _run_stats, flow, tele)
     sub.add_argument("--json", action="store_true",
-                     help="span trees, stage cache, metrics and health "
-                          "as JSON")
+                     help="span trees, stage cache and metrics as JSON")
 
     sub = command("report", "latest-vs-paper and drift tables from the "
                   "run ledger", _run_report, runs)
@@ -765,8 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--report-json", default=None, metavar="FILE",
                      help="also write the tier report as JSON to FILE")
 
-    sub = command("profile", "one experiment under sampler, tracer and "
-                  "executor health", _run_profile, *experiment_flags)
+    sub = command("profile", "one experiment under the resource sampler "
+                  "and the tracer", _run_profile, *experiment_flags)
     sub.add_argument("experiment", metavar="EXPERIMENT",
                      choices=registry.names())
     sub.add_argument(

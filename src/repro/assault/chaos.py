@@ -43,9 +43,8 @@ class WorkerAssassin:
     differs from the recorded parent) when ``item`` is in the kill set,
     where it exits the process without cleanup (``os._exit``), the
     closest safe stand-in for an OOM kill or a segfault.  The parent
-    process never dies: when the executor's chunk-recovery path retries
-    the item in-process, the pid check passes and the real function
-    runs.
+    process never dies: when the executor re-runs the dead chunk
+    in-process, the pid check passes and the real function runs.
     """
 
     def __init__(self, fn, kill_items, parent_pid: int):

@@ -26,8 +26,8 @@ of tiered test-mission harnesses):
 ``endurance``
     The storm scenarios looped with seeded random interleaving:
     repeated cache churn under corruption, ledger growth under
-    periodic damage, solver sweeps under random budgets, executor
-    retry storms.  Catches state that only corrupts cumulatively.
+    periodic damage, solver sweeps under random budgets.  Catches state
+    that only corrupts cumulatively.
 
 Adding a scenario: write a ``run(ctx)`` function and decorate it::
 
@@ -101,16 +101,6 @@ def all_scenarios() -> list[ScenarioSpec]:
 # ====================================================================== #
 def _square(x):
     """Module-level so it pickles across the process boundary."""
-    return x * x
-
-
-def _stall_on_three(x):
-    """A hostile task: item 3 wedges its worker far past the stall
-    timeout the scenario configures; everything else is instant."""
-    import time
-
-    if x == 3:
-        time.sleep(0.8)
     return x * x
 
 
@@ -473,54 +463,16 @@ def _ledger_binary_junk(ctx):
 
 @scenario("executor_worker_death", tier="storm",
           description="a worker hard-killed mid-map is recovered by the "
-                      "chunk retry path; results stay bit-identical",
+                      "in-parent chunk re-run; results stay "
+                      "bit-identical",
           expect=expect_clean(lambda obs: obs["results"] == obs["expected"]))
 def _executor_worker_death(ctx):
     from repro.runtime import get_executor
 
     items = list(range(8))
     assassin = ctx.chaos.worker_assassin(_square, kill_items={3, 5})
-    results = get_executor(2, "process").map(assassin, items, chunksize=2)
+    results = get_executor(2, "process").map(assassin, items)
     return {"results": results, "expected": [_square(i) for i in items]}
-
-
-def _check_stalled_worker(obs):
-    if obs["results"] != obs["expected"]:
-        return "stalled fan-out returned wrong results"
-    if obs["completed"] != len(obs["expected"]):
-        return (f"heartbeats lost tasks: {obs['completed']} completed "
-                f"of {len(obs['expected'])}")
-    if obs["stalls"] < 1:
-        return "the wedged worker never tripped the stall detector"
-    return True
-
-
-@scenario("executor_stalled_worker", tier="storm",
-          description="a worker wedged mid-map trips the heartbeat "
-                      "stall detector while the fan-out still returns "
-                      "correct, complete results",
-          expect=expect_clean(_check_stalled_worker))
-def _executor_stalled_worker(ctx):
-    from repro.observe import health
-    from repro.runtime import get_executor
-
-    items = list(range(8))
-    # The watchdog (interval stall_timeout/4) must flag the wedged
-    # worker *while* the map is still running -- that is the whole
-    # point of live heartbeats over post-hoc span analysis.
-    health.enable(stall_timeout_s=0.2, watchdog=True)
-    try:
-        results = get_executor(2, "thread").map(
-            _stall_on_three, items, chunksize=1)
-        summary = health.summary()
-    finally:
-        health.disable()
-    return {
-        "results": results,
-        "expected": [_square(i) for i in items],
-        "stalls": len(summary["stall_events"]),
-        "completed": summary["tasks_completed"],
-    }
 
 
 @scenario("solver_budget_exhaustion", tier="storm",
@@ -726,35 +678,6 @@ def _solver_budget_sweep(ctx):
             violations.append(
                 f"round {round_no}: out={op['out']} outside the rails")
     return {"violations": violations, "solved": solved}
-
-
-@scenario("executor_retry_storm", tier="endurance",
-          description="flaky items fail once then succeed under "
-                      "retries; with retries=0 the typed ExecutorError "
-                      "surfaces",
-          expect=expect_clean(lambda obs: obs["recovered"]
-                              and obs["typed_failure"]))
-def _executor_retry_storm(ctx):
-    from repro.runtime import ExecutorError, get_executor
-
-    failures: set[int] = set()
-
-    def flaky(item):
-        if item % 3 == 0 and item not in failures:
-            failures.add(item)
-            raise OSError(f"transient fault on {item}")
-        return item * 2
-
-    ex = get_executor(1)
-    results = ex.map(flaky, range(9), retries=1)
-    recovered = results == [i * 2 for i in range(9)]
-    failures.clear()
-    try:
-        ex.map(flaky, range(9), retries=0)
-        typed_failure = False
-    except ExecutorError:
-        typed_failure = True
-    return {"recovered": recovered, "typed_failure": typed_failure}
 
 
 # ---------------------------------------------------------------------- #

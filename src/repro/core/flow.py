@@ -128,6 +128,9 @@ class StudyConfig:
         if self.shots < 1:
             raise ConfigError(f"shots must be >= 1 (got {self.shots!r})",
                               field="shots")
+        if self.jobs is not None and self.jobs < 0:
+            raise ConfigError(f"jobs must be >= 0 (got {self.jobs!r})",
+                              field="jobs")
         if not np.isfinite(self.cooling_budget_w) \
                 or self.cooling_budget_w <= 0:
             raise ConfigError(

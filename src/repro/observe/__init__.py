@@ -1,7 +1,7 @@
 """repro.observe: deep observability on top of :mod:`repro.telemetry`.
 
-Telemetry (PR 2) answers "how long did each stage take"; this package
-answers the three questions that layer cannot:
+Telemetry answers "how long did each stage take"; this package
+answers the two questions that layer cannot:
 
 * **What did the run cost?**  :mod:`repro.observe.sampler` -- a
   background thread sampling ``/proc/self`` (RSS, CPU, threads, FDs)
@@ -11,12 +11,10 @@ answers the three questions that layer cannot:
   :mod:`repro.observe.perfetto` -- the span tree (worker subtrees
   included) exported as Chrome/Perfetto ``trace_event`` JSON that
   opens in ``ui.perfetto.dev``.
-* **Are the workers healthy?**  :mod:`repro.observe.health` --
-  per-task heartbeats from thread/process workers, live stall
-  detection, and p99/median straggler skew.
 
-``repro profile <experiment>`` (:mod:`repro.observe.profile`) runs all
-three at once and prints a self-time attribution table.
+``repro profile <experiment>`` (:mod:`repro.observe.profile`) runs both
+at once and prints a self-time attribution table; under ``--jobs N``
+the merged worker spans show the time of every fanned-out item.
 
 The *live* layer serves long-running sessions (:mod:`repro.serve`):
 :mod:`repro.observe.live` provides fixed-memory rolling-window metrics
@@ -28,15 +26,12 @@ objectives by burn rate into the PASS/WARN/FAIL verdicts the
 ``kind="serve"`` session records and ``repro report --strict`` carry.
 
 Everything is stdlib-only and off by default, matching the telemetry
-layer's one-branch-when-disabled discipline.  This is the layer the
-future ``repro.serve`` middleware and multi-host ledger merge plug
-into: the sampler/heartbeat summaries are plain dicts designed to
-cross process and host boundaries.
+layer's one-branch-when-disabled discipline.
 """
 
 from __future__ import annotations
 
-from repro.observe import health, slo
+from repro.observe import slo
 from repro.observe.live import (
     LiveMetrics,
     RollingCounter,
@@ -71,7 +66,6 @@ __all__ = [
     "RollingHistogram",
     "TraceContext",
     "counter_track_events",
-    "health",
     "read_sample",
     "render_top",
     "run_profile",

@@ -31,9 +31,10 @@ global tracer* (so tracing works with telemetry disabled and costs a
 few microseconds).  The server tail-samples: only slow or failed
 requests are kept, bounded, for Perfetto export.
 
-:class:`LiveMetrics` bundles the serving instruments and produces the
-internally consistent snapshot the in-band ``{"op": "stats"}`` request
-and the ``repro top`` dashboard render.
+:class:`LagTracker` keeps a bounded ring of event-loop tick lateness,
+the server's health figure.  :class:`LiveMetrics` bundles the serving
+instruments and produces the internally consistent snapshot the in-band
+``{"op": "stats"}`` request and the ``repro top`` dashboard render.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from repro.telemetry.metrics import Histogram
 from repro.telemetry.spans import Span
 
 __all__ = [
+    "LagTracker",
     "LiveMetrics",
     "RollingCounter",
     "RollingHistogram",
@@ -171,6 +173,50 @@ class RollingHistogram(Histogram):
     @property
     def nbytes(self) -> int:
         return super().nbytes + self._ring.nbytes
+
+
+class LagTracker:
+    """Bounded record of tick lateness for one periodic loop.
+
+    The serving layer schedules a tick every ``interval_s`` on its
+    asyncio loop and reports how late each tick actually fired --
+    event-loop lag, the single best proxy for "is the service about to
+    miss deadlines".  Keeps a bounded ring of recent lags; summaries
+    are last/p99/max in milliseconds.  Thread-safe (ticks land on the
+    loop, summaries are read by stats snapshots).
+    """
+
+    __slots__ = ("capacity", "_lags_ms", "_index", "_count", "_lock")
+
+    def __init__(self, capacity: int = 256):
+        if not capacity > 0:
+            raise ValueError(f"capacity must be > 0, got {capacity!r}")
+        self.capacity = capacity
+        self._lags_ms: list[float] = [0.0] * capacity
+        self._index = 0
+        self._count = 0
+        self._lock = threading.Lock()
+
+    def record(self, lag_s: float) -> None:
+        with self._lock:
+            self._lags_ms[self._index] = max(0.0, lag_s) * 1e3
+            self._index = (self._index + 1) % self.capacity
+            self._count += 1
+
+    def summary(self) -> dict:
+        with self._lock:
+            n = min(self._count, self.capacity)
+            if not n:
+                return {"ticks": 0}
+            recent = sorted(self._lags_ms[:n])
+            last = self._lags_ms[(self._index - 1) % self.capacity]
+        p99 = recent[min(n - 1, max(0, round(0.99 * (n - 1))))]
+        return {
+            "ticks": self._count,
+            "loop_lag_last_ms": round(last, 3),
+            "loop_lag_p99_ms": round(p99, 3),
+            "loop_lag_max_ms": round(recent[-1], 3),
+        }
 
 
 # ---------------------------------------------------------------------- #

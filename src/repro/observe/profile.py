@@ -7,8 +7,9 @@ One call wires together everything this package provides:
   span tree (worker spans included, re-parented by the runtime);
 * a :class:`~repro.observe.sampler.ResourceSampler` watches RSS/CPU/
   threads/FDs for the duration;
-* executor health monitoring (:mod:`repro.observe.health`) collects
-  per-task heartbeats from any fan-out the experiment performs;
+* under ``--jobs N`` the executor merges every worker's spans into the
+  tree, so each fanned-out item (one ``cells.characterize`` per cell
+  per corner) shows its own time under the ``profile`` root;
 * the span tree is exported through
   :func:`~repro.observe.perfetto.write_trace`: Chrome/Perfetto
   ``trace_event`` JSON ready for ``ui.perfetto.dev``, or JSONL when the
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import telemetry
-from repro.observe import health
 from repro.observe.perfetto import write_trace
 from repro.observe.sampler import DEFAULT_INTERVAL_S, ResourceSampler
 
@@ -102,7 +102,6 @@ class ProfileResult:
     trace_path: str
     trace_events: int
     resources: dict = field(default_factory=dict)
-    health: dict = field(default_factory=dict)
     record: object = None
     """The ledger :class:`~repro.provenance.records.RunRecord`."""
 
@@ -110,9 +109,8 @@ class ProfileResult:
 def run_profile(name: str, config, *,
                 interval_s: float = DEFAULT_INTERVAL_S,
                 trace_path: str | None = None,
-                stall_timeout_s: float = health.DEFAULT_STALL_TIMEOUT_S,
                 top_n: int = DEFAULT_TOP_N) -> ProfileResult:
-    """Run registered experiment ``name`` under sampler+tracer+health.
+    """Run registered experiment ``name`` under sampler and tracer.
 
     The trace goes to ``trace_path`` (default
     ``profile_<name>.trace.json``) in the format its name selects.  The
@@ -127,21 +125,15 @@ def run_profile(name: str, config, *,
 
     telemetry.reset()
     telemetry.enable()
-    health.enable(stall_timeout_s=stall_timeout_s)
     sampler = ResourceSampler(interval_s=interval_s)
-    try:
-        with telemetry.span("profile", experiment=name):
-            study = None
-            if spec.needs_study:
-                from repro.core import CryoStudy
+    with telemetry.span("profile", experiment=name):
+        study = None
+        if spec.needs_study:
+            from repro.core import CryoStudy
 
-                study = CryoStudy(config)
-            report_text, record = spec.run_recorded(
-                study, config, kind="profile", sampler=sampler)
-        health_summary = health.summary()
-    finally:
-        health.disable()
-    record.telemetry["health"] = health_summary
+            study = CryoStudy(config)
+        report_text, record = spec.run_recorded(
+            study, config, kind="profile", sampler=sampler)
 
     telemetry.gauge("observe.peak_rss_bytes",
                     record.resources.get("peak_rss_bytes", 0))
@@ -157,6 +149,5 @@ def run_profile(name: str, config, *,
         trace_path=path,
         trace_events=n_events,
         resources=record.resources,
-        health=health_summary,
         record=record,
     )

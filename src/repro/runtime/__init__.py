@@ -4,11 +4,12 @@ The flow's throughput comes from three embarrassingly parallel fan-outs
 -- per-cell characterization, per-injection SEU runs, per-artifact
 experiments.  This package gives them shared infrastructure:
 
-* :mod:`~repro.runtime.executor` -- ``Executor.map(fn, items)`` over
-  ``serial``/``thread``/``process`` backends, selected by ``jobs=`` /
-  ``REPRO_JOBS`` (+ ``REPRO_EXECUTOR``), with chunking, per-item
-  timeout/retry, deterministic result ordering and graceful fallback
-  to serial when a backend is unavailable or payloads fail to pickle;
+* :mod:`~repro.runtime.executor` -- an ordered ``Executor.map(fn,
+  items)`` over ``serial``/``thread``/``process`` backends, sized by
+  ``jobs=`` / ``REPRO_JOBS``, with automatic chunking, fallback to
+  serial when a backend is unavailable or payloads fail to pickle,
+  in-parent re-run of a chunk whose worker died, and worker telemetry
+  merged into the caller's trace;
 * :mod:`~repro.runtime.cache` -- an on-disk result cache keyed by
   content digests (``~/.cache/repro`` or ``REPRO_CACHE_DIR``), opt-in
   via the environment;

@@ -1,9 +1,8 @@
-"""Executor abstraction: one ``map()`` over serial/thread/process backends.
+"""Executor: one ordered ``map(fn, items)`` over serial/thread/process.
 
-The flow's hot paths are embarrassingly parallel fan-outs -- one SPICE
-characterization per cell per corner, one ISS run per SEU injection, one
-self-contained experiment per artifact.  This module gives them a single
-API::
+The flow's parallel work is independent fan-outs -- one characterization
+per cell per corner, one ISS run per SEU injection, one self-contained
+experiment per artifact.  This module gives them a single API::
 
     from repro.runtime import get_executor
 
@@ -14,37 +13,28 @@ Design points:
 
 * **Backend selection.**  ``get_executor(jobs=, backend=)`` resolves the
   worker count from the ``jobs`` argument, then the ``REPRO_JOBS``
-  environment variable, then 1; the backend from the ``backend``
-  argument, then ``REPRO_EXECUTOR``, then ``"process"`` whenever more
-  than one job is requested.  ``jobs <= 1`` always yields the serial
+  environment variable, then 1; the backend is the caller's ``backend``
+  argument, else ``"process"``.  ``jobs <= 1`` always yields the serial
   executor -- zero overhead, identical semantics.
 * **Determinism.**  ``map()`` returns results in item order regardless
   of completion order, so a parallel fan-out aggregates bit-identically
   to the serial loop.
-* **Graceful degradation.**  If the process backend cannot start (no
-  ``fork``/semaphores in the sandbox) or the function/items fail to
-  pickle, the call silently downgrades -- process -> thread -> serial --
-  and logs once at debug level.  Callers never see the difference.
-* **Per-item timeout + retry.**  ``map(..., timeout_s=, retries=)``
-  re-submits a failed or timed-out item up to ``retries`` times before
-  re-raising (serial included, so failure semantics do not depend on
-  the backend).
-* **Chunking.**  Items are batched (``chunksize`` or an automatic
-  ``len(items)/(4*jobs)`` heuristic) so per-task IPC overhead is paid
-  per chunk, not per item.
+* **Chunking.**  Items go out in chunks of ``len(items)/(4*jobs)``, so
+  per-task IPC overhead is paid per chunk, not per item.
+* **Fallback to serial.**  If the pool cannot start (no ``fork`` or
+  semaphores in the sandbox) or the function/items fail to pickle, the
+  call runs serially and counts ``runtime.fallback.<backend>_to_serial``.
+  Callers never see the difference.
+* **Worker-death recovery.**  A chunk whose future fails -- its worker
+  was hard-killed, or an item raised -- is re-run once in the parent
+  (counter ``runtime.chunk_failures``).  An item that fails there
+  raises :class:`ExecutorError` chaining its exception.
 * **Telemetry across the boundary.**  Worker processes record their own
   spans and metrics and ship them back as snapshots; the parent merges
   them under the span that was active when ``map()`` was called, so
   ``--trace`` on a parallel run still shows per-item spans.  Worker
   threads share the (thread-aware) tracer; their root spans are
   re-parented the same way.
-* **Health heartbeats.**  While :mod:`repro.observe.health` monitoring
-  is enabled (``repro profile`` / ``repro stats`` turn it on), every
-  task execution emits start/end heartbeats -- thread workers straight
-  into the shared monitor, process workers through a managed queue the
-  parent drains live -- so stalled workers and stragglers are flagged
-  *during* the fan-out, not after.  Disabled (the default), the cost
-  is one branch per ``map()``.
 """
 
 from __future__ import annotations
@@ -52,9 +42,10 @@ from __future__ import annotations
 import logging
 import os
 import pickle
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from repro import telemetry
+from repro.errors import ConfigError
 
 __all__ = [
     "Executor",
@@ -68,18 +59,18 @@ __all__ = [
 
 _LOG = logging.getLogger(__name__)
 
-BACKENDS = ("serial", "thread", "process")
-
 
 class ExecutorError(RuntimeError):
-    """An item failed on every attempt (its last exception is chained)."""
+    """An item failed in the calling process (its exception is chained)."""
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
     """Worker count: explicit ``jobs`` > ``REPRO_JOBS`` env > 1.
 
-    ``jobs=0`` (or ``REPRO_JOBS=0``) means "one worker per CPU".
+    ``jobs=0`` (or ``REPRO_JOBS=0``) means "one worker per CPU"; a
+    negative count raises :class:`~repro.errors.ConfigError`.
     """
+    source = "jobs"
     if jobs is None:
         env = os.environ.get("REPRO_JOBS", "").strip()
         if not env:
@@ -89,16 +80,20 @@ def resolve_jobs(jobs: int | None = None) -> int:
         except ValueError:
             _LOG.warning("ignoring non-integer REPRO_JOBS=%r", env)
             return 1
+        source = "REPRO_JOBS"
+    if jobs < 0:
+        raise ConfigError(f"{source} must be >= 0 (got {jobs})",
+                          field="jobs")
     if jobs == 0:
         return os.cpu_count() or 1
-    return max(1, jobs)
+    return jobs
 
 
 # ---------------------------------------------------------------------- #
 # Worker-side chunk runner (module-level: must pickle for processes).
 # ---------------------------------------------------------------------- #
 def _run_chunk(fn: Callable, chunk: list, capture_telemetry: bool):
-    """Run ``fn`` over one chunk; used verbatim by every backend.
+    """Run ``fn`` over one chunk in a pool worker.
 
     In a worker *process* this also isolates and captures telemetry:
     the child starts from a clean slate (a forked child inherits the
@@ -114,66 +109,40 @@ def _run_chunk(fn: Callable, chunk: list, capture_telemetry: bool):
     return results, None
 
 
+def _run_here(fn: Callable, items: list, start: int = 0) -> list:
+    """Run ``fn`` over ``items`` in this process, typing any failure."""
+    out = []
+    for k, item in enumerate(items):
+        try:
+            out.append(fn(item))
+        except Exception as exc:  # noqa: BLE001 - typed and chained
+            raise ExecutorError(
+                f"item {start + k} failed: {type(exc).__name__}: {exc}"
+            ) from exc
+    return out
+
+
 class Executor:
-    """Base class: order-preserving ``map`` with timeout/retry."""
+    """Base class: an order-preserving ``map``, serial by default."""
 
     backend = "serial"
 
     def __init__(self, jobs: int = 1):
         self.jobs = max(1, jobs)
 
-    # -------------------------------------------------------------- #
-    def map(
-        self,
-        fn: Callable,
-        items: Iterable,
-        *,
-        timeout_s: float | None = None,
-        retries: int = 0,
-        chunksize: int | None = None,
-    ) -> list:
+    def map(self, fn: Callable, items: Iterable) -> list:
         """Apply ``fn`` to every item; results ordered like ``items``.
 
-        A failing (or, on pooled backends, timed-out) item is retried
-        ``retries`` times; when every attempt fails an
-        :class:`ExecutorError` chaining the last exception is raised.
+        An item that fails raises :class:`ExecutorError` chaining its
+        exception.
         """
         items = list(items)
         if not items:
             return []
-        return self._map(fn, items, timeout_s=timeout_s, retries=retries,
-                         chunksize=chunksize)
+        return self._map(fn, items)
 
-    # -------------------------------------------------------------- #
-    def _map(self, fn, items, *, timeout_s, retries, chunksize):
-        out = []
-        for i, item in enumerate(items):
-            out.append(self._attempt_serial(fn, item, i, retries))
-        return out
-
-    @staticmethod
-    def _attempt_serial(fn, item, index, retries):
-        for attempt in range(retries + 1):
-            try:
-                return fn(item)
-            except Exception as exc:  # noqa: BLE001 - retry anything
-                if attempt >= retries:
-                    raise ExecutorError(
-                        f"item {index} failed after {attempt + 1} "
-                        f"attempt(s): {type(exc).__name__}: {exc}"
-                    ) from exc
-                telemetry.count("runtime.retries")
-
-    # -------------------------------------------------------------- #
-    @staticmethod
-    def _chunks(items: Sequence, jobs: int,
-                chunksize: int | None) -> list[tuple[int, list]]:
-        """Split into (start offset, chunk) pairs."""
-        if chunksize is None:
-            # ~4 chunks per worker balances stragglers against IPC cost.
-            chunksize = max(1, len(items) // (4 * jobs) or 1)
-        return [(i, list(items[i:i + chunksize]))
-                for i in range(0, len(items), chunksize)]
+    def _map(self, fn: Callable, items: list) -> list:
+        return _run_here(fn, items)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(jobs={self.jobs})"
@@ -192,29 +161,7 @@ class _PooledExecutor(Executor):
     def _check_picklable(self, fn, items) -> None:
         """Processes only: surface pickle failures *before* the pool."""
 
-    def _heartbeat_channel(self):
-        """(wrapped fn factory, channel) for this fan-out, if any.
-
-        Returns ``(None, None)`` while health monitoring is off -- the
-        one branch the disabled path pays.  Thread workers beat into
-        the in-process monitor directly; process workers need a
-        managed-queue channel whose drainer the caller must close.
-        """
-        from repro.observe import health
-
-        if not health.enabled():
-            return None, None
-        if self.backend != "process":
-            return health.HeartbeatFn, None
-        try:
-            channel = health.ProcessChannel(health.monitor())
-        except Exception as exc:  # noqa: BLE001 - no semaphores etc.
-            _LOG.debug("heartbeat channel unavailable (%s: %s); "
-                       "mapping without beats", type(exc).__name__, exc)
-            return None, None
-        return (lambda fn: health.HeartbeatFn(fn, channel.queue)), channel
-
-    def _map(self, fn, items, *, timeout_s, retries, chunksize):
+    def _map(self, fn, items):
         try:
             self._check_picklable(fn, items)
             pool = self._pool()
@@ -223,54 +170,41 @@ class _PooledExecutor(Executor):
                        "falling back to serial", self.backend,
                        type(exc).__name__, exc)
             telemetry.count(f"runtime.fallback.{self.backend}_to_serial")
-            return SerialExecutor().map(
-                fn, items, timeout_s=timeout_s, retries=retries)
+            return _run_here(fn, items)
 
-        wrap, channel = self._heartbeat_channel()
-        task_fn = wrap(fn) if wrap is not None else fn
         capture = self.backend == "process" and telemetry.enabled()
         parent_span = telemetry.current_span()
         mark = telemetry.tracer.mark()
-        chunks = self._chunks(items, self.jobs, chunksize)
-        results: list = [None] * len(items)
+        # ~4 chunks per worker balances stragglers against IPC cost.
+        size = max(1, len(items) // (4 * self.jobs))
+        results: list = []
         try:
             with pool as ex:
-                futures = {
-                    ex.submit(_run_chunk, task_fn, chunk, capture):
-                        (start, chunk)
-                    for start, chunk in chunks
-                }
-                for future, (start, chunk) in futures.items():
-                    budget = (None if timeout_s is None
-                              else timeout_s * len(chunk))
-                    chunk_results = self._await_chunk(
-                        task_fn, future, chunk, start, budget, retries,
-                        capture)
-                    results[start:start + len(chunk)] = chunk_results
+                futures = [
+                    (start, ex.submit(_run_chunk, fn,
+                                      items[start:start + size], capture))
+                    for start in range(0, len(items), size)
+                ]
+                for start, future in futures:
+                    results += self._collect(
+                        fn, future, items[start:start + size], start)
         finally:
-            if channel is not None:
-                channel.close()
             if self.backend == "thread":
                 # Worker-thread spans landed as new tracer roots; hang
                 # them under the span that was active at the call site.
                 telemetry.tracer.reparent(mark, parent_span)
         return results
 
-    def _await_chunk(self, fn, future, chunk, start, budget, retries,
-                     capture):
-        """Collect one chunk, degrading to in-process retry on failure."""
+    def _collect(self, fn, future, chunk, start):
+        """One chunk's results; a failed chunk is re-run in the parent."""
         try:
-            chunk_results, snapshot = future.result(timeout=budget)
-        except Exception as exc:  # noqa: BLE001 - includes TimeoutError
-            future.cancel()
+            chunk_results, snapshot = future.result()
+        except Exception as exc:  # noqa: BLE001 - dead worker or item
             _LOG.debug("chunk at %d failed on %s backend (%s: %s); "
-                       "retrying items serially", start, self.backend,
+                       "re-running it in the parent", start, self.backend,
                        type(exc).__name__, exc)
             telemetry.count("runtime.chunk_failures")
-            return [
-                self._attempt_serial(fn, item, start + k, retries)
-                for k, item in enumerate(chunk)
-            ]
+            return _run_here(fn, chunk, start)
         if snapshot is not None:
             telemetry.merge_snapshot(snapshot)
         return chunk_results
@@ -297,8 +231,7 @@ class ProcessExecutor(_PooledExecutor):
         # One representative item: campaign/cell items are homogeneous,
         # and a full scan would double-serialize every payload.
         pickle.dumps(fn)
-        if items:
-            pickle.dumps(items[0])
+        pickle.dumps(items[0])
 
 
 _BACKENDS: dict[str, type[Executor]] = {
@@ -307,13 +240,13 @@ _BACKENDS: dict[str, type[Executor]] = {
     "process": ProcessExecutor,
 }
 
+BACKENDS = tuple(_BACKENDS)
+
 
 def get_executor(jobs: int | None = None,
                  backend: str | None = None) -> Executor:
     """The executor for a fan-out: see module docstring for resolution."""
     n = resolve_jobs(jobs)
-    if backend is None:
-        backend = os.environ.get("REPRO_EXECUTOR", "").strip() or None
     if backend is not None and backend not in _BACKENDS:
         raise ValueError(
             f"unknown executor backend {backend!r}; pick from {BACKENDS}")

@@ -72,8 +72,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.observe import slo as slo_mod
-from repro.observe.health import LagTracker
-from repro.observe.live import LiveMetrics, TraceContext
+from repro.observe.live import LagTracker, LiveMetrics, TraceContext
 from repro.provenance import RunLedger, RunRecord
 from repro.serve.batcher import MicroBatcher
 from repro.serve.models import ModelRegistry

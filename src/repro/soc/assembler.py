@@ -278,7 +278,10 @@ def assemble(
 
     def emit(instr: Instruction) -> None:
         nonlocal pc
-        words.append(encode(instr))
+        try:
+            words.append(encode(instr))
+        except ValueError as exc:
+            raise AssemblyError(str(exc)) from exc
         pc += 4
 
     for mnemonic, ops in text_items:

@@ -164,6 +164,9 @@ def encode(instr: Instruction) -> int:
     """Encode a decoded instruction back to its 32-bit word."""
     fmt, opcode, funct3, funct7, _, _ = OPCODES[instr.mnemonic]
     rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
+    if instr.mnemonic == "ecall" and imm:
+        # Any other immediate is ebreak, mret, wfi, ... (see decode).
+        raise ValueError(f"ecall takes no immediate (got {imm})")
     if instr.mnemonic in _FCVT_RS2:
         rs2 = _FCVT_RS2[instr.mnemonic]
     f3 = funct3 if funct3 is not None else 0b111  # dynamic rounding mode

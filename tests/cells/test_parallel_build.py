@@ -39,13 +39,6 @@ class TestSerialParallelEquivalence:
         assert sorted(parallel.coverage.clean) == sorted(
             serial.coverage.clean)
 
-    def test_thread_backend_matches_serial(self, models, config,
-                                           monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-        serial = build_library(models, config, jobs=1)
-        threaded = build_library(models, config, jobs=3)
-        assert sorted(threaded.cells) == sorted(serial.cells)
-
     def test_summary_carries_config_digest(self, models, config):
         lib = build_library(models, config, jobs=1)
         summary = lib.summary()

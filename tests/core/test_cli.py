@@ -87,6 +87,12 @@ class TestFlagsPerCommand:
         assert len(errors) == 1 and "shots" in errors[0]
         assert "Traceback" not in out
 
+    def test_negative_jobs_exits_two(self, capsys):
+        assert main(["fig5", "--jobs", "-1"]) == 2
+        out = capsys.readouterr().out
+        errors = [ln for ln in out.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "jobs" in errors[0]
+
     def test_top_rejects_nonpositive_interval_and_count(self, capsys):
         assert main(["top", "h:1", "--interval", "-1"]) == 2
         assert main(["top", "h:1", "--interval", "0"]) == 2

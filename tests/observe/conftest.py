@@ -1,19 +1,16 @@
-"""Observe tests touch the telemetry and health globals; always clean up."""
+"""Observe tests touch the telemetry globals; always clean up."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import telemetry
-from repro.observe import health
 
 
 @pytest.fixture(autouse=True)
 def clean_observability():
     telemetry.disable()
     telemetry.reset()
-    health.disable()
     yield
     telemetry.disable()
     telemetry.reset()
-    health.disable()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.observe.live import (
+    LagTracker,
     LiveMetrics,
     RollingCounter,
     RollingHistogram,
@@ -257,6 +258,41 @@ class TestTraceContext:
         assert "serve.queue" in names
         assert "inflight" in names
         assert n == len(doc["traceEvents"])
+
+
+# ---------------------------------------------------------------------- #
+# LagTracker: event-loop tick lateness
+# ---------------------------------------------------------------------- #
+class TestLagTracker:
+    def test_summary_percentiles(self):
+        tracker = LagTracker(capacity=100)
+        for lag_ms in range(1, 101):  # 1..100 ms
+            tracker.record(lag_ms / 1e3)
+        s = tracker.summary()
+        assert s["ticks"] == 100
+        assert s["loop_lag_last_ms"] == pytest.approx(100.0)
+        assert s["loop_lag_max_ms"] == pytest.approx(100.0)
+        assert s["loop_lag_p99_ms"] == pytest.approx(99.0, abs=2.0)
+
+    def test_empty(self):
+        assert LagTracker().summary() == {"ticks": 0}
+
+    def test_bounded_ring_keeps_recent(self):
+        tracker = LagTracker(capacity=4)
+        for lag_s in (1.0, 1.0, 1.0, 1.0, 0.001, 0.001, 0.001, 0.001):
+            tracker.record(lag_s)
+        s = tracker.summary()
+        assert s["ticks"] == 8
+        assert s["loop_lag_max_ms"] == pytest.approx(1.0, rel=0.1)
+
+    def test_negative_lag_clamps_to_zero(self):
+        tracker = LagTracker()
+        tracker.record(-0.5)
+        assert tracker.summary()["loop_lag_last_ms"] == 0.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            LagTracker(capacity=0)
 
 
 # ---------------------------------------------------------------------- #

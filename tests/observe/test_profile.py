@@ -61,16 +61,11 @@ class TestRunProfile:
         assert "profile" in profile.attribution
         assert profile.resources["peak_rss_bytes"] > 0
         assert "cpu_utilization" in profile.resources
-        # The ledger record carries the peaks and the health section.
+        # The ledger record carries the peaks.
         record = profile.record
         assert record.kind == "profile"
         assert record.resources == profile.resources
-        assert record.telemetry["health"] == profile.health
         assert record.wall_s > 0
-        # The observability stack is torn back down afterwards.
-        from repro.observe import health
-
-        assert not health.enabled()
 
     def test_jsonl_format(self, tmp_path):
         path = tmp_path / "fig2.trace.jsonl"
@@ -78,6 +73,28 @@ class TestRunProfile:
         lines = [ln for ln in path.read_text().splitlines() if ln]
         assert len(lines) == profile.trace_events
         assert all(isinstance(json.loads(ln), dict) for ln in lines)
+
+    def test_jobs_worker_spans_descend_from_profile_root(self, tmp_path):
+        # Under --jobs the merged worker spans are the per-item view:
+        # one cells.characterize per cell per corner, none orphaned.
+        from repro.cells.catalog import full_catalog
+
+        path = tmp_path / "fig5.trace.jsonl"
+        run_profile("fig5", StudyConfig(fast=True, jobs=2),
+                    trace_path=str(path))
+        spans = [json.loads(ln) for ln in path.read_text().splitlines()]
+        by_id = {s["id"]: s for s in spans}
+
+        def root_of(span):
+            while span["parent"] is not None:
+                span = by_id[span["parent"]]
+            return span
+
+        assert [s["name"] for s in spans if s["parent"] is None] == [
+            "profile"]
+        cells = [s for s in spans if s["name"] == "cells.characterize"]
+        assert len(cells) == 2 * len(full_catalog())
+        assert all(root_of(s)["name"] == "profile" for s in cells)
 
 
 class TestProfileCli:
@@ -89,7 +106,6 @@ class TestProfileCli:
         out = capsys.readouterr().out
         assert "Self-time attribution" in out
         assert "peak RSS" in out
-        assert "executor health" in out
         json.loads(path.read_text())
 
     def test_profile_metrics_prints_summary(self, tmp_path, capsys):

@@ -43,12 +43,6 @@ class TestSerialParallelEquivalence:
         parallel = run_campaign(spec, config, jobs=4)
         assert parallel.bucket_signature() == serial.bucket_signature()
 
-    def test_thread_backend_identical(self, knn_spec, config, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-        serial = run_campaign(knn_spec, config, jobs=1)
-        threaded = run_campaign(knn_spec, config, jobs=3)
-        assert threaded.bucket_signature() == serial.bucket_signature()
-
 
 class TestFactorylessSpec:
     def test_custom_spec_without_factory_still_runs_parallel(self, knn_spec,

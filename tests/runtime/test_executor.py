@@ -1,13 +1,13 @@
-"""Executor backends: ordering, selection, fallback, timeout/retry."""
+"""Executor backends: ordering, selection, fallback, chunk recovery."""
 
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
 from repro import telemetry
+from repro.errors import ConfigError
 from repro.runtime import (
     BACKENDS,
     ExecutorError,
@@ -26,16 +26,6 @@ def _square(x):
 def _flaky(x, fail_on):
     if x == fail_on:
         raise ValueError(f"boom at {x}")
-    return x
-
-
-_ATTEMPTS = {"count": 0}
-
-
-def _fails_then_succeeds(x):
-    _ATTEMPTS["count"] += 1
-    if _ATTEMPTS["count"] < 3:
-        raise RuntimeError("transient")
     return x
 
 
@@ -60,6 +50,18 @@ class TestResolveJobs:
         monkeypatch.setenv("REPRO_JOBS", "many")
         assert resolve_jobs(None) == 1
 
+    def test_negative_rejected(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        with pytest.raises(ConfigError) as err:
+            resolve_jobs(-1)
+        assert err.value.field == "jobs"
+
+    def test_negative_env_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "-2")
+        with pytest.raises(ConfigError, match="REPRO_JOBS") as err:
+            resolve_jobs(None)
+        assert err.value.field == "jobs"
+
 
 class TestGetExecutor:
     def test_jobs_one_is_serial(self):
@@ -69,10 +71,6 @@ class TestGetExecutor:
         assert isinstance(get_executor(2, backend="thread"), ThreadExecutor)
         assert isinstance(get_executor(2, backend="process"),
                           ProcessExecutor)
-
-    def test_backend_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-        assert isinstance(get_executor(2), ThreadExecutor)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -92,6 +90,14 @@ class TestMapOrdering:
     def test_empty_items(self, backend):
         assert get_executor(2, backend=backend).map(_square, []) == []
 
+    def test_multi_item_chunks_preserve_order(self, backend):
+        # 61 items over 3 workers: automatic chunks of 5 (the last one
+        # short), so order must survive chunk boundaries.
+        items = list(range(61))
+        assert get_executor(3, backend=backend).map(_square, items) == [
+            x * x for x in items
+        ]
+
 
 class TestFailurePaths:
     def test_serial_error_raised(self):
@@ -99,44 +105,14 @@ class TestFailurePaths:
             SerialExecutor(1).map(lambda x: _flaky(x, 2), [1, 2, 3])
         assert isinstance(err.value.__cause__, ValueError)
 
-    def test_retries_recover(self):
-        _ATTEMPTS["count"] = 0
-        out = SerialExecutor(1).map(_fails_then_succeeds, [7], retries=3)
-        assert out == [7]
-
-    def test_retries_exhausted(self):
-        _ATTEMPTS["count"] = 0
-        with pytest.raises(ExecutorError):
-            SerialExecutor(1).map(_fails_then_succeeds, [7], retries=1)
-
     def test_process_worker_error_propagates(self):
         executor = ProcessExecutor(2)
         with pytest.raises(ExecutorError):
             executor.map(_raise_value_error, [1])
 
-    def test_timeout_recovered_serially(self):
-        # A chunk that blows its budget is cancelled and its items are
-        # re-run in-process, so the caller still gets every result.
-        telemetry.reset()
-        telemetry.enable()
-        try:
-            out = ThreadExecutor(2).map(_slow_identity, [1, 2],
-                                        timeout_s=0.01, chunksize=1)
-            assert out == [1, 2]
-            summary = telemetry.metrics_summary()
-            assert summary.get("runtime.chunk_failures", 0) >= 1
-        finally:
-            telemetry.reset()
-            telemetry.disable()
-
 
 def _raise_value_error(x):
     raise ValueError(x)
-
-
-def _slow_identity(x):
-    time.sleep(0.2)
-    return x
 
 
 class TestPickleFallback:
@@ -170,19 +146,20 @@ def _call(f):
 
 
 class TestChunking:
-    def test_explicit_chunksize_preserves_order(self):
-        executor = ThreadExecutor(4)
-        items = list(range(23))
-        assert executor.map(_square, items, chunksize=5) == [
-            x * x for x in items
-        ]
-
     def test_chunk_failure_recovered_serially(self):
-        # One bad item inside a chunk: the chunk fails in the pool and
-        # is re-run serially, where retries can be applied per item.
-        executor = ThreadExecutor(2)
-        with pytest.raises(ExecutorError):
-            executor.map(_raise_value_error, list(range(6)), chunksize=3)
+        # Bad items fail their chunks in the pool; each failed chunk is
+        # re-run in the parent, where the item's error surfaces typed.
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            with pytest.raises(ExecutorError) as err:
+                ThreadExecutor(2).map(_raise_value_error, list(range(16)))
+            assert isinstance(err.value.__cause__, ValueError)
+            summary = telemetry.metrics_summary()
+            assert summary.get("runtime.chunk_failures", 0) >= 1
+        finally:
+            telemetry.reset()
+            telemetry.disable()
 
 
 class TestTelemetryAcrossProcesses:

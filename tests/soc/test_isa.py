@@ -110,6 +110,13 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=f"{word:#010x}"):
             decode(word)
 
+    def test_ecall_with_immediate_rejected(self):
+        # 0x00100073 would be ebreak, which decode rejects.
+        with pytest.raises(ValueError, match="ecall"):
+            encode(Instruction("ecall", imm=1))
+        with pytest.raises(AssemblyError, match="ecall"):
+            assemble("_start:\n ecall 1\n")
+
     def test_fp_discriminators(self):
         # fcvt.d.w and fcvt.d.l share funct7; rs2 disambiguates.
         w = decode(encode(Instruction("fcvt.d.w", rd=1, rs1=2)))

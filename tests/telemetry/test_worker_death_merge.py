@@ -43,7 +43,7 @@ def test_worker_death_partial_snapshots_merge_cleanly(kill_items):
     assassin = WorkerAssassin(_traced_square, kill_items, os.getpid())
     items = list(range(8))
     with telemetry.span("call_site") as call_site:
-        results = ex.map(assassin, items, chunksize=2)
+        results = ex.map(assassin, items)
 
     # The fan-out itself recovered (chunk retry ran in the parent).
     assert results == [i * i for i in items]
