@@ -484,6 +484,7 @@ def _run_assault(args) -> int:
 def _run_serve(args) -> int:
     import asyncio
 
+    from repro.observe.slo import ERROR_BUDGET
     from repro.serve import ClassifierServer, ModelRegistry, ServeConfig
 
     config = ServeConfig(
@@ -503,7 +504,7 @@ def _run_serve(args) -> int:
                 f"(batch window {config.batch_window_ms:g} ms, "
                 f"queue {config.max_queue}, SLO p(latency > "
                 f"{config.slo_latency_ms:g} ms) <= "
-                f"{config.slo_error_budget:g})")
+                f"{ERROR_BUDGET:g})")
         for name, digest in registry.digests().items():
             _report(f"  model {name}: digest {digest}")
         try:

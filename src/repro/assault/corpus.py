@@ -783,7 +783,7 @@ def _serve_request_storm(ctx):
         with ServeClient(handle.host, handle.port) as client:
             recovered = np.array_equal(
                 client.classify("knn", points), expected)
-        stats = dict(handle.server.stats)
+        stats = handle.server.live.counters()
     return {
         "served": served,
         "rejected": rejected,
@@ -840,14 +840,13 @@ def _serve_slow_client(ctx):
             pass  # eviction mid-send resets the socket: expected
         deadline = _time.monotonic() + 10.0
         while (_time.monotonic() < deadline
-               and not handle.server.stats[
-                   "serve.slow_client_disconnects"]):
+               and not handle.server.live.slow_client_disconnects.total):
             _time.sleep(0.05)
         with ServeClient(handle.host, handle.port) as client:
             healthy_ok = np.array_equal(
                 client.classify("knn", points[:50]),
                 reference.predict(points[:50]))
-        stats = dict(handle.server.stats)
+        stats = handle.server.live.counters()
         stalled.close()
     return {
         "disconnects": stats["serve.slow_client_disconnects"],

@@ -17,12 +17,14 @@ at once and prints a self-time attribution table; under ``--jobs N``
 the merged worker spans show the time of every fanned-out item.
 
 The *live* layer serves long-running sessions (:mod:`repro.serve`):
-:mod:`repro.observe.live` provides fixed-memory rolling-window metrics
-(windowed latency quantiles, throughput, queue-depth/batch-size
-gauges), the per-request :class:`TraceContext` span trees the service
+:mod:`repro.observe.live` provides :class:`LiveMetrics`, the serving
+session's one store of counts -- a fixed-memory rolling counter per
+``serve.*`` outcome (cumulative total plus windowed rate) and
+rolling histograms of latency, queue depth, batch size and event-loop
+lag -- the per-request :class:`TraceContext` span trees the service
 tail-samples into Perfetto exports, and the ``repro top`` dashboard
-rendering; :mod:`repro.observe.slo` grades declared latency/error-rate
-objectives by burn rate into the PASS/WARN/FAIL verdicts the
+rendering; :mod:`repro.observe.slo` grades the session's latency and
+error counts by burn rate into the PASS/WARN/FAIL verdicts the
 ``kind="serve"`` session records and ``repro report --strict`` carry.
 
 Everything is stdlib-only and off by default, matching the telemetry

@@ -22,8 +22,8 @@ observations stream through:
   batch-size histograms) without keeping raw samples.
 
 **Request-scoped tracing** -- a :class:`TraceContext` is minted per wire
-request (in :mod:`repro.serve.protocol`) and threaded through the
-middleware pipeline, the micro-batcher and the predict-executor hop.
+request (in :mod:`repro.serve.protocol`) and threaded through
+admission, the micro-batcher and the predict-executor hop.
 Each hop appends a finished child :class:`~repro.telemetry.spans.Span`
 (``serve.queue`` -> ``serve.batch`` -> ``serve.predict`` ->
 ``serve.write``), building a per-request span tree *detached from the
@@ -31,10 +31,12 @@ global tracer* (so tracing works with telemetry disabled and costs a
 few microseconds).  The server tail-samples: only slow or failed
 requests are kept, bounded, for Perfetto export.
 
-:class:`LagTracker` keeps a bounded ring of event-loop tick lateness,
-the server's health figure.  :class:`LiveMetrics` bundles the serving
-instruments and produces the internally consistent snapshot the in-band
-``{"op": "stats"}`` request and the ``repro top`` dashboard render.
+:class:`LiveMetrics` bundles the serving instruments -- one
+:class:`RollingCounter` per ``serve.*`` outcome, whose ``total`` is the
+session count, plus the latency, queue-depth, batch-size and event-loop
+lag histograms -- and is the serving layer's only store of them: the
+in-band ``{"op": "stats"}`` snapshot, the ``repro top`` dashboard and
+the ``kind="serve"`` session record all read it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from repro.telemetry.metrics import Histogram
 from repro.telemetry.spans import Span
 
 __all__ = [
-    "LagTracker",
     "LiveMetrics",
     "RollingCounter",
     "RollingHistogram",
@@ -175,50 +176,6 @@ class RollingHistogram(Histogram):
         return super().nbytes + self._ring.nbytes
 
 
-class LagTracker:
-    """Bounded record of tick lateness for one periodic loop.
-
-    The serving layer schedules a tick every ``interval_s`` on its
-    asyncio loop and reports how late each tick actually fired --
-    event-loop lag, the single best proxy for "is the service about to
-    miss deadlines".  Keeps a bounded ring of recent lags; summaries
-    are last/p99/max in milliseconds.  Thread-safe (ticks land on the
-    loop, summaries are read by stats snapshots).
-    """
-
-    __slots__ = ("capacity", "_lags_ms", "_index", "_count", "_lock")
-
-    def __init__(self, capacity: int = 256):
-        if not capacity > 0:
-            raise ValueError(f"capacity must be > 0, got {capacity!r}")
-        self.capacity = capacity
-        self._lags_ms: list[float] = [0.0] * capacity
-        self._index = 0
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def record(self, lag_s: float) -> None:
-        with self._lock:
-            self._lags_ms[self._index] = max(0.0, lag_s) * 1e3
-            self._index = (self._index + 1) % self.capacity
-            self._count += 1
-
-    def summary(self) -> dict:
-        with self._lock:
-            n = min(self._count, self.capacity)
-            if not n:
-                return {"ticks": 0}
-            recent = sorted(self._lags_ms[:n])
-            last = self._lags_ms[(self._index - 1) % self.capacity]
-        p99 = recent[min(n - 1, max(0, round(0.99 * (n - 1))))]
-        return {
-            "ticks": self._count,
-            "loop_lag_last_ms": round(last, 3),
-            "loop_lag_p99_ms": round(p99, 3),
-            "loop_lag_max_ms": round(recent[-1], 3),
-        }
-
-
 # ---------------------------------------------------------------------- #
 # Request-scoped tracing
 # ---------------------------------------------------------------------- #
@@ -289,40 +246,78 @@ class TraceContext:
 class LiveMetrics:
     """Every live instrument of one serving session, one snapshot call.
 
-    All instruments share the same window geometry, so one
-    :meth:`snapshot` reads a consistent picture of the last
-    ``window_s`` seconds; latency is in milliseconds throughout.
+    Each name in :data:`COUNTERS` is a :class:`RollingCounter`
+    attribute reported as ``serve.<name>``; all instruments share the
+    same window geometry, so one :meth:`snapshot` reads a consistent
+    picture of the last ``window_s`` seconds.  Latency and loop lag
+    are in milliseconds throughout.
     """
+
+    #: The serving outcome counters, in snapshot order.
+    COUNTERS = ("connections", "requests", "shots", "rejected",
+                "deadline_expired", "bad_requests", "unknown_model",
+                "slow_client_disconnects", "internal_errors",
+                "stats_scrapes", "slo_latency_violations")
+    #: Outcomes that are traffic: the SLO total (400/404 client
+    #: mistakes are not -- they never reach admission).
+    TRAFFIC = ("requests", "rejected", "deadline_expired",
+               "internal_errors")
+    #: Server-side failures: what burns the error budget.
+    FAILURES = ("deadline_expired", "internal_errors")
 
     def __init__(self, window_s: float = DEFAULT_WINDOW_S,
                  slots: int = DEFAULT_SLOTS):
         self.window_s = window_s
         kw = {"window_s": window_s, "slots": slots}
+        for name in self.COUNTERS:
+            setattr(self, name, RollingCounter(**kw))
         # Latencies in ms: 1 us .. 1000 s covers a stalled deadline.
         self.latency_ms = RollingHistogram(lo=1e-3, hi=1e6, **kw)
+        self.loop_lag_ms = RollingHistogram(lo=1e-3, hi=1e6, **kw)
         self.queue_depth = RollingHistogram(lo=0.5, hi=1e6, **kw)
         self.batch_shots = RollingHistogram(lo=0.5, hi=1e8, **kw)
         self.batch_requests = RollingHistogram(lo=0.5, hi=1e6, **kw)
-        self.requests = RollingCounter(**kw)
-        self.shots = RollingCounter(**kw)
-        self.errors = RollingCounter(**kw)
-        self.rejected = RollingCounter(**kw)
-        self.latency_violations = RollingCounter(**kw)
 
     # ------------------------------------------------------------------ #
+    def counters(self) -> dict[str, int]:
+        """Session totals, ``serve.<name>`` -> count."""
+        return {f"serve.{name}": getattr(self, name).total
+                for name in self.COUNTERS}
+
+    def _window_sum(self, names: tuple[str, ...], now: float) -> int:
+        return sum(getattr(self, name).window_count(now) for name in names)
+
+    def record_loop_lag(self, lag_s: float,
+                        now: float | None = None) -> None:
+        """One observer tick fired ``lag_s`` late (early counts as 0)."""
+        self.loop_lag_ms.observe(max(0.0, lag_s) * 1e3, now)
+
+    def health(self, now: float | None = None) -> dict:
+        """Observer ticks so far and the window's loop-lag p99/max."""
+        lag = self.loop_lag_ms
+        if not lag.count:
+            return {"ticks": 0}
+        now = time.time() if now is None else now
+        return {
+            "ticks": lag.count,
+            "loop_lag_p99_ms": round(lag.percentile(99, now), 3),
+            "loop_lag_max_ms": round(lag.percentile(100, now), 3),
+        }
+
     def snapshot(self, now: float | None = None) -> dict:
         """The rolling-window section of the live stats snapshot."""
         now = time.time() if now is None else now
         lat = self.latency_ms
+        requests = self._window_sum(self.TRAFFIC, now)
         return {
             "window_s": self.window_s,
-            "requests": self.requests.window_count(now),
-            "requests_per_sec": round(self.requests.rate(now), 2),
+            "requests": requests,
+            "requests_per_sec": round(requests / self.window_s, 2),
             "shots_per_sec": round(self.shots.rate(now), 1),
-            "errors": self.errors.window_count(now),
+            "errors": self._window_sum(self.FAILURES, now),
             "rejected": self.rejected.window_count(now),
             "latency_violations":
-                self.latency_violations.window_count(now),
+                self.slo_latency_violations.window_count(now),
             "latency_p50_ms": round(lat.percentile(50, now), 3),
             "latency_p95_ms": round(lat.percentile(95, now), 3),
             "latency_p99_ms": round(lat.percentile(99, now), 3),

@@ -1,12 +1,13 @@
-"""Service-level objectives: declared targets, burn-rate verdicts.
+"""Service-level objectives: burn-rate verdicts on serving counts.
 
-An :class:`SLOSpec` declares what the serving layer promises:
+The serving layer promises two objectives over one ``ERROR_BUDGET``:
 
-* **latency** -- at most an ``error_budget`` fraction of requests may
-  exceed ``latency_ms`` (the paper's per-classification decoherence
-  budget, scaled for the JSON-over-socket host service exactly as the
-  serving benchmark scales it);
-* **errors** -- at most an ``error_budget`` fraction of requests may
+* **latency** -- at most an ``ERROR_BUDGET`` fraction of requests may
+  exceed the session's ``latency_ms`` target (the paper's
+  per-classification decoherence budget, scaled for the
+  JSON-over-socket host service exactly as the serving benchmark
+  scales it);
+* **errors** -- at most an ``ERROR_BUDGET`` fraction of requests may
   fail server-side (deadline expiries and internal errors burn budget;
   client mistakes -- 400/404 -- and typed 429 back-pressure do not:
   rejecting work *is* the overload contract).
@@ -19,20 +20,19 @@ Burn rate <= 1.0 means the budget outlives the session (PASS); above
 ``FAST_BURN`` it is burning so fast the objective is effectively gone
 (FAIL) -- the verdict ``repro report --strict`` gates on.
 
-The same evaluation runs twice per session: over the rolling window
-(the live view in the ``{"op": "stats"}`` snapshot and ``repro top``)
-and over the cumulative session counts folded into the
-``kind="serve"`` RunRecord at shutdown.
+The server grades the session-cumulative counts: the same report
+answers the ``{"op": "stats"}`` snapshot (and ``repro top``) while the
+session runs and is folded into the ``kind="serve"`` RunRecord at
+shutdown.  The rolling window only shows raw rates and quantiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
 from repro.provenance.fidelity import FAIL, PASS, WARN
 
-__all__ = ["SLOReport", "SLOSpec", "evaluate"]
+__all__ = ["SLOReport", "evaluate"]
 
 #: The paper's per-classification decoherence budget (Fig. 2(c)).
 DECOHERENCE_BUDGET_MS = 0.110
@@ -41,35 +41,11 @@ DECOHERENCE_BUDGET_MS = 0.110
 #: benchmark's ``BUDGET_SCALE``): 110 us x 1000 = 110 ms per request.
 DEFAULT_LATENCY_MS = DECOHERENCE_BUDGET_MS * 1000
 
-#: Default error budget: 1 % of requests may be slow/failed.
-DEFAULT_ERROR_BUDGET = 0.01
+#: Error budget: 1 % of requests may be slow/failed per objective.
+ERROR_BUDGET = 0.01
 
 #: Burn rate beyond which an objective FAILs instead of WARNing.
 FAST_BURN = 2.0
-
-
-@dataclass(frozen=True)
-class SLOSpec:
-    """Declared objectives of one serving session (validated)."""
-
-    latency_ms: float = DEFAULT_LATENCY_MS
-    """Per-request latency target; requests above it burn budget."""
-    error_budget: float = DEFAULT_ERROR_BUDGET
-    """Allowed fraction of budget-burning requests per objective."""
-
-    def __post_init__(self):
-        if not self.latency_ms > 0:
-            raise ConfigError(
-                f"latency_ms must be positive, got {self.latency_ms!r}",
-                field="latency_ms")
-        if not 0 < self.error_budget < 1:
-            raise ConfigError(
-                f"error_budget must be in (0, 1), got "
-                f"{self.error_budget!r}", field="error_budget")
-
-    def to_dict(self) -> dict:
-        return {"latency_ms": self.latency_ms,
-                "error_budget": self.error_budget}
 
 
 @dataclass(frozen=True)
@@ -91,33 +67,34 @@ class SLOReport:
                 for c in self.checks}
 
 
-def _grade(burn_rate: float, fast_burn: float) -> str:
+def _grade(burn_rate: float) -> str:
     if burn_rate <= 1.0:
         return PASS
-    if burn_rate <= fast_burn:
+    if burn_rate <= FAST_BURN:
         return WARN
     return FAIL
 
 
-def evaluate(spec: SLOSpec, *, total: int, latency_violations: int,
-             errors: int, fast_burn: float = FAST_BURN) -> SLOReport:
-    """Grade observed counts against the spec (see module docstring).
+def evaluate(latency_ms: float, *, total: int, latency_violations: int,
+             errors: int) -> SLOReport:
+    """Grade observed counts against the objectives (module docstring).
 
     ``total`` requests, of which ``latency_violations`` exceeded the
-    latency target and ``errors`` failed server-side.  Zero traffic is
-    a PASS with zero burn: an idle service has burned nothing.
+    ``latency_ms`` target and ``errors`` failed server-side.  Zero
+    traffic is a PASS with zero burn: an idle service has burned
+    nothing.
     """
     checks = []
     worst = PASS
     for name, bad, objective in (
         ("latency", latency_violations,
-         f"p(latency > {spec.latency_ms:g} ms) <= {spec.error_budget:g}"),
+         f"p(latency > {latency_ms:g} ms) <= {ERROR_BUDGET:g}"),
         ("errors", errors,
-         f"p(server error) <= {spec.error_budget:g}"),
+         f"p(server error) <= {ERROR_BUDGET:g}"),
     ):
         fraction = bad / total if total else 0.0
-        burn = fraction / spec.error_budget
-        status = _grade(burn, fast_burn)
+        burn = fraction / ERROR_BUDGET
+        status = _grade(burn)
         checks.append({
             "name": name,
             "objective": objective,

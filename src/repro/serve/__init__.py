@@ -13,9 +13,11 @@ warm, calibrated classifiers:
 - :mod:`~repro.serve.batcher` -- the :class:`MicroBatcher` fusing
   concurrent requests into single vectorized ``predict`` calls,
   bit-identically;
-- :mod:`~repro.serve.server` -- :class:`ClassifierServer` with the
-  telemetry/admission/deadline middleware pipeline, 429 back-pressure,
-  slow-client eviction, and a ``kind="serve"`` session RunRecord;
+- :mod:`~repro.serve.server` -- :class:`ClassifierServer`: admission
+  (429 back-pressure) then deadline then the batcher, slow-client
+  eviction, every count kept once in its
+  :class:`~repro.observe.live.LiveMetrics`, and a ``kind="serve"``
+  session RunRecord;
 - :mod:`~repro.serve.client` -- the blocking :class:`ServeClient`.
 
 The service is *live-observable* (:mod:`repro.observe.live`): an
@@ -43,19 +45,13 @@ from repro.serve.batcher import MicroBatcher
 from repro.serve.client import ServeClient
 from repro.serve.models import ModelRegistry, UnknownModelError
 from repro.serve.protocol import ADMIN_OPS, encode_op_request
-from repro.serve.server import (
-    ClassifierServer,
-    RequestContext,
-    ServeConfig,
-    ServerThread,
-)
+from repro.serve.server import ClassifierServer, ServeConfig, ServerThread
 
 __all__ = [
     "ADMIN_OPS",
     "ClassifierServer",
     "MicroBatcher",
     "ModelRegistry",
-    "RequestContext",
     "ServeClient",
     "ServeConfig",
     "ServerThread",

@@ -16,11 +16,14 @@ per request, never across the fused batch.  The serving-equivalence
 tests pin exactly this property.
 
 A batch flushes early when its shot count reaches
-``max_batch_shots``; requests whose deadline expired while queued are
+:data:`MAX_BATCH_SHOTS`; requests whose deadline expired while queued are
 resolved with :class:`~repro.errors.DeadlineError` at flush time and
-never reach the model.  Predict runs on a worker thread (the registry
-models are shared read-only) so the event loop keeps accepting and
-rejecting while numpy crunches.
+never reach the model.  Predict runs on one of
+:data:`PREDICT_WORKERS` threads (the registry models are shared
+read-only) so the event loop keeps accepting and rejecting while numpy
+crunches.  Each flush records its request and shot count in the
+server's :class:`~repro.observe.live.LiveMetrics` -- the batch tally is
+``batch_requests.count``.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ from repro.observe.live import LiveMetrics, TraceContext
 from repro.telemetry.spans import Span
 
 __all__ = ["MicroBatcher"]
+
+#: Early-flush threshold: fused shots per predict call.
+MAX_BATCH_SHOTS = 8192
+
+#: Threads running the vectorized predict calls.
+PREDICT_WORKERS = 2
 
 
 class _Pending:
@@ -61,23 +70,19 @@ class MicroBatcher:
     """Per-model request coalescing (see module docstring).
 
     Must be created and used from a single running event loop; the
-    vectorized predict itself runs on ``workers`` pool threads.
+    vectorized predict itself runs on ``PREDICT_WORKERS`` pool threads.
     """
 
     def __init__(self, *, window_s: float = 0.002,
-                 max_batch_shots: int = 8192, workers: int = 2,
                  metrics: LiveMetrics | None = None):
         self.window_s = window_s
-        self.max_batch_shots = max_batch_shots
         self.metrics = metrics
         self._pending: dict[str, list[_Pending]] = {}
         self._pending_shots: dict[str, int] = {}
         self._timers: dict[str, asyncio.TimerHandle] = {}
         self._models: dict[str, Classifier] = {}
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, workers), thread_name_prefix="serve-predict")
-        self.batches = 0
-        self.batched_requests = 0
+            max_workers=PREDICT_WORKERS, thread_name_prefix="serve-predict")
 
     # ------------------------------------------------------------------ #
     async def submit(self, name: str, model: Classifier, iq: np.ndarray,
@@ -98,7 +103,7 @@ class MicroBatcher:
         bucket.append(_Pending(iq, qubit, deadline_s, future, trace))
         self._pending_shots[name] = \
             self._pending_shots.get(name, 0) + len(iq)
-        if self._pending_shots[name] >= self.max_batch_shots:
+        if self._pending_shots[name] >= MAX_BATCH_SHOTS:
             self._flush(name)
         elif name not in self._timers:
             self._timers[name] = loop.call_later(
@@ -148,8 +153,6 @@ class MicroBatcher:
         fused_qubit = np.concatenate([item.qubit for item in live])
         fuse_s = time.perf_counter() - fuse_t0
         loop = asyncio.get_running_loop()
-        self.batches += 1
-        self.batched_requests += len(live)
         if self.metrics is not None:
             self.metrics.batch_requests.observe(len(live))
             self.metrics.batch_shots.observe(len(fused_iq))

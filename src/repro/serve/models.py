@@ -90,10 +90,11 @@ class ModelRegistry:
         """Calibrate every requested model kind from one shot set.
 
         One backend, one ``calibration_shots`` draw, then each kind's
-        ``calibrate(shots_0, shots_1)`` runs on the shared thread
-        :class:`~repro.runtime.executor.Executor` -- the warm-up is
-        parallel but the resulting models are immutable numpy state,
-        safe to share read-only across every serving thread.
+        ``calibrate(shots_0, shots_1)`` runs on a thread
+        :class:`~repro.runtime.executor.Executor` of ``jobs`` workers
+        (``None``: ``REPRO_JOBS``, else serial) -- the resulting models
+        are immutable numpy state, safe to share read-only across every
+        serving thread.
         """
         names = list(names) if names else classifier_names()
         t0 = time.perf_counter()
@@ -106,7 +107,7 @@ class ModelRegistry:
             def train(name: str) -> Classifier:
                 return get_classifier(name).calibrate(shots_0, shots_1)
 
-            executor = get_executor(min(len(names), 4) or 1, "thread")
+            executor = get_executor(jobs, "thread")
             models = executor.map(train, names)
         registry = cls(dict(zip(names, models)))
         telemetry.gauge("serve.models", len(registry))

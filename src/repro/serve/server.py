@@ -5,50 +5,50 @@ Architecture (one event loop, a small predict thread pool)::
     asyncio.start_server
       └─ one reader task per connection (line-delimited JSON)
            └─ one task per request line
-                └─ middleware pipeline
-                     telemetry ─ admission ─ deadline ─ micro-batcher
+                └─ parse ─ model lookup ─ _classify
+                     admission ─ deadline ─ micro-batcher
 
-The pipeline stages are plain ``handler -> handler`` wrappers over
-:class:`RequestContext`, so every request -- served or rejected --
-lands in the same counters:
+``_classify`` runs every classify request that parsed and named a
+loaded model through the same three steps and counts its outcome once,
+in one ``finally``:
 
-``telemetry``
-    Bumps the ``serve.requests`` / ``serve.shots`` / per-code rejection
-    counters of ``server.stats`` and records the request's latency
-    once, in the live latency histogram; its rolling window feeds the
-    stats snapshot and its cumulative view the session record's
-    latency quantiles.
-``admission``
+admission
     Bounded-queue back-pressure.  If ``max_queue`` requests are already
     admitted (parsed, not yet answered), the request is rejected
     *immediately* with :class:`~repro.errors.ServeOverloadError` (429)
     -- the client gets a typed error in microseconds, never a hang,
     and ``serve.rejected`` counts it.
-``deadline``
+deadline
     Every request carries a deadline (its own ``deadline_ms`` or the
     server default); expiry resolves to
     :class:`~repro.errors.DeadlineError` (408) whether the time went
     to queueing or to a stalled client.
+micro-batcher
+    :class:`~repro.serve.batcher.MicroBatcher` fuses concurrent
+    requests into one vectorized ``predict``.
 
 Slow *readers* are handled on the write side: each response drain is
 bounded by ``write_timeout_s``, and a client that stalls its socket
 long enough is disconnected (``serve.slow_client_disconnects``)
 instead of parking a connection task forever.
 
-Every server session appends one ``kind="serve"`` RunRecord to the
-provenance ledger: request/rejection/shot totals, latency quantiles,
-throughput, and the digests of the models it served.
+Every count lives in one place, the session's
+:class:`~repro.observe.live.LiveMetrics`: its counter totals are the
+``{"op": "stats"}`` snapshot's ``counters`` and the metrics of the
+``kind="serve"`` RunRecord each session appends to the provenance
+ledger (with latency quantiles, throughput and the digests of the
+models it served); its window counts are the snapshot's ``window``.
 
 Live observability (:mod:`repro.observe.live` / ``.slo``) rides the
-same pipeline: every classify request carries a
+same path: every classify request carries a
 :class:`~repro.observe.live.TraceContext` whose queue/batch/predict/
-write spans the server tail-samples when the request was slow or
-failed; rolling-window metrics feed the in-band ``{"op": "stats"}``
-snapshot (answered *before* admission, so scrapes are never rejected
-or queued); a periodic observer task measures event-loop lag and keeps
-the bounded counter timeline the Perfetto export draws; and the
-declared SLOs are graded by burn rate into the session record's
-fidelity verdict.
+write spans the server tail-samples when the request failed or was
+slower than the latency objective; the stats snapshot is answered
+*before* admission, so scrapes are never rejected or queued; a
+periodic observer task records event-loop lag and keeps the bounded
+counter timeline the Perfetto export draws; and the latency and error
+objectives are graded by burn rate into the session record's fidelity
+verdict.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,9 +72,9 @@ from repro.errors import (
     ValidationError,
 )
 from repro.observe import slo as slo_mod
-from repro.observe.live import LagTracker, LiveMetrics, TraceContext
+from repro.observe.live import LiveMetrics, TraceContext
 from repro.provenance import RunLedger, RunRecord
-from repro.serve.batcher import MicroBatcher
+from repro.serve.batcher import MAX_BATCH_SHOTS, MicroBatcher
 from repro.serve.models import ModelRegistry
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
@@ -86,8 +86,13 @@ from repro.serve.protocol import (
 )
 from repro.telemetry import Span, iso_ts
 
-__all__ = ["ClassifierServer", "RequestContext", "ServeConfig",
-           "ServerThread"]
+__all__ = ["ClassifierServer", "ServeConfig", "ServerThread"]
+
+#: How many tail-sampled request traces a session retains.
+TRACE_CAPACITY = 64
+
+#: Wire code -> counter of a request refused before admission.
+_REFUSALS = {400: "bad_requests", 404: "unknown_model"}
 
 
 @dataclass(frozen=True)
@@ -99,16 +104,12 @@ class ServeConfig:
     """0 = let the OS pick (the test/bench harness reads it back)."""
     batch_window_ms: float = 2.0
     """How long the micro-batcher holds a request for company."""
-    max_batch_shots: int = 8192
-    """Early-flush threshold: fused shots per predict call."""
     max_queue: int = 64
     """Admitted-but-unanswered request cap; beyond it -> 429."""
     default_deadline_ms: float = 1000.0
     """Deadline for requests that do not carry their own."""
     write_timeout_s: float = 5.0
     """Per-response drain budget before a stalled reader is dropped."""
-    predict_workers: int = 2
-    """Threads running the vectorized predict calls."""
     sndbuf_bytes: int | None = None
     """Shrink per-connection send buffering (socket ``SO_SNDBUF`` plus
     the transport high-water mark); ``None`` keeps OS defaults.  The
@@ -117,51 +118,24 @@ class ServeConfig:
     megabytes of kernel buffer."""
     slo_latency_ms: float = slo_mod.DEFAULT_LATENCY_MS
     """Declared per-request latency objective (default: the paper's
-    110 us decoherence budget at the serving benchmark's wire scale)."""
-    slo_error_budget: float = slo_mod.DEFAULT_ERROR_BUDGET
-    """Allowed fraction of slow/failed requests per SLO objective."""
-    trace_slow_ms: float | None = None
-    """Tail-sampling threshold: finished requests at least this slow
-    (or failed) keep their span tree; ``None`` = ``slo_latency_ms``."""
-    trace_capacity: int = 64
-    """How many tail-sampled request traces the session retains."""
-    metrics_window_s: float = 10.0
-    """Rolling window the live metrics and stats snapshots cover."""
+    110 us decoherence budget at the serving benchmark's wire scale);
+    requests at least this slow, or failed, keep their span tree."""
 
     def __post_init__(self):
-        for name in ("batch_window_ms", "max_batch_shots", "max_queue",
-                     "default_deadline_ms", "write_timeout_s",
-                     "predict_workers", "slo_latency_ms",
-                     "trace_capacity", "metrics_window_s"):
+        for name in ("batch_window_ms", "max_queue", "default_deadline_ms",
+                     "write_timeout_s", "slo_latency_ms"):
             value = getattr(self, name)
             if not value > 0:
                 raise ConfigError(
                     f"{name} must be positive, got {value!r}", field=name)
-        if not 0 < self.slo_error_budget < 1:
+        if not 0 <= self.port <= 65535:
             raise ConfigError(
-                f"slo_error_budget must be in (0, 1), got "
-                f"{self.slo_error_budget!r}", field="slo_error_budget")
-        if self.trace_slow_ms is not None and not self.trace_slow_ms > 0:
-            raise ConfigError(
-                f"trace_slow_ms must be positive or None, got "
-                f"{self.trace_slow_ms!r}", field="trace_slow_ms")
+                f"port must be in 0..65535, got {self.port!r}",
+                field="port")
         if self.sndbuf_bytes is not None and not self.sndbuf_bytes > 0:
             raise ConfigError(
                 f"sndbuf_bytes must be positive or None, got "
                 f"{self.sndbuf_bytes!r}", field="sndbuf_bytes")
-
-
-@dataclass
-class RequestContext:
-    """What the middleware pipeline threads through one request."""
-
-    request: ParsedRequest
-    model: Classifier
-    qubit: np.ndarray
-    t0: float
-    deadline_s: float | None = None
-    labels: np.ndarray = field(default_factory=lambda: np.empty(0, int))
-    batch_size: int = 0
 
 
 class ClassifierServer:
@@ -175,30 +149,8 @@ class ClassifierServer:
         self.ledger = ledger
         self.host = self.config.host
         self.port = self.config.port
-        self.stats: dict[str, int] = {
-            "serve.connections": 0,
-            "serve.requests": 0,
-            "serve.shots": 0,
-            "serve.rejected": 0,
-            "serve.deadline_expired": 0,
-            "serve.bad_requests": 0,
-            "serve.unknown_model": 0,
-            "serve.slow_client_disconnects": 0,
-            "serve.internal_errors": 0,
-            "serve.stats_scrapes": 0,
-            "serve.slo_latency_violations": 0,
-        }
-        self.live = LiveMetrics(window_s=self.config.metrics_window_s)
-        self.slo_spec = slo_mod.SLOSpec(
-            latency_ms=self.config.slo_latency_ms,
-            error_budget=self.config.slo_error_budget)
-        self._trace_slow_ms = (
-            self.config.trace_slow_ms
-            if self.config.trace_slow_ms is not None
-            else self.config.slo_latency_ms)
-        self._sampled_traces: deque[Span] = deque(
-            maxlen=self.config.trace_capacity)
-        self._lag = LagTracker()
+        self.live = LiveMetrics()
+        self._sampled_traces: deque[Span] = deque(maxlen=TRACE_CAPACITY)
         self._counter_timeline: deque[tuple[float, dict]] = deque(
             maxlen=600)
         self._inflight = 0
@@ -208,11 +160,6 @@ class ClassifierServer:
         self._batcher: MicroBatcher | None = None
         self._observer_task: asyncio.Task | None = None
         self._conn_tasks: set[asyncio.Task] = set()
-        # telemetry(admission(deadline(batcher))) -- every request,
-        # served or rejected, crosses the same instrumented pipeline.
-        self._pipeline = self._telemetry_middleware(
-            self._admission_middleware(
-                self._deadline_middleware(self._classify)))
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -220,10 +167,7 @@ class ClassifierServer:
     async def start(self) -> None:
         cfg = self.config
         self._batcher = MicroBatcher(
-            window_s=cfg.batch_window_ms / 1e3,
-            max_batch_shots=cfg.max_batch_shots,
-            workers=cfg.predict_workers,
-            metrics=self.live)
+            window_s=cfg.batch_window_ms / 1e3, metrics=self.live)
         self._server = await asyncio.start_server(
             self._handle_connection, cfg.host, cfg.port,
             limit=MAX_LINE_BYTES)
@@ -279,7 +223,7 @@ class ClassifierServer:
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        self.stats["serve.connections"] += 1
+        self.live.connections.add()
         if self.config.sndbuf_bytes:
             sock = writer.get_extra_info("socket")
             if sock is not None:
@@ -294,7 +238,7 @@ class ClassifierServer:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    self.stats["serve.bad_requests"] += 1
+                    self.live.bad_requests.add()
                     await self._send(writer, write_lock, error_response(
                         None, ServeProtocolError(
                             f"request line exceeds {MAX_LINE_BYTES} "
@@ -343,7 +287,7 @@ class ClassifierServer:
         root.attrs.setdefault("status", "ok")
         root.attrs["latency_ms"] = round(latency_ms, 3)
         if root.attrs["status"] != "ok" \
-                or latency_ms >= self._trace_slow_ms:
+                or latency_ms >= self.config.slo_latency_ms:
             self._sampled_traces.append(root)
 
     @property
@@ -367,22 +311,25 @@ class ClassifierServer:
                 await asyncio.wait_for(
                     writer.drain(), self.config.write_timeout_s)
             except (TimeoutError, asyncio.TimeoutError, ConnectionError):
-                self.stats["serve.slow_client_disconnects"] += 1
+                self.live.slow_client_disconnects.add()
                 writer.transport.abort()
 
     async def _process(self, line: bytes
                        ) -> tuple[bytes, TraceContext | None]:
-        """Parse, pipeline, encode: every outcome becomes a response.
+        """Parse, classify, encode: every outcome becomes a response.
 
         Returns ``(payload, trace)``; the trace (classify requests
         only) is finished by the caller *after* the response write, so
         the sampled span tree covers the full server-side lifetime.
-        Admin ops answer before the pipeline -- a stats scrape is never
-        admission-rejected and never waits on a batch.
+        Admin ops answer before admission -- a stats scrape is never
+        rejected and never waits on a batch.  A request refused before
+        :meth:`_classify` is counted here; ``_classify`` counts the
+        rest.
         """
         t0 = time.perf_counter()
         req_id = None
         trace = None
+        classifying = False
         try:
             request = parse_request(line)
             req_id = request.req_id
@@ -394,36 +341,87 @@ class ClassifierServer:
                 qubit = model.resolve_qubit(request.iq, request.qubit)
             except ValidationError as exc:
                 raise ServeProtocolError(str(exc), field="qubit") from exc
-            ctx = RequestContext(request, model, qubit, t0)
-            await self._pipeline(ctx)
-        except (ServeError, ServeProtocolError) as exc:
-            code = int(getattr(exc, "code", 500))
-            key = {404: "serve.unknown_model",
-                   400: "serve.bad_requests"}.get(code)
-            if key is not None:
-                self.stats[key] += 1
-            if trace is not None:
-                trace.set(status="error", code=code)
-            return error_response(req_id, exc), trace
+            classifying = True
+            labels, batch_size = await self._classify(
+                request, model, qubit, t0)
         except Exception as exc:  # noqa: BLE001 - wire boundary
-            self.stats["serve.internal_errors"] += 1
-            self.live.errors.add()
+            if not isinstance(exc, (ServeError, ServeProtocolError)):
+                exc = ServeError(
+                    f"internal error: {type(exc).__name__}: {exc}")
+            if not classifying:
+                getattr(self.live, _REFUSALS.get(
+                    exc.code, "internal_errors")).add()
             if trace is not None:
-                trace.set(status="error", code=500)
-            return error_response(req_id, ServeError(
-                f"internal error: {type(exc).__name__}: {exc}")), trace
+                trace.set(status="error", code=exc.code)
+            return error_response(req_id, exc), trace
         trace.set(status="ok", code=200)
         return ok_response(
-            req_id, ctx.labels, model_digest=ctx.model.model_digest,
-            batch_size=ctx.batch_size,
+            req_id, labels, model_digest=model.model_digest,
+            batch_size=batch_size,
             queue_ms=(time.perf_counter() - t0) * 1e3), trace
+
+    async def _classify(self, request: ParsedRequest, model: Classifier,
+                        qubit: np.ndarray, t0: float
+                        ) -> tuple[np.ndarray, int]:
+        """Admission, deadline, micro-batcher; count the outcome once."""
+        outcome = "internal_errors"
+        try:
+            if self._inflight >= self.config.max_queue:
+                outcome = "rejected"
+                raise ServeOverloadError(
+                    f"queue full ({self.config.max_queue} requests in "
+                    f"flight); retry later")
+            self._inflight += 1
+            self.live.queue_depth.observe(self._inflight)
+            try:
+                deadline_ms = request.deadline_ms \
+                    or self.config.default_deadline_ms
+                deadline_s = t0 + deadline_ms / 1e3
+                remaining = deadline_s - time.perf_counter()
+                if remaining <= 0:
+                    raise DeadlineError(
+                        f"deadline of {deadline_ms:g} ms expired before "
+                        f"classification started")
+                try:
+                    result = await asyncio.wait_for(self._batcher.submit(
+                        request.model, model, request.iq, qubit,
+                        deadline_s, trace=request.trace), remaining)
+                except (TimeoutError, asyncio.TimeoutError):
+                    raise DeadlineError(
+                        f"deadline of {deadline_ms:g} ms expired in the "
+                        f"batch queue") from None
+            finally:
+                self._inflight -= 1
+            outcome = "requests"
+            return result
+        except DeadlineError:
+            outcome = "deadline_expired"
+            raise
+        except asyncio.CancelledError:
+            outcome = None  # server shutdown: no response, no outcome
+            raise
+        finally:
+            if outcome is not None:
+                self._count(outcome, request.n_shots, t0)
+
+    def _count(self, outcome: str, n_shots: int, t0: float) -> None:
+        """Record one classify outcome, its latency and SLO miss."""
+        live = self.live
+        now = time.time()
+        latency_ms = (time.perf_counter() - t0) * 1e3
+        getattr(live, outcome).add(now=now)
+        if outcome == "requests":
+            live.shots.add(n_shots, now=now)
+        live.latency_ms.observe(latency_ms, now)
+        if latency_ms > self.config.slo_latency_ms:
+            live.slo_latency_violations.add(now=now)
 
     # ------------------------------------------------------------------ #
     # In-band introspection + the observer task
     # ------------------------------------------------------------------ #
     def _admin_response(self, request: ParsedRequest) -> bytes:
         """Answer an admin op (only ``stats`` exists today)."""
-        self.stats["serve.stats_scrapes"] += 1
+        self.live.stats_scrapes.add()
         return stats_response(request.req_id, self.stats_snapshot())
 
     def stats_snapshot(self) -> dict:
@@ -434,6 +432,7 @@ class ClassifierServer:
         a scrape can never see a torn half-updated view.
         """
         now = time.time()
+        counters = self.live.counters()
         return {
             "endpoint": f"{self.host}:{self.port}",
             "uptime_s": round(
@@ -441,31 +440,30 @@ class ClassifierServer:
             "inflight": self._inflight,
             "max_queue": self.config.max_queue,
             "models": self.registry.digests(),
-            "counters": dict(self.stats),
+            "counters": counters,
             "window": self.live.snapshot(now),
-            "slo": self._slo_report().to_dict(),
+            "slo": self._slo_report(counters).to_dict(),
             "health": {
-                **self._lag.summary(),
+                **self.live.health(now),
                 "sampled_traces": len(self._sampled_traces),
             },
         }
 
-    def _slo_report(self) -> slo_mod.SLOReport:
-        """Grade the session-cumulative counts against the SLO spec."""
-        total = (self.stats["serve.requests"]
-                 + self.stats["serve.rejected"]
-                 + self.stats["serve.deadline_expired"]
-                 + self.stats["serve.internal_errors"])
+    def _slo_report(self, counters: dict[str, int]) -> slo_mod.SLOReport:
+        """Grade the session-cumulative counts against the objectives."""
+        def total(names: tuple[str, ...]) -> int:
+            return sum(counters[f"serve.{name}"] for name in names)
+
         return slo_mod.evaluate(
-            self.slo_spec, total=total,
-            latency_violations=self.stats["serve.slo_latency_violations"],
-            errors=(self.stats["serve.deadline_expired"]
-                    + self.stats["serve.internal_errors"]))
+            self.config.slo_latency_ms,
+            total=total(LiveMetrics.TRAFFIC),
+            latency_violations=counters["serve.slo_latency_violations"],
+            errors=total(LiveMetrics.FAILURES))
 
     async def _observe_loop(self, interval_s: float = 0.25) -> None:
         """Periodic self-observation on the serving loop itself.
 
-        Each tick measures how late the loop woke (scheduler lag -- the
+        Each tick records how late the loop woke (scheduler lag -- the
         earliest overload signal) and appends one point to the bounded
         counter timeline the Perfetto export draws as counter tracks.
         """
@@ -473,81 +471,14 @@ class ClassifierServer:
         while True:
             expected = loop.time() + interval_s
             await asyncio.sleep(interval_s)
-            self._lag.record(loop.time() - expected)
             now = time.time()
+            self.live.record_loop_lag(loop.time() - expected, now)
             self._counter_timeline.append((now, {
                 "inflight": self._inflight,
                 "requests_per_sec": round(self.live.requests.rate(now), 1),
                 "latency_p99_ms": round(
                     self.live.latency_ms.percentile(99, now), 3),
             }))
-
-    # ------------------------------------------------------------------ #
-    # The middleware pipeline
-    # ------------------------------------------------------------------ #
-    def _telemetry_middleware(self, nxt):
-        async def run(ctx: RequestContext) -> None:
-            try:
-                await nxt(ctx)
-            except ServeOverloadError:
-                self.stats["serve.rejected"] += 1
-                self.live.rejected.add()
-                raise
-            except DeadlineError:
-                self.stats["serve.deadline_expired"] += 1
-                self.live.errors.add()
-                raise
-            finally:
-                latency_ms = (time.perf_counter() - ctx.t0) * 1e3
-                self.live.requests.add()
-                self.live.latency_ms.observe(latency_ms)
-                if latency_ms > self.config.slo_latency_ms:
-                    self.stats["serve.slo_latency_violations"] += 1
-                    self.live.latency_violations.add()
-            self.stats["serve.requests"] += 1
-            self.stats["serve.shots"] += ctx.request.n_shots
-            self.live.shots.add(ctx.request.n_shots)
-
-        return run
-
-    def _admission_middleware(self, nxt):
-        async def run(ctx: RequestContext) -> None:
-            if self._inflight >= self.config.max_queue:
-                raise ServeOverloadError(
-                    f"queue full ({self.config.max_queue} requests in "
-                    f"flight); retry later")
-            self._inflight += 1
-            self.live.queue_depth.observe(self._inflight)
-            try:
-                await nxt(ctx)
-            finally:
-                self._inflight -= 1
-
-        return run
-
-    def _deadline_middleware(self, nxt):
-        async def run(ctx: RequestContext) -> None:
-            deadline_ms = ctx.request.deadline_ms \
-                or self.config.default_deadline_ms
-            ctx.deadline_s = ctx.t0 + deadline_ms / 1e3
-            remaining = ctx.deadline_s - time.perf_counter()
-            if remaining <= 0:
-                raise DeadlineError(
-                    f"deadline of {deadline_ms:g} ms expired before "
-                    f"classification started")
-            try:
-                await asyncio.wait_for(nxt(ctx), remaining)
-            except (TimeoutError, asyncio.TimeoutError):
-                raise DeadlineError(
-                    f"deadline of {deadline_ms:g} ms expired in the "
-                    f"batch queue") from None
-
-        return run
-
-    async def _classify(self, ctx: RequestContext) -> None:
-        ctx.labels, ctx.batch_size = await self._batcher.submit(
-            ctx.request.model, ctx.model, ctx.request.iq, ctx.qubit,
-            ctx.deadline_s, trace=ctx.request.trace)
 
     # ------------------------------------------------------------------ #
     # Session provenance
@@ -562,20 +493,23 @@ class ClassifierServer:
         serving sessions exactly as it gates on experiment fidelity.
         """
         wall_s = max(time.perf_counter() - self._started_s, 1e-9)
-        lat = self.live.latency_ms
-        metrics: dict[str, float] = dict(self.stats)
-        metrics["serve.batches"] = \
-            self._batcher.batches if self._batcher else 0
+        live = self.live
+        lat = live.latency_ms
+        counters = live.counters()
+        metrics: dict[str, float] = dict(counters)
+        metrics["serve.batches"] = live.batch_requests.count
         metrics["serve.shots_per_sec"] = \
-            round(self.stats["serve.shots"] / wall_s, 1)
+            round(counters["serve.shots"] / wall_s, 1)
         if lat.count:
             metrics["serve.latency_p50_ms"] = \
                 round(lat.cumulative_percentile(50), 3)
             metrics["serve.latency_p99_ms"] = \
                 round(lat.cumulative_percentile(99), 3)
-        metrics.update(self.live.record_summaries())
-        slo_report = self._slo_report()
+        metrics.update(live.record_summaries())
+        slo_report = self._slo_report(counters)
         metrics.update(slo_report.metrics())
+        spec = {"latency_ms": self.config.slo_latency_ms,
+                "error_budget": slo_mod.ERROR_BUDGET}
         return RunRecord(
             experiment="serve",
             kind="serve",
@@ -584,12 +518,11 @@ class ClassifierServer:
             telemetry={"models": self.registry.digests(),
                        "config": {
                            "batch_window_ms": self.config.batch_window_ms,
-                           "max_batch_shots": self.config.max_batch_shots,
+                           "max_batch_shots": MAX_BATCH_SHOTS,
                            "max_queue": self.config.max_queue,
                        },
-                       "slo": {"spec": self.slo_spec.to_dict(),
-                               **slo_report.to_dict()},
-                       "health": self._lag.summary()},
+                       "slo": {"spec": spec, **slo_report.to_dict()},
+                       "health": live.health()},
             metrics=metrics,
             fidelity={"kind": "slo", **slo_report.to_dict()},
         )

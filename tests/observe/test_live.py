@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.observe.live import (
-    LagTracker,
     LiveMetrics,
     RollingCounter,
     RollingHistogram,
@@ -261,38 +260,51 @@ class TestTraceContext:
 
 
 # ---------------------------------------------------------------------- #
-# LagTracker: event-loop tick lateness
+# Event-loop lag: LiveMetrics.loop_lag_ms and the health summary
 # ---------------------------------------------------------------------- #
 class TestLagTracker:
+    """Observer-tick lateness lands in the ``loop_lag_ms`` rolling
+    histogram; :meth:`LiveMetrics.health` reports it."""
+
     def test_summary_percentiles(self):
-        tracker = LagTracker(capacity=100)
+        live = LiveMetrics()
         for lag_ms in range(1, 101):  # 1..100 ms
-            tracker.record(lag_ms / 1e3)
-        s = tracker.summary()
+            live.record_loop_lag(lag_ms / 1e3, now=T0)
+        s = live.health(now=T0)
+        assert set(s) == {"ticks", "loop_lag_p99_ms", "loop_lag_max_ms"}
         assert s["ticks"] == 100
-        assert s["loop_lag_last_ms"] == pytest.approx(100.0)
-        assert s["loop_lag_max_ms"] == pytest.approx(100.0)
-        assert s["loop_lag_p99_ms"] == pytest.approx(99.0, abs=2.0)
+        assert live.loop_lag_ms.count == 100
+        # Both read the window's bins: exact to within one bin.
+        assert s["loop_lag_max_ms"] == pytest.approx(100.0, rel=0.05)
+        assert s["loop_lag_p99_ms"] == pytest.approx(99.0, rel=0.05)
 
     def test_empty(self):
-        assert LagTracker().summary() == {"ticks": 0}
+        assert LiveMetrics().health() == {"ticks": 0}
 
     def test_bounded_ring_keeps_recent(self):
-        tracker = LagTracker(capacity=4)
-        for lag_s in (1.0, 1.0, 1.0, 1.0, 0.001, 0.001, 0.001, 0.001):
-            tracker.record(lag_s)
-        s = tracker.summary()
+        """p99 and max cover the window: old stalls age out of the
+        fixed ring of slots while ``ticks`` keeps counting."""
+        live = LiveMetrics(window_s=10.0)
+        for _ in range(4):
+            live.record_loop_lag(1.0, now=T0)
+        for _ in range(4):
+            live.record_loop_lag(0.001, now=T0 + 20.0)
+        s = live.health(now=T0 + 20.0)
         assert s["ticks"] == 8
         assert s["loop_lag_max_ms"] == pytest.approx(1.0, rel=0.1)
+        assert s["loop_lag_p99_ms"] == pytest.approx(1.0, rel=0.1)
 
     def test_negative_lag_clamps_to_zero(self):
-        tracker = LagTracker()
-        tracker.record(-0.5)
-        assert tracker.summary()["loop_lag_last_ms"] == 0.0
+        live = LiveMetrics()
+        live.record_loop_lag(-0.5, now=T0)
+        s = live.health(now=T0)
+        assert s["ticks"] == 1
+        assert s["loop_lag_max_ms"] == 0.0
+        assert s["loop_lag_p99_ms"] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LagTracker(capacity=0)
+            LiveMetrics(window_s=0.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -316,6 +328,26 @@ class TestLiveMetrics:
         assert snap["latency_p50_ms"] == pytest.approx(5.0, rel=0.05)
         assert snap["queue_depth_p99"] == pytest.approx(3.0, rel=0.2)
         assert snap["batch_shots_p50"] == pytest.approx(4096, rel=0.05)
+
+    def test_counters_and_window_sums(self):
+        live = LiveMetrics(window_s=10.0)
+        for name, n in (("requests", 5), ("rejected", 2),
+                        ("deadline_expired", 1), ("internal_errors", 1),
+                        ("bad_requests", 3), ("stats_scrapes", 4)):
+            getattr(live, name).add(n, now=T0)
+        counters = live.counters()
+        assert list(counters) == [f"serve.{n}" for n in LiveMetrics.COUNTERS]
+        assert len(counters) == 11
+        assert counters["serve.requests"] == 5
+        assert counters["serve.bad_requests"] == 3
+        snap = live.snapshot(now=T0)
+        # Traffic is served + rejected + expired + failed; 4xx client
+        # mistakes and scrapes are not.
+        assert snap["requests"] == 5 + 2 + 1 + 1
+        assert snap["errors"] == 1 + 1
+        assert snap["rejected"] == 2
+        assert live.snapshot(now=T0 + 11.0)["requests"] == 0
+        assert live.counters()["serve.requests"] == 5
 
     def test_record_summaries(self):
         live = LiveMetrics()

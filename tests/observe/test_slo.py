@@ -4,39 +4,30 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.observe.slo import (
     DECOHERENCE_BUDGET_MS,
     DEFAULT_LATENCY_MS,
-    SLOSpec,
+    ERROR_BUDGET,
+    FAST_BURN,
     evaluate,
 )
 from repro.provenance.fidelity import FAIL, PASS, WARN
 
 
 def test_default_spec_is_the_paper_budget():
-    spec = SLOSpec()
     # 110 us decoherence budget x the serving benchmark's wire scale.
     assert DECOHERENCE_BUDGET_MS == pytest.approx(0.110)
-    assert spec.latency_ms == pytest.approx(DEFAULT_LATENCY_MS) == 110.0
-    assert spec.error_budget == 0.01
-    assert spec.to_dict() == {"latency_ms": 110.0, "error_budget": 0.01}
-
-
-@pytest.mark.parametrize("kwargs, field", [
-    ({"latency_ms": 0.0}, "latency_ms"),
-    ({"latency_ms": -1.0}, "latency_ms"),
-    ({"error_budget": 0.0}, "error_budget"),
-    ({"error_budget": 1.0}, "error_budget"),
-])
-def test_spec_validation(kwargs, field):
-    with pytest.raises(ConfigError) as err:
-        SLOSpec(**kwargs)
-    assert err.value.field == field
+    assert DEFAULT_LATENCY_MS == pytest.approx(110.0)
+    assert ERROR_BUDGET == 0.01
+    assert FAST_BURN == 2.0
+    report = evaluate(DEFAULT_LATENCY_MS, total=1, latency_violations=0,
+                      errors=0)
+    assert report.checks[0]["objective"] == "p(latency > 110 ms) <= 0.01"
 
 
 def test_zero_traffic_passes_with_zero_burn():
-    report = evaluate(SLOSpec(), total=0, latency_violations=0, errors=0)
+    report = evaluate(DEFAULT_LATENCY_MS, total=0, latency_violations=0,
+                      errors=0)
     assert report.verdict == PASS
     assert all(c["burn_rate"] == 0.0 for c in report.checks)
     assert report.total == 0
@@ -44,8 +35,8 @@ def test_zero_traffic_passes_with_zero_burn():
 
 def test_burn_rate_is_fraction_over_budget():
     # 30 of 1000 slow with a 1% budget: burn 3.0 -> past FAST_BURN.
-    report = evaluate(SLOSpec(), total=1000, latency_violations=30,
-                      errors=0)
+    report = evaluate(DEFAULT_LATENCY_MS, total=1000,
+                      latency_violations=30, errors=0)
     latency = report.checks[0]
     assert latency["name"] == "latency"
     assert latency["fraction"] == pytest.approx(0.03)
@@ -55,7 +46,6 @@ def test_burn_rate_is_fraction_over_budget():
 
 
 def test_grading_boundaries():
-    spec = SLOSpec()  # budget 0.01, FAST_BURN 2.0
     cases = [
         (10, PASS),   # burn exactly 1.0 -> budget holds
         (15, WARN),   # burn 1.5 -> burning, not gone
@@ -63,13 +53,13 @@ def test_grading_boundaries():
         (21, FAIL),   # past FAST_BURN
     ]
     for bad, expected in cases:
-        report = evaluate(spec, total=1000, latency_violations=bad,
-                          errors=0)
+        report = evaluate(DEFAULT_LATENCY_MS, total=1000,
+                          latency_violations=bad, errors=0)
         assert report.checks[0]["status"] == expected, bad
 
 
 def test_verdict_is_worst_check():
-    report = evaluate(SLOSpec(), total=1000, latency_violations=0,
+    report = evaluate(DEFAULT_LATENCY_MS, total=1000, latency_violations=0,
                       errors=50)
     assert report.checks[0]["status"] == PASS
     assert report.checks[1]["status"] == FAIL
@@ -77,7 +67,7 @@ def test_verdict_is_worst_check():
 
 
 def test_metrics_and_dict_round_trip():
-    report = evaluate(SLOSpec(), total=200, latency_violations=2,
+    report = evaluate(DEFAULT_LATENCY_MS, total=200, latency_violations=2,
                       errors=1)
     metrics = report.metrics()
     assert metrics["serve.slo_latency_burn_rate"] == pytest.approx(1.0)
@@ -86,11 +76,3 @@ def test_metrics_and_dict_round_trip():
     assert doc["verdict"] == report.verdict
     assert [c["name"] for c in doc["checks"]] == ["latency", "errors"]
     assert doc["total"] == 200
-
-
-def test_custom_fast_burn_threshold():
-    report = evaluate(SLOSpec(), total=100, latency_violations=5,
-                      errors=0, fast_burn=10.0)
-    # burn 5.0 would FAIL at the default threshold; WARN under 10x.
-    assert report.checks[0]["burn_rate"] == pytest.approx(5.0)
-    assert report.checks[0]["status"] == WARN

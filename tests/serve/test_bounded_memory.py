@@ -24,9 +24,9 @@ from repro.serve import ModelRegistry, ServeClient, ServeConfig, ServerThread
 WARM_REQUESTS = 400
 PROBE_REQUESTS = 1000
 BURST = 8
-#: Retained-growth budget for the probe.  The bounded rings that are
-#: still filling (the observer's loop-lag and counter timelines) take a
-#: few KB; a per-request record of 16 bytes or more would exceed it.
+#: Retained-growth budget for the probe.  The bounded ring that is
+#: still filling (the observer's counter timeline) takes a few KB; a
+#: per-request record of 16 bytes or more would exceed it.
 GROWTH_BOUND_BYTES = 16 * 1024
 _REPRO_FILES = tracemalloc.Filter(True, os.path.join("*", "repro", "*"))
 
@@ -70,10 +70,10 @@ def _repro_bytes() -> int:
                          indirect=True)
 def test_retained_memory_is_bounded(registry, telemetry_state):
     points = np.random.default_rng(17).normal(size=(48, 2))
-    # Slow-request traces are kept in a ring of ``trace_capacity``
-    # entries whose fill depends on machine load; a threshold no
-    # request reaches keeps that ring out of the probe.
-    config = ServeConfig(batch_window_ms=1.0, trace_slow_ms=1e6)
+    # Slow-request traces are kept in a ring of ``TRACE_CAPACITY``
+    # entries whose fill depends on machine load; a latency objective
+    # no request misses keeps that ring out of the probe.
+    config = ServeConfig(batch_window_ms=1.0, slo_latency_ms=1e6)
     with ServerThread(registry, config) as handle, \
             ServeClient(handle.host, handle.port) as client:
         _drive(client, points, WARM_REQUESTS)
@@ -85,7 +85,7 @@ def test_retained_memory_is_bounded(registry, telemetry_state):
             after = _repro_bytes()
         finally:
             tracemalloc.stop()
-        served = handle.server.stats["serve.requests"]
+        served = handle.server.live.requests.total
     assert served == WARM_REQUESTS + PROBE_REQUESTS
     growth = after - before
     assert growth < GROWTH_BOUND_BYTES, (

@@ -77,6 +77,76 @@ class TestStatsOp:
         assert snap["inflight"] == 0
         assert snap["max_queue"] == 64
 
+    def test_mixed_outcomes_are_counted_once(self, registry, points):
+        """2 served, one 429, one 408, one 400, one 404 and a scrape in
+        one session: the window, the SLO total, the counters and the
+        session record all read the same store."""
+        import threading
+        import time as _time
+
+        from repro.errors import (
+            DeadlineError,
+            ServeOverloadError,
+            ServeProtocolError,
+        )
+        model = registry.get("knn")
+        base = model.predict
+
+        def slow_predict(iq, qubit=None):
+            _time.sleep(0.5)
+            return base(iq, qubit=qubit)
+
+        model.predict = slow_predict
+        try:
+            config = ServeConfig(max_queue=1, batch_window_ms=1.0,
+                                 default_deadline_ms=10_000.0)
+            with ServerThread(ModelRegistry({"knn": model}), config) \
+                    as handle, ServeClient(handle.host, handle.port) \
+                    as client:
+                def hold():
+                    with ServeClient(handle.host, handle.port) as other:
+                        other.classify("knn", points)
+
+                holder = threading.Thread(target=hold)
+                holder.start()
+                deadline = _time.monotonic() + 5.0
+                while (_time.monotonic() < deadline
+                       and handle.server._inflight < 1):
+                    _time.sleep(0.005)
+                with pytest.raises(ServeOverloadError):
+                    client.classify("knn", points)
+                holder.join(timeout=10)
+                assert not holder.is_alive()
+                client.classify("knn", points)
+                with pytest.raises(DeadlineError):
+                    client.classify("knn", points, deadline_ms=1e-6)
+                with pytest.raises(ServeProtocolError) as err:
+                    client.classify("nope", points)
+                assert err.value.code == 404
+                with pytest.raises(ServeProtocolError) as err:
+                    client.classify("knn", points[:, :1])
+                assert err.value.code == 400
+                snap = client.stats()
+            record = handle.record
+        finally:
+            model.predict = base
+
+        c = snap["counters"]
+        assert (c["serve.requests"], c["serve.rejected"],
+                c["serve.deadline_expired"], c["serve.bad_requests"],
+                c["serve.unknown_model"], c["serve.internal_errors"],
+                c["serve.stats_scrapes"]) == (2, 1, 1, 1, 1, 0, 1)
+        traffic = (c["serve.requests"] + c["serve.rejected"]
+                   + c["serve.deadline_expired"]
+                   + c["serve.internal_errors"])
+        assert snap["window"]["requests"] == snap["slo"]["total"] \
+            == traffic == 4
+        assert snap["window"]["errors"] == 1
+        assert snap["window"]["rejected"] == 1
+        assert {k: record.metrics[k] for k in c} == c
+        assert record.metrics["serve.batches"] \
+            == handle.server.live.batch_requests.count == 2
+
     def test_scrape_does_not_count_as_traffic(self, registry):
         with ServerThread(registry, ServeConfig()) as handle:
             with ServeClient(handle.host, handle.port) as client:
@@ -157,9 +227,9 @@ class TestStatsOp:
 # ---------------------------------------------------------------------- #
 class TestTailSampling:
     def test_slow_request_keeps_full_span_chain(self, registry, points):
-        """trace_slow_ms ~ 0 samples everything: each kept tree carries
-        the queue -> batch -> predict -> write chain in order."""
-        config = ServeConfig(batch_window_ms=1.0, trace_slow_ms=1e-6)
+        """A latency objective ~ 0 samples everything: each kept tree
+        carries the queue -> batch -> predict -> write chain in order."""
+        config = ServeConfig(batch_window_ms=1.0, slo_latency_ms=1e-6)
         with ServerThread(registry, config) as handle:
             with ServeClient(handle.host, handle.port) as client:
                 client.classify("knn", points)
@@ -183,7 +253,7 @@ class TestTailSampling:
     def test_fast_requests_are_not_sampled(self, registry, points):
         import time as _time
 
-        config = ServeConfig(batch_window_ms=1.0, trace_slow_ms=60_000.0)
+        config = ServeConfig(batch_window_ms=1.0, slo_latency_ms=60_000.0)
         with ServerThread(registry, config) as handle:
             with ServeClient(handle.host, handle.port) as client:
                 for _ in range(5):
@@ -194,7 +264,7 @@ class TestTailSampling:
     def test_failed_requests_are_always_sampled(self, registry, points):
         from repro.errors import DeadlineError
 
-        config = ServeConfig(batch_window_ms=1.0, trace_slow_ms=60_000.0)
+        config = ServeConfig(batch_window_ms=1.0, slo_latency_ms=60_000.0)
         with ServerThread(registry, config) as handle:
             with ServeClient(handle.host, handle.port) as client:
                 with pytest.raises(DeadlineError):
@@ -205,19 +275,21 @@ class TestTailSampling:
         assert traces[0].attrs["code"] == 408
 
     def test_sample_buffer_is_bounded(self, registry, points):
-        config = ServeConfig(batch_window_ms=1.0, trace_slow_ms=1e-6,
-                             trace_capacity=3)
+        from repro.serve.server import TRACE_CAPACITY
+
+        config = ServeConfig(batch_window_ms=1.0, slo_latency_ms=1e-6)
         with ServerThread(registry, config) as handle:
             with ServeClient(handle.host, handle.port) as client:
-                for _ in range(10):
+                for _ in range(TRACE_CAPACITY + 6):
                     client.classify("knn", points)
-            assert len(_sampled(handle, 3)) == 3
+            traces = _sampled(handle, TRACE_CAPACITY)
+            assert len(traces) == TRACE_CAPACITY
 
     def test_sampled_trace_exports_to_perfetto(self, registry, points,
                                                tmp_path):
         from repro.observe import write_chrome_trace
 
-        config = ServeConfig(batch_window_ms=1.0, trace_slow_ms=1e-6)
+        config = ServeConfig(batch_window_ms=1.0, slo_latency_ms=1e-6)
         with ServerThread(registry, config) as handle:
             with ServeClient(handle.host, handle.port) as client:
                 client.classify("knn", points)
@@ -340,8 +412,11 @@ class TestObserverAndCLI:
             with ServeClient(handle.host, handle.port) as client:
                 snap = client.stats()
             timeline = handle.server.counter_timeline()
-        assert snap["health"]["ticks"] >= 1
-        assert "loop_lag_p99_ms" in snap["health"]
+        health = snap["health"]
+        assert health["ticks"] >= 1
+        assert set(health) == {"ticks", "loop_lag_p99_ms",
+                               "loop_lag_max_ms", "sampled_traces"}
+        assert health["loop_lag_max_ms"] >= health["loop_lag_p99_ms"] >= 0
         assert timeline, "observer recorded no counter points"
         wall, values = timeline[-1]
         assert {"inflight", "requests_per_sec",
