@@ -19,17 +19,25 @@ Each stage runs a bounded trust-region least-squares fit
 (:func:`scipy.optimize.least_squares`) on log-current residuals, touching
 only its own parameters; later stages therefore refine on top of earlier
 ones exactly like the manual flow the paper describes.
+
+A residual evaluation is one stacked compact-model call
+(:func:`~repro.device.finfet.stack_models`, the SPICE engine's evaluator)
+per temperature, and so is each finite-difference Jacobian: scipy hands
+every perturbed parameter set to the ``workers`` map at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from repro.device.finfet import FinFET
+from repro import telemetry
+from repro.device.finfet import FinFET, stack_models
 from repro.device.measurement import (
     IVCurve,
     IVDataset,
@@ -178,6 +186,15 @@ class _StageSpec:
     current_hi: float
 
 
+class _Window(NamedTuple):
+    """One temperature's masked fit points and measured log10 currents."""
+
+    temperature_k: float
+    vgs: np.ndarray
+    vds: np.ndarray
+    target: np.ndarray
+
+
 _ROOM = 300.0
 _STAGE_SPECS: tuple[_StageSpec, ...] = (
     _StageSpec("subthreshold", _ROOM, True, False, False, 1e-11, 3e-7),
@@ -247,25 +264,54 @@ class Calibrator:
                 curves.extend(self.dataset.outputs(t))
         return curves
 
+    def _stage_data(self, spec: _StageSpec) -> list[_Window]:
+        """The stage's fit window, grouped by temperature in curve order.
+
+        The mask depends only on the measurement, so each temperature's
+        masked bias points and measured log-currents are fixed for the
+        stage and computed once.
+        """
+        windows: list[_Window] = []
+        curves = self._stage_curves(spec)
+        for temperature_k, group in groupby(curves, lambda c: c.temperature_k):
+            vgs, vds, target = [], [], []
+            for curve in group:
+                mag = np.abs(curve.ids)
+                mask = (mag >= spec.current_lo) & (mag <= spec.current_hi)
+                vgs.append(curve.vgs[mask])
+                vds.append(curve.vds[mask])
+                target.append(np.log10(mag[mask] + LOG_FLOOR))
+            target = np.concatenate(target)
+            if len(target):
+                windows.append(_Window(temperature_k, np.concatenate(vgs),
+                                       np.concatenate(vds), target))
+        return windows
+
     def _residuals(
-        self, params: FinFETParams, curves: list[IVCurve], spec: _StageSpec
-    ) -> np.ndarray:
-        """Log-current residual vector over the stage's fit window."""
-        device = FinFET(params)
-        chunks: list[np.ndarray] = []
-        for curve in curves:
-            ids_model = device.ids(curve.vgs, curve.vds, curve.temperature_k)
-            mag = np.abs(curve.ids)
-            mask = (mag >= spec.current_lo) & (mag <= spec.current_hi)
-            if not mask.any():
-                continue
-            r = np.log10(np.abs(ids_model[mask]) + LOG_FLOOR) - np.log10(
-                mag[mask] + LOG_FLOOR
+        self, params_list: list[FinFETParams], windows: list[_Window]
+    ) -> list[np.ndarray]:
+        """Log-current residual vector of each parameter set.
+
+        One stacked model call per temperature evaluates every set on the
+        tiled window; rows keep the per-curve order.
+        """
+        k = len(params_list)
+        if not windows:
+            return [np.zeros(1) for _ in range(k)]
+        models = [FinFET(p) for p in params_list]
+        blocks = []
+        for w in windows:
+            n = len(w.target)
+            ids = stack_models(models, [n] * k).ids(
+                np.tile(w.vgs, k), np.tile(w.vds, k), w.temperature_k
             )
-            chunks.append(r)
-        if not chunks:
-            return np.zeros(1)
-        return np.concatenate(chunks)
+            blocks.append(
+                np.log10(np.abs(ids).reshape(k, n) + LOG_FLOOR) - w.target
+            )
+        rows = np.concatenate(blocks, axis=1)
+        telemetry.count("device.model_calls", len(windows))
+        telemetry.count("device.residual_rows", rows.size)
+        return list(rows)
 
     def _run_stage(
         self, params: FinFETParams, spec: _StageSpec
@@ -273,7 +319,7 @@ class Calibrator:
         names = [
             n for n in STAGE_PARAMETERS[spec.name] if n in self.bounds
         ]
-        curves = self._stage_curves(spec)
+        windows = self._stage_data(spec)
         bounds = [self.bounds[n] for n in names]
         x0 = np.array(
             [b.encode(float(getattr(params, n))) for n, b in zip(names, bounds)]
@@ -284,18 +330,19 @@ class Calibrator:
         x0 = np.clip(x0, lo + 1e-9, hi - 1e-9)
         n_evals = 0
 
-        def objective(x: np.ndarray) -> np.ndarray:
+        def evaluate(xs) -> list[np.ndarray]:
             nonlocal n_evals
-            n_evals += 1
-            trial = params.copy(
-                **{n: b.decode(v) for n, b, v in zip(names, bounds, x)}
-            )
-            return self._residuals(trial, curves, spec)
+            trials = [
+                params.copy(**{n: b.decode(v) for n, b, v in zip(names, bounds, x)})
+                for x in xs
+            ]
+            n_evals += len(trials)
+            return self._residuals(trials, windows)
 
-        r0 = objective(x0)
+        r0 = evaluate([x0])[0]
         cost_before = float(np.sqrt(np.mean(r0**2)))
         sol = least_squares(
-            objective,
+            lambda x: evaluate([x])[0],
             x0,
             bounds=(lo, hi),
             method="trf",
@@ -303,6 +350,9 @@ class Calibrator:
             xtol=1e-10,
             ftol=1e-10,
             max_nfev=400,
+            # The finite-difference Jacobian maps over every perturbed x;
+            # scipy still picks the steps and forms the differences.
+            workers=lambda fun, xs: evaluate(xs),
         )
         fitted = params.copy(
             **{n: b.decode(v) for n, b, v in zip(names, bounds, sol.x)}
@@ -329,13 +379,14 @@ class Calibrator:
         wanted = set(stages) if stages is not None else None
         params = self.initial
         results: list[StageResult] = []
-        for spec in _STAGE_SPECS:
-            if wanted is not None and spec.name not in wanted:
-                continue
-            params, stage_result = self._run_stage(params, spec)
-            results.append(stage_result)
-
-        validation = self.validate(params)
+        with telemetry.span("device.calibrate", polarity=self.initial.polarity):
+            for spec in _STAGE_SPECS:
+                if wanted is not None and spec.name not in wanted:
+                    continue
+                with telemetry.span("device.calibrate_stage", stage=spec.name):
+                    params, stage_result = self._run_stage(params, spec)
+                results.append(stage_result)
+            validation = self.validate(params)
         return CalibrationResult(params=params, stages=results, validation=validation)
 
     def validate(self, params: FinFETParams) -> dict[str, float]:

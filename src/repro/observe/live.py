@@ -63,6 +63,15 @@ DEFAULT_WINDOW_S = 10.0
 DEFAULT_SLOTS = 10
 
 
+def _slot_seconds(window_s: float, slots: int) -> float:
+    """Length of one ring slot; the window and slot count must be positive."""
+    if not window_s > 0:
+        raise ValueError(f"window_s must be positive, got {window_s!r}")
+    if not slots >= 1:
+        raise ValueError(f"slots must be at least 1, got {slots!r}")
+    return window_s / slots
+
+
 class RollingCounter:
     """A monotonic count with a fixed-memory rolling-window rate.
 
@@ -75,11 +84,7 @@ class RollingCounter:
 
     def __init__(self, window_s: float = DEFAULT_WINDOW_S,
                  slots: int = DEFAULT_SLOTS):
-        if not window_s > 0 or not slots > 0:
-            raise ValueError(
-                f"window_s and slots must be positive, got "
-                f"{window_s!r}/{slots!r}")
-        self.slot_s = window_s / slots
+        self.slot_s = _slot_seconds(window_s, slots)
         self.slots = slots
         self.total = 0
         self._counts = [0] * slots
@@ -132,8 +137,8 @@ class RollingHistogram(Histogram):
 
     def __init__(self, *, window_s: float = DEFAULT_WINDOW_S,
                  slots: int = DEFAULT_SLOTS, **geometry):
+        self.slot_s = _slot_seconds(window_s, slots)
         super().__init__(**geometry)
-        self.slot_s = window_s / slots
         self.slots = slots
         self._ring = np.zeros((slots, len(self._bins)), dtype=np.int64)
         self._stamps = [-1] * slots

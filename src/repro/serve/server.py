@@ -218,6 +218,11 @@ class ClassifierServer:
         self._conn_tasks.add(conn_task)
         try:
             await self._serve_connection(reader, writer)
+        except asyncio.CancelledError:
+            # Connections are cancelled only at shutdown (stop()).  Ending
+            # normally keeps asyncio's stream callback, which calls
+            # task.exception() on Python 3.11, from logging the cancel.
+            pass
         finally:
             self._conn_tasks.discard(conn_task)
 

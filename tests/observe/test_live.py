@@ -46,9 +46,9 @@ class TestRollingCounter:
         assert counter.total == 12
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="window_s .* 0.0"):
             RollingCounter(window_s=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="slots .* 0"):
             RollingCounter(slots=0)
 
 
@@ -186,6 +186,16 @@ class TestRollingHistogram:
         assert summary["max"] == 4.0
         assert set(summary) == {"count", "total", "mean", "min", "max",
                                 "p50", "p95", "p99"}
+
+    def test_rejects_empty_ring(self):
+        with pytest.raises(ValueError, match="slots must be at least 1, got 0"):
+            RollingHistogram(slots=0)
+
+    def test_rejects_non_positive_window(self):
+        with pytest.raises(ValueError, match="window_s must be positive, got 0.0"):
+            RollingHistogram(window_s=0.0)
+        with pytest.raises(ValueError, match="window_s must be positive, got -1"):
+            RollingHistogram(window_s=-1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
