@@ -330,12 +330,14 @@ class Calibrator:
         x0 = np.clip(x0, lo + 1e-9, hi - 1e-9)
         n_evals = 0
 
+        def trial(x: np.ndarray) -> FinFETParams:
+            return params.copy(
+                **{n: b.decode(v) for n, b, v in zip(names, bounds, x)}
+            )
+
         def evaluate(xs) -> list[np.ndarray]:
             nonlocal n_evals
-            trials = [
-                params.copy(**{n: b.decode(v) for n, b, v in zip(names, bounds, x)})
-                for x in xs
-            ]
+            trials = [trial(x) for x in xs]
             n_evals += len(trials)
             return self._residuals(trials, windows)
 
@@ -354,9 +356,7 @@ class Calibrator:
             # scipy still picks the steps and forms the differences.
             workers=lambda fun, xs: evaluate(xs),
         )
-        fitted = params.copy(
-            **{n: b.decode(v) for n, b, v in zip(names, bounds, sol.x)}
-        )
+        fitted = trial(sol.x)
         cost_after = float(np.sqrt(np.mean(sol.fun**2)))
         result = StageResult(
             name=spec.name,
