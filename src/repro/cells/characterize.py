@@ -91,10 +91,11 @@ class TechModels:
 
     Device instances are memoized per (polarity, nfin): every SPICE
     table point of a library build then shares one :class:`FinFET` per
-    sizing, so the model's temperature-derived cache (vth/vsat/mobility
-    terms keyed by ``(id(params), temperature_k)``) is warm across all
-    slew/load points and cells, and the MNA kernel batches all
-    same-sized transistors of a netlist into one compact-model call.
+    sizing, so the analytic engine's per-device temperature cache
+    (vth/vsat/mobility terms, computed once per temperature) is warm
+    across all slew/load points and cells, and the MNA kernel groups all
+    same-sized transistors of a netlist under one model in its stacked
+    parameter table.
     """
 
     nfet: FinFETParams

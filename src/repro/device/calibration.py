@@ -20,9 +20,9 @@ Each stage runs a bounded trust-region least-squares fit
 only its own parameters; later stages therefore refine on top of earlier
 ones exactly like the manual flow the paper describes.
 
-A residual evaluation is one stacked compact-model call
-(:func:`~repro.device.finfet.stack_models`, the SPICE engine's evaluator)
-per temperature, and so is each finite-difference Jacobian: scipy hands
+A residual evaluation is one compact-model call per temperature on the
+parameter table of :func:`~repro.device.finfet.stack_models` (one
+:class:`~repro.device.finfet.FinFET`, as in the SPICE engine), and so is each finite-difference Jacobian: scipy hands
 every perturbed parameter set to the ``workers`` map at once.
 """
 

@@ -29,6 +29,7 @@ in conduction), matching SPICE conventions.
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -42,8 +43,9 @@ from repro.device.mobility import (
 from repro.device.params import FinFETParams
 from repro.device.thermal import (
     cooldown_fraction,
+    effective_thermal_voltage,
     subthreshold_slope_factor,
-    thermal_state,
+    threshold_voltage,
 )
 
 __all__ = ["FinFET", "normalized_charge", "stack_models"]
@@ -105,35 +107,37 @@ def normalized_charge(u: np.ndarray) -> np.ndarray:
 
 
 class _TempDerived(NamedTuple):
-    """Per-(params, temperature) model quantities cached by :class:`FinFET`.
+    """Temperature-derived model quantities cached by :class:`FinFET`.
 
-    Everything here depends only on the parameter record and the lattice
+    Everything here depends only on the parameters and the lattice
     temperature -- which a circuit fixes for a whole solve -- so the
-    Newton inner loop should never recompute it per ``ids`` call.
+    Newton inner loop should never recompute it per ``ids`` call.  Each
+    field is a scalar for one parameter record and a per-device array for
+    a stacked parameter table.
     """
 
-    vt: float
+    vt: np.ndarray | float
     """Effective thermal voltage k*T_eff/q in V."""
-    vth0: float
+    vth0: np.ndarray | float
     """Zero-bias threshold-voltage magnitude in V."""
-    vsat: float
+    vsat: np.ndarray | float
     """Saturation velocity after its temperature law in m/s."""
-    mexp: float
+    mexp: np.ndarray | float
     """Vdseff smoothing exponent after its temperature law."""
-    ksativ: float
+    ksativ: np.ndarray | float
     """Pinch-off (Vdsat) scaling after its temperature law."""
-    u0: float
+    u0: np.ndarray | float
     """Low-field mobility U0(T) in m^2/Vs."""
-    ua: float
+    ua: np.ndarray | float
     """Surface-roughness degradation coefficient UA(T)."""
-    ud: float
+    ud: np.ndarray | float
     """Coulomb-scattering degradation coefficient UD(T)."""
-    eu: float
+    eu: np.ndarray | float
     """Roughness exponent EU(T)."""
 
 
 class FinFET:
-    """Evaluable FinFET device bound to a parameter set.
+    """Evaluable FinFET device (or batch of devices) bound to parameters.
 
     The heavy lifting happens in :meth:`ids`; everything else (conductances,
     capacitances, curve helpers) derives from it.
@@ -141,89 +145,49 @@ class FinFET:
     Parameters
     ----------
     params:
-        The device parameter record.  ``params.polarity`` selects n/p
-        behaviour; ``params.nfin`` multiplies current and capacitance.
+        A :class:`FinFETParams` record, or the per-device parameter table
+        built by :func:`stack_models`.  ``params.sign`` (+1 n, -1 p)
+        mirrors biases and current; ``params.nfin`` multiplies current and
+        capacitance.  The model equations are elementwise, so a table
+        evaluates each device exactly as its own record would.
     """
 
-    def __init__(self, params: FinFETParams):
+    def __init__(self, params: FinFETParams | SimpleNamespace):
         self.params = params
-        # (id(params), temperature_k) -> (_TempDerived, params).  The
-        # params object is pinned in the value so a dead record's id
-        # cannot be recycled into a stale hit; a mutated-in-place params
-        # record is the one (documented) way to invalidate by hand:
-        # ``fet.invalidate_cache()``.
-        self._derived_cache: dict[tuple[int, float],
-                                  tuple[_TempDerived, FinFETParams]] = {}
+        self._by_temperature: dict[float, _TempDerived] = {}
 
-    # ------------------------------------------------------------------ #
-    # Temperature-derived cache
-    # ------------------------------------------------------------------ #
     def _derived(self, temperature_k: float) -> _TempDerived:
-        """Temperature-derived quantities, computed once per (params, T).
+        """Temperature-derived quantities, computed once per temperature.
 
         The solver evaluates ``ids`` thousands of times per transient at
         one fixed temperature; vth/vsat/mexp/ksativ and the mobility
-        coefficients only depend on ``(params, temperature_k)``, so they
-        are cached here.  Identical arithmetic to the uncached helpers,
-        hence bit-identical currents.
+        coefficients only depend on the bound params and
+        ``temperature_k``, so they are cached here, keyed by temperature
+        alone: bind a new ``FinFET`` rather than mutate its params.
         """
-        key = (id(self.params), temperature_k)
-        hit = self._derived_cache.get(key)
-        if hit is not None:
-            return hit[0]
+        derived = self._by_temperature.get(temperature_k)
+        if derived is not None:
+            return derived
         p = self.params
-        state = thermal_state(temperature_k, p)
+        dtn = cooldown_fraction(temperature_k)
+        vsat_factor = 1.0 + p.AT * dtn + p.AT1 * dtn * dtn + p.AT2 * dtn**3
         ua, ud, eu = degradation_coefficients(temperature_k, p)
         derived = _TempDerived(
-            vt=state.vt,
-            vth0=state.vth0,
-            vsat=self._vsat(temperature_k),
-            mexp=self._mexp(temperature_k),
-            ksativ=self._ksativ(temperature_k),
+            vt=effective_thermal_voltage(temperature_k, p),
+            vth0=threshold_voltage(temperature_k, p),
+            vsat=np.maximum(p.VSAT * vsat_factor, 1e3),
+            mexp=np.maximum(p.MEXP + p.TMEXP1 * dtn + p.TMEXP2 * dtn * dtn,
+                            1.2),
+            ksativ=np.maximum(
+                p.KSATIV * (1.0 + p.KSATIVT1 * dtn + p.KSATIVT2 * dtn * dtn),
+                0.1),
             u0=low_field_mobility(temperature_k, p),
             ua=ua,
             ud=ud,
             eu=eu,
         )
-        self._derived_cache[key] = (derived, p)
+        self._by_temperature[temperature_k] = derived
         return derived
-
-    def invalidate_cache(self) -> None:
-        """Drop cached temperature-derived quantities.
-
-        Only needed if the bound ``params`` record was mutated in place
-        (the calibration flow always rebinds fresh copies instead).
-        """
-        self._derived_cache.clear()
-
-    # ------------------------------------------------------------------ #
-    # Derived operating-point quantities
-    # ------------------------------------------------------------------ #
-    def vth(self, temperature_k: float, vds: float = 0.0) -> float:
-        """Return the DIBL-corrected threshold magnitude at ``vds`` in V."""
-        p = self.params
-        vds_mag = abs(vds)
-        dibl = p.ETA0 * vds_mag / (1.0 + p.PDIBL2 * vds_mag)
-        return self._derived(temperature_k).vth0 - dibl
-
-    def _vsat(self, temperature_k: float) -> float:
-        """Saturation velocity with its nonlinear temperature law (m/s)."""
-        p = self.params
-        dtn = cooldown_fraction(temperature_k)
-        factor = 1.0 + p.AT * dtn + p.AT1 * dtn * dtn + p.AT2 * dtn**3
-        return max(p.VSAT * factor, 1e3)
-
-    def _mexp(self, temperature_k: float) -> float:
-        """Vdseff smoothing exponent with temperature law (dimensionless)."""
-        p = self.params
-        dtn = cooldown_fraction(temperature_k)
-        return max(p.MEXP + p.TMEXP1 * dtn + p.TMEXP2 * dtn * dtn, 1.2)
-
-    def _ksativ(self, temperature_k: float) -> float:
-        """Pinch-off (Vdsat) scaling with temperature law (dimensionless)."""
-        p = self.params
-        dtn = cooldown_fraction(temperature_k)
-        return max(p.KSATIV * (1.0 + p.KSATIVT1 * dtn + p.KSATIVT2 * dtn * dtn), 0.1)
 
     # ------------------------------------------------------------------ #
     # Core current
@@ -303,15 +267,13 @@ class FinFET:
         p-devices apply negative bias voltages; the returned current is then
         negative, as a circuit simulator expects.
         """
-        p = self.params
         vgs = np.asarray(vgs, dtype=float)
         vds = np.asarray(vds, dtype=float)
         vgs, vds = np.broadcast_arrays(vgs, vds)
-
-        if p.polarity == "p":
-            # Evaluate the symmetric n-type equations on mirrored biases.
-            return -self._ids_forward(-vgs, -vds, temperature_k)
-        return self._ids_forward(vgs, vds, temperature_k)
+        # p-devices evaluate the symmetric n-type equations on mirrored
+        # biases (sign -1); multiplying by +1 changes no bit.
+        s = self.params.sign
+        return s * self._ids_forward(s * vgs, s * vds, temperature_k)
 
     def _ids_forward(
         self, vgs: np.ndarray, vds: np.ndarray, temperature_k: float
@@ -387,9 +349,8 @@ class FinFET:
         For p-devices pass negative ``vds``; the sweep then runs from 0 to
         -VDD automatically.
         """
-        sign = -1.0 if self.params.polarity == "p" else 1.0
         if vgs is None:
-            vgs = sign * np.linspace(0.0, const.VDD, n_points)
+            vgs = self.params.sign * np.linspace(0.0, const.VDD, n_points)
         ids = self.ids(vgs, vds, temperature_k)
         return np.asarray(vgs), ids
 
@@ -401,20 +362,19 @@ class FinFET:
         n_points: int = 41,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Return (vds, ids) for an Ids-Vds sweep at fixed ``vgs``."""
-        sign = -1.0 if self.params.polarity == "p" else 1.0
         if vds is None:
-            vds = sign * np.linspace(0.0, const.VDD, n_points)
+            vds = self.params.sign * np.linspace(0.0, const.VDD, n_points)
         ids = self.ids(vgs, vds, temperature_k)
         return np.asarray(vds), ids
 
     def ion(self, temperature_k: float, vdd: float = const.VDD) -> float:
         """ON-current magnitude at |Vgs| = |Vds| = Vdd in A."""
-        sign = -1.0 if self.params.polarity == "p" else 1.0
+        sign = self.params.sign
         return float(abs(self.ids(sign * vdd, sign * vdd, temperature_k)))
 
     def ioff(self, temperature_k: float, vdd: float = const.VDD) -> float:
         """OFF-current magnitude at Vgs = 0, |Vds| = Vdd in A."""
-        sign = -1.0 if self.params.polarity == "p" else 1.0
+        sign = self.params.sign
         return float(abs(self.ids(0.0, sign * vdd, temperature_k)))
 
     def effective_current(self, temperature_k: float, vdd: float = const.VDD) -> float:
@@ -424,104 +384,17 @@ class FinFET:
         characterization engine: IH = I(Vgs=Vdd, Vds=Vdd/2),
         IL = I(Vgs=Vdd/2, Vds=Vdd).
         """
-        sign = -1.0 if self.params.polarity == "p" else 1.0
+        sign = self.params.sign
         ih = abs(self.ids(sign * vdd, sign * vdd / 2.0, temperature_k))
         il = abs(self.ids(sign * vdd / 2.0, sign * vdd, temperature_k))
         return float((ih + il) / 2.0)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        p = self.params
-        return f"FinFET({p.polarity}, nfin={p.nfin}, VTH0={p.VTH0:.3f})"
 
-
-class _StackedParams:
-    """Per-device parameter arrays quacking like :class:`FinFETParams`.
-
-    Every numeric field of the parameter record becomes a float array with
-    one entry per device (repeated per group, then tiled ``tile`` times to
-    match multi-point evaluation layouts).  The model equations are purely
-    elementwise, so running them with array-valued parameters produces the
-    same numbers each device would get from its own scalar evaluation.
-    """
-
-    def __init__(self, params_list: list[FinFETParams],
-                 counts: np.ndarray, tile: int):
-        names = [f.name for f in dataclasses.fields(FinFETParams)
-                 if f.name != "polarity"]
-        # Derived convenience properties used by the current equations.
-        names += ["weff", "cox", "cgate_fin"]
-        for name in names:
-            vals = np.repeat(
-                np.array([getattr(p, name) for p in params_list],
-                         dtype=float),
-                counts,
-            )
-            setattr(self, name, np.tile(vals, tile) if tile > 1 else vals)
-
-
-class _StackedFinFET(FinFET):
-    """One evaluator for a heterogeneous batch of FinFET instances.
-
-    Stacks the parameter records (and the per-temperature derived
-    quantities) of several devices into arrays so a whole circuit's worth
-    of drain currents comes out of a *single* ``ids`` call.  Polarity is
-    folded into a per-device sign vector: p-devices see mirrored biases,
-    exactly like ``FinFET.ids`` does per group.
-
-    Inherits the entire current computation from :class:`FinFET`; only
-    parameter access and the polarity dispatch are overridden.
-    """
-
-    def __init__(self, models: list[FinFET], counts, tile: int = 1):
-        # Deliberately no super().__init__: self.params is the stacked
-        # namespace, and the derived cache is keyed by temperature alone
-        # (each underlying model keeps its own (params, T) cache).
-        self._models = list(models)
-        self._counts = np.asarray(counts, dtype=int)
-        self._tile = int(tile)
-        self.params = _StackedParams(
-            [m.params for m in self._models], self._counts, self._tile
-        )
-        sign = np.repeat(
-            np.array([-1.0 if m.params.polarity == "p" else 1.0
-                      for m in self._models]),
-            self._counts,
-        )
-        self._sign = np.tile(sign, self._tile) if self._tile > 1 else sign
-        self._stacked_derived: dict[float, _TempDerived] = {}
-
-    def _derived(self, temperature_k: float) -> _TempDerived:
-        hit = self._stacked_derived.get(temperature_k)
-        if hit is not None:
-            return hit
-        per = [m._derived(temperature_k) for m in self._models]
-        arrays = []
-        for fname in _TempDerived._fields:
-            vals = np.repeat(
-                np.array([getattr(d, fname) for d in per]), self._counts
-            )
-            arrays.append(np.tile(vals, self._tile)
-                          if self._tile > 1 else vals)
-        hit = _TempDerived(*arrays)
-        self._stacked_derived[temperature_k] = hit
-        return hit
-
-    def invalidate_cache(self) -> None:
-        self._stacked_derived.clear()
-        for m in self._models:
-            m.invalidate_cache()
-
-    def ids(
-        self,
-        vgs: np.ndarray | float,
-        vds: np.ndarray | float,
-        temperature_k: float,
-    ) -> np.ndarray:
-        vgs = np.asarray(vgs, dtype=float)
-        vds = np.asarray(vds, dtype=float)
-        vgs, vds = np.broadcast_arrays(vgs, vds)
-        s = self._sign
-        return s * self._ids_forward(s * vgs, s * vds, temperature_k)
+#: Rows of the parameter table :func:`stack_models` builds: every numeric
+#: record field plus the derived properties the current equations read.
+_TABLE_ROWS = tuple(
+    f.name for f in dataclasses.fields(FinFETParams) if f.name != "polarity"
+) + ("weff", "cox", "cgate_fin", "sign")
 
 
 def stack_models(models: list[FinFET], counts, tile: int = 1) -> FinFET:
@@ -530,6 +403,12 @@ def stack_models(models: list[FinFET], counts, tile: int = 1) -> FinFET:
     ``counts[i]`` devices share ``models[i]``; the returned object's
     ``ids`` expects bias arrays laid out as the concatenation of each
     model's devices (optionally ``tile`` copies of that layout back to
-    back, for multi-point finite-difference evaluation).
+    back, for multi-point finite-difference evaluation).  Its params are
+    one ``(rows, devices)`` table with each row bound to its field name.
     """
-    return _StackedFinFET(models, counts, tile=tile)
+    table = np.array(
+        [[getattr(m.params, name) for m in models] for name in _TABLE_ROWS],
+        dtype=float,
+    )
+    table = np.tile(np.repeat(table, counts, axis=1), tile)
+    return FinFET(SimpleNamespace(**dict(zip(_TABLE_ROWS, table))))

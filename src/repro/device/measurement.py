@@ -235,7 +235,7 @@ class MeasurementCampaign:
     def measure_device(self, golden: FinFETParams, n_points: int = 81) -> IVDataset:
         """Run the full sweep plan against one golden device."""
         device = FinFET(golden)
-        sign = -1.0 if golden.polarity == "p" else 1.0
+        sign = golden.sign
         dataset = IVDataset(polarity=golden.polarity)
         vgs_axis = sign * np.linspace(0.0, const.VDD + 0.05, n_points)
 

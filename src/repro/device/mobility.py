@@ -25,7 +25,9 @@ from repro.device.params import FinFETParams
 from repro.device.thermal import cooldown_fraction
 
 
-def low_field_mobility(temperature_k: float, params: FinFETParams) -> float:
+def low_field_mobility(
+    temperature_k: float, params: FinFETParams
+) -> np.ndarray | float:
     """Return the phonon-limited low-field mobility U0(T) in m^2/Vs.
 
     Grows monotonically toward cryo and saturates (phonons freeze out, but
@@ -37,16 +39,16 @@ def low_field_mobility(temperature_k: float, params: FinFETParams) -> float:
 
 def degradation_coefficients(
     temperature_k: float, params: FinFETParams
-) -> tuple[float, float, float]:
+) -> tuple[np.ndarray | float, np.ndarray | float, np.ndarray | float]:
     """Return (UA(T), UD(T), EU(T)) at ``temperature_k``.
 
     All three expand linearly/quadratically in the normalized cooldown;
     coefficients are clamped to stay physical (non-negative UA/UD, EU >= 1).
     """
     dtn = cooldown_fraction(temperature_k)
-    ua = max(params.UA + params.UA1 * dtn + params.UA2 * dtn * dtn, 0.0)
-    ud = max(params.UD + params.UD1 * dtn + params.UD2 * dtn * dtn, 0.0)
-    eu = max(params.EU + params.EU1 * dtn, 1.0)
+    ua = np.maximum(params.UA + params.UA1 * dtn + params.UA2 * dtn * dtn, 0.0)
+    ud = np.maximum(params.UD + params.UD1 * dtn + params.UD2 * dtn * dtn, 0.0)
+    eu = np.maximum(params.EU + params.EU1 * dtn, 1.0)
     return ua, ud, eu
 
 
@@ -65,7 +67,7 @@ def mobility_with_coefficients(
     The bias-dependent part of :func:`effective_mobility`, split out so
     the compact model's per-temperature cache can pay for
     ``low_field_mobility``/``degradation_coefficients`` once per
-    ``(params, T)`` instead of on every ``ids`` call.
+    temperature instead of on every ``ids`` call.
     """
     # Normalized effective vertical field ~ (Vgs + Vth)/(2 * 1V), scaled by
     # ETAMOB; clipped at zero so the subthreshold region sees no roughness

@@ -41,7 +41,8 @@ def dumps(params: FinFETParams, name: str | None = None) -> str:
 def loads(text: str) -> FinFETParams:
     """Parse modelcard text back into a parameter record.
 
-    Unknown keys raise ``ValueError`` so silently-stale decks are caught.
+    Unknown and repeated keys raise ``ValueError`` so silently-stale
+    decks are caught.
     """
     values: dict[str, object] = {}
     field_types = {f.name: f.type for f in dataclasses.fields(FinFETParams)}
@@ -57,6 +58,8 @@ def loads(text: str) -> FinFETParams:
         value = value.strip()
         if key not in field_types:
             raise ValueError(f"unknown modelcard parameter: {key!r}")
+        if key in values:
+            raise ValueError(f"duplicate modelcard parameter: {key!r}")
         if key == "polarity":
             values[key] = value.strip("'\"")
         elif key == "nfin":

@@ -23,6 +23,7 @@ extraction flow can be reproduced faithfully (see DESIGN.md, substitutions).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -210,8 +211,17 @@ class FinFETParams:
         if self.nfin < 1:
             raise ConfigError(f"nfin must be >= 1, got {self.nfin}",
                               field="nfin")
+        for name, value in vars(self).items():
+            if name != "polarity" and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}",
+                                  field=name)
 
     # Convenience -----------------------------------------------------------
+    @property
+    def sign(self) -> float:
+        """Bias and current sign of the polarity: +1 for n, -1 for p."""
+        return -1.0 if self.polarity == "p" else 1.0
+
     @property
     def weff(self) -> float:
         """Effective electrical width of one fin in m."""

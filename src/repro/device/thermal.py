@@ -11,11 +11,15 @@ replace the lattice temperature T by a smoothly saturating
 so that T_eff -> T for T >> T0 and T_eff -> T0 for T -> 0.  All Fermi-Dirac
 corrections of the original model collapse into this single effective
 quantity for the purposes of the analytic model.
+
+Every helper is elementwise in the parameters: ``params`` may be one
+:class:`~repro.device.params.FinFETParams` record (scalar results) or the
+per-device parameter table of :func:`repro.device.finfet.stack_models`
+(one result per device).  :class:`repro.device.finfet.FinFET` evaluates
+the temperature-only helpers once per temperature and caches them.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,48 +27,21 @@ from repro.device import constants as const
 from repro.device.params import FinFETParams
 
 
-class ThermalState(NamedTuple):
-    """Temperature-derived quantities shared by one (params, T) pair.
-
-    A circuit's temperature is fixed for the lifetime of a solve, so the
-    compact model evaluates these once per ``(id(params),
-    temperature_k)`` key (see ``FinFET._derived``) instead of on every
-    ``ids`` call.  The fields are computed with exactly the same
-    expressions as the standalone helpers below, so cached and uncached
-    evaluation are bit-identical.
-    """
-
-    dtn: float
-    """Normalized cooldown (TNOM - T)/TNOM."""
-    teff: float
-    """Band-tail effective temperature in K."""
-    vt: float
-    """Effective thermal voltage k*T_eff/q in V."""
-    vth0: float
-    """Zero-bias threshold-voltage magnitude at T in V."""
-
-
-def thermal_state(temperature_k: float, params: FinFETParams) -> ThermalState:
-    """Bundle the temperature-only model quantities for one evaluation."""
-    return ThermalState(
-        dtn=cooldown_fraction(temperature_k),
-        teff=effective_temperature(temperature_k, params),
-        vt=effective_thermal_voltage(temperature_k, params),
-        vth0=threshold_voltage(temperature_k, params),
-    )
-
-
-def effective_temperature(temperature_k: float, params: FinFETParams) -> float:
+def effective_temperature(
+    temperature_k: float, params: FinFETParams
+) -> np.ndarray | float:
     """Return the band-tail effective temperature in K.
 
     ``T0`` sets the saturation floor and ``D0`` a linear stretch; both are
     calibration targets of the ``cryogenic`` extraction stage.
     """
     scaled = temperature_k * (1.0 + params.D0)
-    return float(np.sqrt(scaled * scaled + params.T0 * params.T0))
+    return np.sqrt(scaled * scaled + params.T0 * params.T0)
 
 
-def effective_thermal_voltage(temperature_k: float, params: FinFETParams) -> float:
+def effective_thermal_voltage(
+    temperature_k: float, params: FinFETParams
+) -> np.ndarray | float:
     """Return k*T_eff/q in volts: the swing-defining thermal voltage."""
     return const.BOLTZMANN_EV * effective_temperature(temperature_k, params)
 
@@ -78,7 +55,9 @@ def cooldown_fraction(temperature_k: float) -> float:
     return (const.TNOM - temperature_k) / const.TNOM
 
 
-def threshold_voltage(temperature_k: float, params: FinFETParams) -> float:
+def threshold_voltage(
+    temperature_k: float, params: FinFETParams
+) -> np.ndarray | float:
     """Return the zero-bias threshold voltage Vth(T) in V (magnitude).
 
     Combines the TNOM threshold with the cryogenic shift terms::

@@ -11,8 +11,8 @@ scatter-index/value arrays (static conductances, the gmin diagonal,
 capacitor companions, per-device FinFET entry coefficients with ground
 masked out at compile time) and offset per replica.  :meth:`assemble` is
 then a handful of ``np.add.at`` scatters plus ONE stacked compact-model
-call (``repro.device.finfet.stack_models``) for every device of every
-replica -- no Python loop over devices, capacitors, nodes or replicas per
+call (a ``repro.device.finfet.FinFET`` over the per-device parameter table
+of ``stack_models``) for every device of every replica -- no Python loop over devices, capacitors, nodes or replicas per
 Newton iteration.  :meth:`rhs` rebuilds the RHS around *frozen* device
 companions, which makes the solver's modified-Newton bypass iterations
 free of compact-model calls.
@@ -153,8 +153,8 @@ class MNASystem:
         self._cap_rhs_k = tile(rhs_k, n_caps)
 
         # FinFETs: grouped by model object, with one global device
-        # ordering so all groups share one scatter pass and one stacked
-        # evaluator.  tile=3*G serves the finite-difference layout
+        # ordering so all groups share one scatter pass and one FinFET
+        # over their stacked parameter table.  tile=3*G serves the finite-difference layout
         # [base | vgs+step | vds+step] for the whole batch in one call.
         by_model: dict[int, list] = {}
         for fet in ref.finfets:

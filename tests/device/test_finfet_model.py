@@ -11,6 +11,7 @@ from repro.device import FinFET, default_nfet, default_pfet, golden_nfet, golden
 from repro.device.constants import VDD
 from repro.device.finfet import normalized_charge
 from repro.device.thermal import effective_thermal_voltage, subthreshold_slope_factor
+from repro.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +202,17 @@ class TestParameterValidation:
     def test_bad_nfin_rejected(self):
         with pytest.raises(ValueError, match="nfin"):
             default_nfet().copy(nfin=0)
+
+    @pytest.mark.parametrize("name", ["VTH0", "T0", "lgate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(ConfigError) as err:
+            default_pfet().copy(**{name: value})
+        assert err.value.field == name
+
+    def test_polarity_sign(self):
+        assert default_nfet().sign == 1.0
+        assert default_pfet().sign == -1.0
 
     def test_copy_does_not_mutate_original(self):
         p = default_pfet()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.device import default_nfet, default_pfet, golden_nfet
 from repro.device import modelcard
+from repro.errors import ConfigError
 
 
 class TestRoundTrip:
@@ -43,6 +44,20 @@ class TestErrorHandling:
         text = modelcard.dumps(default_nfet()) + "+ BOGUS = 1.0\n"
         with pytest.raises(ValueError, match="unknown"):
             modelcard.loads(text)
+
+    def test_duplicate_parameter_rejected(self):
+        text = modelcard.dumps(default_nfet()) + "+ VTH0 = 0.5\n"
+        with pytest.raises(ValueError, match="duplicate.*VTH0"):
+            modelcard.loads(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_parameter_rejected(self, value):
+        text = modelcard.dumps(default_nfet()).replace(
+            "+ VTH0 = 0.2\n", f"+ VTH0 = {value}\n")
+        assert f"VTH0 = {value}" in text
+        with pytest.raises(ConfigError) as err:
+            modelcard.loads(text)
+        assert err.value.field == "VTH0"
 
     def test_missing_polarity_rejected(self):
         with pytest.raises(ValueError, match="polarity"):
