@@ -111,9 +111,20 @@ class Classifier(abc.ABC):
     # Training
     # ------------------------------------------------------------------ #
     @classmethod
-    @abc.abstractmethod
     def calibrate(cls, shots_0, shots_1, **kwargs) -> "Classifier":
-        """Train from |0>/|1> calibration shots (validated up front)."""
+        """Train from |0>/|1> calibration shots (validated up front).
+
+        The centers are the per-qubit shot means; ``kwargs`` go to
+        :meth:`from_centers`.
+        """
+        s0 = validate_shots("shots_0", shots_0)
+        s1 = validate_shots("shots_1", shots_1)
+        if s0.shape[0] != s1.shape[0]:
+            raise ValidationError(
+                f"shots_0/shots_1 disagree on qubit count: "
+                f"{s0.shape[0]} != {s1.shape[0]}")
+        centers = np.stack([s0.mean(axis=1), s1.mean(axis=1)], axis=1)
+        return cls.from_centers(centers, **kwargs)
 
     @classmethod
     @abc.abstractmethod

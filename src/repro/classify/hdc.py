@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.classify.base import Classifier, validate_points, validate_shots
+from repro.classify.base import Classifier, validate_points
 from repro.classify.registry import register_classifier
 from repro.errors import ValidationError
 
@@ -155,29 +155,14 @@ class HDCClassifier(Classifier):
         return self.prototypes.shape[0]
 
     @classmethod
-    def calibrate(cls, shots_0, shots_1, *, encoder: HDCEncoder
-                  | None = None, seed: int = 42) -> "HDCClassifier":
-        """Train from |0>/|1> calibration shots (the unified protocol).
-
-        ``shots_0``/``shots_1``: (n_qubits, n_shots, 2) calibration
-        shots; centers are their per-qubit means, encoded into
-        prototypes.  The item memory defaults to the seeded
-        :meth:`HDCEncoder.random` ("constant and generated once").
-        For pre-estimated centers use :meth:`from_centers`.
-        """
-        s0 = validate_shots("shots_0", shots_0)
-        s1 = validate_shots("shots_1", shots_1)
-        if s0.shape[0] != s1.shape[0]:
-            raise ValidationError(
-                f"shots_0/shots_1 disagree on qubit count: "
-                f"{s0.shape[0]} != {s1.shape[0]}")
-        centers = np.stack([s0.mean(axis=1), s1.mean(axis=1)], axis=1)
-        return cls.from_centers(centers, encoder=encoder, seed=seed)
-
-    @classmethod
     def from_centers(cls, centers, *, encoder: HDCEncoder | None = None,
                      seed: int = 42) -> "HDCClassifier":
-        """Encode per-qubit calibration centers into prototypes."""
+        """Encode per-qubit calibration centers into prototypes.
+
+        The item memory defaults to the seeded :meth:`HDCEncoder.random`
+        ("constant and generated once"); :meth:`calibrate` passes its
+        ``encoder``/``seed`` keywords through to here.
+        """
         centers = np.asarray(centers, dtype=float)
         if centers.ndim != 3 or centers.shape[1:] != (2, 2):
             raise ValidationError(
@@ -243,12 +228,6 @@ class HDCClassifier(Classifier):
         d = self.hamming_distances(qubit, points,
                                    use_precomputed=use_precomputed)
         return (d[:, 1] < d[:, 0]).astype(int)
-
-    def classify_interleaved(self, points: np.ndarray) -> np.ndarray:
-        """Classify shot-major interleaved measurements."""
-        n = len(points)
-        qubit = np.arange(n) % self.n_qubits
-        return self.classify(qubit, points)
 
     # ------------------------------------------------------------------ #
     def kernel_tables(self, qubit: int = 0) -> dict[str, np.ndarray]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.classify.base import Classifier, validate_points, validate_shots
+from repro.classify.base import Classifier, validate_points
 from repro.classify.registry import register_classifier
 from repro.errors import ValidationError
 
@@ -50,26 +50,6 @@ class KNNClassifier(Classifier):
     @property
     def n_qubits(self) -> int:
         return self.centers.shape[0]
-
-    @classmethod
-    def calibrate(
-        cls, shots_0: np.ndarray, shots_1: np.ndarray
-    ) -> "KNNClassifier":
-        """Train from calibration shots.
-
-        ``shots_0``/``shots_1``: arrays (n_qubits, n_shots, 2) measured
-        with every qubit prepared in |0> / |1> -- exactly the paper's
-        calibration procedure (Section II).  Malformed inputs (wrong
-        rank, empty, non-finite I/Q) are rejected up front with a typed
-        :class:`~repro.errors.ValidationError` naming the field.
-        """
-        s0 = validate_shots("shots_0", shots_0)
-        s1 = validate_shots("shots_1", shots_1)
-        if s0.shape[0] != s1.shape[0]:
-            raise ValidationError(
-                f"shots_0/shots_1 disagree on qubit count: "
-                f"{s0.shape[0]} != {s1.shape[0]}")
-        return cls(np.stack([s0.mean(axis=1), s1.mean(axis=1)], axis=1))
 
     @classmethod
     def from_centers(cls, centers) -> "KNNClassifier":
@@ -115,10 +95,3 @@ class KNNClassifier(Classifier):
         """
         d = self.distances(qubit, points, sqrt=sqrt)
         return (d[:, 1] < d[:, 0]).astype(int)
-
-    def classify_interleaved(self, points: np.ndarray) -> np.ndarray:
-        """Classify shot-major interleaved measurements (qubit cycles
-        fastest), the layout the SoC kernel consumes."""
-        n = len(points)
-        qubit = np.arange(n) % self.n_qubits
-        return self.classify(qubit, points)

@@ -338,7 +338,7 @@ class CryoStudy:
                 c0=hdc.prototypes[:, 0],
                 c1=hdc.prototypes[:, 1],
             )
-        result = RocketSoC(popcount_extension=hardware_popcount).run_hdc(
+        result = RocketSoC().run_hdc(
             tables, pts, n_qubits,
             hardware_popcount=hardware_popcount,
             precomputed_xor=precomputed_xor,

@@ -38,7 +38,7 @@ class ReadoutDataset:
         """Flatten shot-major: (qubit idx, truth labels, I/Q points).
 
         This is the layout the SoC kernels and
-        ``classify_interleaved`` consume (qubit index cycles fastest).
+        ``Classifier.predict`` consume (qubit index cycles fastest).
         """
         n_shots, nq = self.states.shape
         qubit = np.tile(np.arange(nq), n_shots)

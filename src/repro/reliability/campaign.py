@@ -30,6 +30,11 @@ mitigation): three independent executions with a majority vote on each
 output word, so a single-run SDC is outvoted by the two clean replicas
 and moves to ``masked``; crashes and hangs remain visible (they are
 *detected* rather than silent, which is the point of TMR).
+
+The workload is a :class:`~repro.soc.soc.WorkloadSpec`, the plain-data
+image :func:`knn_workload` / :func:`hdc_workload` / :func:`qec_workload`
+build; every run (golden or faulty) loads it into a fresh machine with
+:meth:`RocketSoC.prepare <repro.soc.soc.RocketSoC.prepare>`.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -51,8 +55,13 @@ from repro.runtime import (
     get_executor,
     stable_digest,
 )
-from repro.soc.cpu import CPU
-from repro.soc.soc import RocketSoC
+from repro.soc.soc import (
+    RocketSoC,
+    WorkloadSpec,
+    hdc_workload,
+    knn_workload,
+    qec_workload,
+)
 
 __all__ = [
     "CampaignConfig",
@@ -67,26 +76,6 @@ __all__ = [
 ]
 
 OUTCOMES = ("masked", "sdc", "crash", "hang")
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """A re-runnable workload: the campaign's unit of execution.
-
-    Built from :meth:`RocketSoC.setup_knn`-style triples (see the
-    adapters below); every ``prepare()`` call must yield an identical
-    initial machine state or determinism is lost.
-    """
-
-    name: str
-    prepare: Callable[[], CPU]
-    read_output: Callable[[CPU], np.ndarray]
-    data_regions: list[tuple[int, int]] = field(default_factory=list)
-    factory: tuple | None = None
-    """Picklable recipe ``(builder, payload)`` that rebuilds this spec
-    (see ``_BUILDERS``).  The adapters below set it; a spec without one
-    still works but confines parallel campaigns to in-process backends
-    (closures cannot cross a process boundary)."""
 
 
 @dataclass(frozen=True)
@@ -225,6 +214,10 @@ def majority_vote(replicas: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+# ------------------------------------------------------------------ #
+# One injection run.  Parallel campaigns pickle the spec itself into
+# each chunk of work; the workers load it exactly as the parent does.
+# ------------------------------------------------------------------ #
 def _classify(
     spec: WorkloadSpec,
     fault: BitFlip,
@@ -233,7 +226,7 @@ def _classify(
     config: CampaignConfig,
 ) -> InjectionRecord:
     """Execute one injection run and bucket its outcome."""
-    cpu = spec.prepare()
+    cpu = RocketSoC().prepare(spec)
     try:
         stats, fired = run_with_faults(
             cpu, [fault],
@@ -266,30 +259,8 @@ def _classify(
                            f"{mismatches} output word(s) corrupted")
 
 
-# ------------------------------------------------------------------ #
-# Worker-side plumbing for parallel campaigns.  A worker process gets a
-# picklable *recipe* for the workload (``WorkloadSpec.factory``) rather
-# than the spec itself (whose prepare/read_output are closures); the
-# rebuilt spec is memoized per worker so the setup cost is paid once,
-# not once per injection.
-# ------------------------------------------------------------------ #
-_SPEC_MEMO: dict[str, WorkloadSpec] = {}
-
-
-def _resolve_spec(spec_ref) -> WorkloadSpec:
-    if isinstance(spec_ref, WorkloadSpec):
-        return spec_ref
-    key, builder, payload = spec_ref
-    spec = _SPEC_MEMO.get(key)
-    if spec is None:
-        spec = _BUILDERS[builder](**payload)
-        _SPEC_MEMO[key] = spec
-    return spec
-
-
-def _injection_task(spec_ref, golden, max_cycles, config, fault):
+def _injection_task(spec, golden, max_cycles, config, fault):
     """One injection run: the campaign fan-out's unit of work."""
-    spec = _resolve_spec(spec_ref)
     with telemetry.span("reliability.injection", structure=fault.structure,
                         cycle=fault.cycle) as sp:
         record = _classify(spec, fault, golden, max_cycles, config)
@@ -310,17 +281,16 @@ def run_campaign(
     executor (``None`` defers to ``REPRO_JOBS``); the plan is drawn from
     the campaign seed *before* the fan-out and records merge in plan
     order, so outcome buckets and AVF are identical at any worker count.
-    ``cache`` memoizes finished campaigns on disk keyed by the workload
-    recipe + config digest (``None``: enabled iff ``REPRO_CACHE_DIR`` is
-    set); specs without a ``factory`` recipe are never disk-cached.
+    The spec itself is shipped to the workers.  ``cache`` memoizes
+    finished campaigns on disk keyed by the digest of spec + config
+    (``None``: enabled iff ``REPRO_CACHE_DIR`` is set).
     """
     config = config or CampaignConfig()
     use_cache = default_enabled() if cache is None else cache
     cache_store = cache_key = None
-    if use_cache and spec.factory is not None:
+    if use_cache:
         cache_store = ResultCache(namespace="campaign")
-        cache_key = stable_digest({"factory": spec.factory,
-                                   "config": config})
+        cache_key = stable_digest({"spec": spec, "config": config})
         cached = cache_store.get(cache_key)
         if cached is not None:
             return cached
@@ -331,7 +301,7 @@ def run_campaign(
                         n_injections=config.n_injections, tmr=config.tmr,
                         jobs=executor.jobs, backend=executor.backend) as sp:
         with telemetry.span("reliability.golden_run"):
-            golden_cpu = spec.prepare()
+            golden_cpu = RocketSoC().prepare(spec)
             golden_stats = golden_cpu.run(
                 max_instructions=config.max_instructions
             )
@@ -351,12 +321,7 @@ def run_campaign(
             golden_cycles=golden_stats.cycles,
             golden_output=golden,
         )
-        if executor.jobs > 1 and spec.factory is not None:
-            builder, payload = spec.factory
-            spec_ref = (stable_digest(spec.factory), builder, payload)
-        else:
-            spec_ref = spec
-        task = partial(_injection_task, spec_ref, golden, max_cycles, config)
+        task = partial(_injection_task, spec, golden, max_cycles, config)
         with telemetry.span("reliability.injections", n=len(faults)):
             for record in executor.map(task, faults):
                 result.records.append(record)
@@ -369,72 +334,6 @@ def run_campaign(
             sp.set(golden_cycles=result.golden_cycles,
                    injections_per_sec=round(result.injections_per_second, 2),
                    **result.counts())
-    if cache_store is not None and cache_key is not None:
+    if cache_store is not None:
         cache_store.put(cache_key, result)
     return result
-
-
-# ------------------------------------------------------------------ #
-# Workload adapters: RocketSoC setup triples -> WorkloadSpec.
-# ------------------------------------------------------------------ #
-def knn_workload(
-    centers: np.ndarray,
-    measurements: np.ndarray,
-    n_qubits: int,
-    soc: RocketSoC | None = None,
-    with_sqrt: bool = False,
-) -> WorkloadSpec:
-    """The paper's kNN readout classifier as a campaign target."""
-    factory = None
-    if soc is None:
-        factory = ("knn", {"centers": centers, "measurements": measurements,
-                           "n_qubits": n_qubits, "with_sqrt": with_sqrt})
-    soc = soc or RocketSoC()
-    prepare, read_output, regions = soc.setup_knn(
-        centers, measurements, n_qubits, with_sqrt=with_sqrt
-    )
-    return WorkloadSpec("knn", prepare, read_output, regions,
-                        factory=factory)
-
-
-def hdc_workload(
-    tables: bytes,
-    measurements: np.ndarray,
-    n_qubits: int,
-    soc: RocketSoC | None = None,
-) -> WorkloadSpec:
-    """The HDC readout classifier as a campaign target."""
-    factory = None
-    if soc is None:
-        factory = ("hdc", {"tables": tables, "measurements": measurements,
-                           "n_qubits": n_qubits})
-    soc = soc or RocketSoC()
-    prepare, read_output, regions = soc.setup_hdc(
-        tables, measurements, n_qubits
-    )
-    return WorkloadSpec("hdc", prepare, read_output, regions,
-                        factory=factory)
-
-
-def qec_workload(
-    bits: np.ndarray,
-    distance: int,
-    soc: RocketSoC | None = None,
-) -> WorkloadSpec:
-    """Repetition-code majority decoding as a campaign target."""
-    factory = None
-    if soc is None:
-        factory = ("qec", {"bits": bits, "distance": distance})
-    soc = soc or RocketSoC()
-    prepare, read_output, regions = soc.setup_qec_decode(bits, distance)
-    return WorkloadSpec("qec", prepare, read_output, regions,
-                        factory=factory)
-
-
-#: Registry the worker-side ``_resolve_spec`` rebuilds specs from; the
-#: ``factory`` recipes above name entries here.
-_BUILDERS: dict[str, Callable[..., WorkloadSpec]] = {
-    "knn": knn_workload,
-    "hdc": hdc_workload,
-    "qec": qec_workload,
-}

@@ -1,6 +1,14 @@
 """RocketSoC: the assembled system (CPU + caches + memory) and workload
 drivers for the paper's classification experiments.
 
+Every kernel is described once, as a :class:`WorkloadSpec`: plain,
+picklable data holding the assembled program, the memory stores, the
+live data regions, the output window and whether the kernel needs the
+popcount extension.  :meth:`RocketSoC.prepare` loads any spec into a
+fresh CPU and :meth:`WorkloadSpec.read_output` reads its result; the
+drivers below and the SEU campaigns of :mod:`repro.reliability` share
+that one load path.
+
 The high-level entry points mirror the paper's evaluation:
 
 * :meth:`RocketSoC.run_knn` / :meth:`RocketSoC.run_hdc` -- classify a
@@ -14,17 +22,17 @@ The high-level entry points mirror the paper's evaluation:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro import telemetry
-from repro.soc.assembler import assemble
-from repro.soc.cache import CacheHierarchy
+from repro.soc.assembler import Program, assemble
+from repro.soc.cache import CacheHierarchy, CacheStats
 from repro.soc.cpu import CPU, ExecutionStats
 from repro.soc.memory import Memory
 from repro.soc.programs import (
     CENTERS_BASE,
-    CENTER_RECORD_BYTES,
     MEAS_BASE,
     OUT_BASE,
     TABLES_BASE,
@@ -32,11 +40,119 @@ from repro.soc.programs import (
     hdc_source,
     knn_source,
     pack_centers,
-    pack_hdc_tables,
     pack_measurements,
+    qec_majority_source,
+    vqe_update_source,
 )
 
-__all__ = ["RocketSoC", "WorkloadResult", "cycles_per_classification"]
+__all__ = [
+    "RocketSoC",
+    "WorkloadResult",
+    "WorkloadSpec",
+    "cycles_per_classification",
+    "hdc_workload",
+    "knn_workload",
+    "qec_workload",
+]
+
+
+@dataclass(frozen=True)
+class WorkloadSpec:
+    """One RocketSoC kernel as plain data: its workload image.
+
+    Picklable and digestable (:func:`repro.runtime.stable_digest`), so an
+    SEU campaign ships it to worker processes and keys its disk cache on
+    it.  Every :meth:`RocketSoC.prepare` of one spec yields an identical
+    machine.
+    """
+
+    name: str
+    program: Program
+    stores: tuple[tuple[int, bytes], ...] = ()
+    """``(base, bytes)`` written to memory after the program, in order."""
+    data_regions: tuple[tuple[int, int], ...] = ()
+    """``(base, size)`` byte ranges of live data: made L2-resident at
+    load, in this order, and the memory targets of a fault campaign."""
+    output: tuple[int, int, str] | None = None
+    """``(base, count, dtype)`` of the result array; ``None``: no result."""
+    popcount: bool = False
+    """The kernel executes the custom ``cpop`` instruction (ABL-1)."""
+
+    def read_output(self, cpu: CPU) -> np.ndarray | None:
+        """The result window after a run, as an int array."""
+        if self.output is None:
+            return None
+        base, count, dtype = self.output
+        dtype = np.dtype(dtype)
+        raw = cpu.memory.load_bytes(base, count * dtype.itemsize)
+        return np.frombuffer(raw, dtype=dtype).astype(int)
+
+
+def knn_workload(
+    centers: np.ndarray,
+    measurements: np.ndarray,
+    n_qubits: int,
+    with_sqrt: bool = False,
+) -> WorkloadSpec:
+    """The paper's kNN readout classifier.
+
+    ``centers``: (n_qubits, 2, 2); ``measurements``: (n, 2) shot-major
+    (qubit index cycles fastest).  The output is the labels as 0/1.
+    """
+    n = len(measurements)
+    meas_bytes = pack_measurements(measurements)
+    center_bytes = pack_centers(centers)
+    return WorkloadSpec(
+        "knn",
+        assemble(knn_source(n, n_qubits, with_sqrt=with_sqrt)),
+        stores=((CENTERS_BASE, center_bytes), (MEAS_BASE, meas_bytes)),
+        data_regions=((MEAS_BASE, len(meas_bytes)),
+                      (CENTERS_BASE, len(center_bytes))),
+        output=(OUT_BASE, n, "u1"),
+    )
+
+
+def hdc_workload(
+    tables: bytes,
+    measurements: np.ndarray,
+    n_qubits: int,
+    hardware_popcount: bool = False,
+    precomputed_xor: bool = True,
+) -> WorkloadSpec:
+    """The HDC readout classifier; ``tables`` comes from
+    :func:`repro.soc.programs.pack_hdc_tables`."""
+    n = len(measurements)
+    meas_bytes = pack_measurements(measurements)
+    return WorkloadSpec(
+        "hdc",
+        assemble(hdc_source(n, n_qubits,
+                            hardware_popcount=hardware_popcount,
+                            precomputed_xor=precomputed_xor)),
+        stores=((TABLES_BASE, tables), (MEAS_BASE, meas_bytes)),
+        data_regions=((MEAS_BASE, len(meas_bytes)),
+                      (TABLES_BASE, len(tables))),
+        output=(OUT_BASE, n, "u1"),
+        popcount=hardware_popcount,
+    )
+
+
+def qec_workload(bits: np.ndarray, distance: int) -> WorkloadSpec:
+    """Repetition-code majority decoding (paper Section VII).
+
+    ``bits``: flat 0/1 array, physical-qubit-major, with length a
+    multiple of ``distance``.  The output is the logical values.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.size % distance:
+        raise ValueError("bit count must be a multiple of the distance")
+    n_logical = bits.size // distance
+    return WorkloadSpec(
+        "qec",
+        assemble(qec_majority_source(n_logical, distance)),
+        stores=((MEAS_BASE, bits.tobytes()),),
+        data_regions=((MEAS_BASE, bits.size),),
+        output=(OUT_BASE, n_logical, "u1"),
+    )
 
 
 @dataclass
@@ -82,91 +198,67 @@ def _traced_run(name: str, cpu: CPU, **run_kwargs):
 
 
 class RocketSoC:
-    """One SoC instance: fresh memory, caches and CPU per run.
+    """One SoC configuration; every run gets fresh memory, caches and CPU.
 
-    ``popcount_extension`` wires the ABL-1 custom instruction into the
-    core (off by default, like real RV64IMAFDC Rocket).
     ``cache_factory`` builds the memory hierarchy per run; override it to
     explore other off-the-shelf configurations ("off-the-shelf SoCs ...
     are available in a wide range of specifications and capabilities and
     could quickly be swapped in and out", paper Section I-C).
+    ``warm_l2=False`` leaves the workload data cold in main memory.
     """
 
-    def __init__(self, popcount_extension: bool = False,
-                 warm_l2: bool = True,
-                 cache_factory=None):
-        self.popcount_extension = popcount_extension
+    def __init__(self, warm_l2: bool = True, cache_factory=None):
         self.warm_l2 = warm_l2
         self.cache_factory = cache_factory or CacheHierarchy
 
-    def _fresh_cpu(self) -> CPU:
-        return CPU(
-            memory=Memory(),
-            caches=self.cache_factory(),
-            popcount_extension=self.popcount_extension,
-        )
+    def prepare(self, spec: WorkloadSpec) -> CPU:
+        """A fresh CPU with ``spec`` loaded, ready to run.
 
-    def _warm(self, cpu: CPU, base: int, size: int) -> None:
-        """Mark a region L2-resident (not L1).
-
-        Measurement words arrive from the readout data path into the
-        shared L2 (DMA), not from off-chip memory; without this the
-        streaming loads would pay main-memory latency on every line,
-        which is not the system the paper times.
+        The data regions are made L2-resident (not L1): measurement words
+        arrive from the readout data path into the shared L2 (DMA), not
+        from off-chip memory; without this the streaming loads would pay
+        main-memory latency on every line, which is not the system the
+        paper times.
         """
-        if not self.warm_l2 or size <= 0:
-            return
-        line = cpu.caches.l2.line_bytes
-        for addr in range(base, base + size + line, line):
-            cpu.caches.l2.access(addr)
-        # Warming is setup, not workload: reset the counters.
-        cpu.caches.l2.stats.accesses = 0
-        cpu.caches.l2.stats.misses = 0
-        cpu.caches.l2.stats.writebacks = 0
+        cpu = CPU(memory=Memory(), caches=self.cache_factory(),
+                  popcount_extension=spec.popcount)
+        cpu.load_program(spec.program)
+        for base, data in spec.stores:
+            cpu.memory.store_bytes(base, data)
+        if self.warm_l2 and spec.data_regions:
+            l2 = cpu.caches.l2
+            for base, size in spec.data_regions:
+                if size > 0:
+                    for addr in range(base, base + size + l2.line_bytes,
+                                      l2.line_bytes):
+                        l2.access(addr)
+            # Warming is setup, not workload: reset the counters.
+            l2.stats = CacheStats()
+        return cpu
 
     # ------------------------------------------------------------------ #
-    # Workload setup: (prepare, read_output, data_regions) triples.
-    #
-    # ``prepare()`` builds a fresh, fully-loaded CPU; ``read_output(cpu)``
-    # extracts the architectural result after a run; ``data_regions`` are
-    # the (base, size) byte ranges holding live workload data.  ``run_*``
-    # consumes them directly; the fault-injection campaign in
-    # :mod:`repro.reliability` re-uses them to re-execute the identical
-    # workload an arbitrary number of times under injected faults.
+    # Workload drivers.  ``setup_*`` return the ``(prepare, read_output,
+    # data_regions)`` triple of one spec: ``prepare()`` builds a fresh,
+    # fully loaded CPU and ``read_output(cpu)`` extracts the result after
+    # a run.  Every ``run_*`` goes setup -> prepare -> traced run ->
+    # WorkloadResult through ``_run``; perfbench wraps ``setup_knn`` /
+    # ``setup_hdc`` to time each ``prepare()``.
     # ------------------------------------------------------------------ #
-    def setup_knn(
-        self,
-        centers: np.ndarray,
-        measurements: np.ndarray,
-        n_qubits: int,
-        with_sqrt: bool = False,
-    ):
-        """kNN workload setup; see the section comment for the contract."""
-        n = len(measurements)
-        meas_bytes = pack_measurements(measurements)
-        center_bytes = pack_centers(centers)
+    def _setup(self, spec: WorkloadSpec):
+        return (partial(self.prepare, spec), spec.read_output,
+                list(spec.data_regions))
 
-        def prepare() -> CPU:
-            cpu = self._fresh_cpu()
-            cpu.load_program(
-                assemble(knn_source(n, n_qubits, with_sqrt=with_sqrt))
-            )
-            cpu.memory.store_bytes(CENTERS_BASE, center_bytes)
-            cpu.memory.store_bytes(MEAS_BASE, meas_bytes)
-            self._warm(cpu, MEAS_BASE, len(meas_bytes))
-            self._warm(cpu, CENTERS_BASE, len(center_bytes))
-            return cpu
+    def _run(self, name: str, setup) -> WorkloadResult:
+        prepare, read_output, _ = setup
+        cpu = prepare()
+        stats = _traced_run(name, cpu)
+        return WorkloadResult(name=name, stats=stats,
+                              labels=read_output(cpu))
 
-        def read_output(cpu: CPU) -> np.ndarray:
-            return np.frombuffer(
-                cpu.memory.load_bytes(OUT_BASE, n), dtype=np.uint8
-            ).astype(int)
-
-        regions = [
-            (MEAS_BASE, len(meas_bytes)),
-            (CENTERS_BASE, len(center_bytes)),
-        ]
-        return prepare, read_output, regions
+    def setup_knn(self, centers, measurements, n_qubits, with_sqrt=False):
+        """kNN setup triple; see :func:`knn_workload`."""
+        return self._setup(knn_workload(centers, measurements, n_qubits,
+                                        with_sqrt=with_sqrt))
 
     def run_knn(
         self,
@@ -175,59 +267,21 @@ class RocketSoC:
         n_qubits: int,
         with_sqrt: bool = False,
     ) -> WorkloadResult:
-        """Classify measurements with the kNN kernel.
-
-        ``centers``: (n_qubits, 2, 2); ``measurements``: (n, 2) shot-major
-        (qubit index cycles fastest).  Returns labels as 0/1.
-        """
-        prepare, read_output, _ = self.setup_knn(
-            centers, measurements, n_qubits, with_sqrt=with_sqrt
+        """Classify measurements with the kNN kernel (labels 0/1)."""
+        return self._run(
+            "knn_sqrt" if with_sqrt else "knn",
+            self.setup_knn(centers, measurements, n_qubits,
+                           with_sqrt=with_sqrt),
         )
-        name = "knn_sqrt" if with_sqrt else "knn"
-        cpu = prepare()
-        stats = _traced_run(name, cpu)
-        return WorkloadResult(name=name, stats=stats,
-                              labels=read_output(cpu))
 
-    def setup_hdc(
-        self,
-        tables: bytes,
-        measurements: np.ndarray,
-        n_qubits: int,
-        hardware_popcount: bool = False,
-        precomputed_xor: bool = True,
-    ):
-        """HDC workload setup; see the section comment for the contract."""
-        n = len(measurements)
-        meas_bytes = pack_measurements(measurements)
-
-        def prepare() -> CPU:
-            cpu = self._fresh_cpu()
-            cpu.load_program(
-                assemble(
-                    hdc_source(
-                        n, n_qubits,
-                        hardware_popcount=hardware_popcount,
-                        precomputed_xor=precomputed_xor,
-                    )
-                )
-            )
-            cpu.memory.store_bytes(TABLES_BASE, tables)
-            cpu.memory.store_bytes(MEAS_BASE, meas_bytes)
-            self._warm(cpu, MEAS_BASE, len(meas_bytes))
-            self._warm(cpu, TABLES_BASE, len(tables))
-            return cpu
-
-        def read_output(cpu: CPU) -> np.ndarray:
-            return np.frombuffer(
-                cpu.memory.load_bytes(OUT_BASE, n), dtype=np.uint8
-            ).astype(int)
-
-        regions = [
-            (MEAS_BASE, len(meas_bytes)),
-            (TABLES_BASE, len(tables)),
-        ]
-        return prepare, read_output, regions
+    def setup_hdc(self, tables, measurements, n_qubits,
+                  hardware_popcount=False, precomputed_xor=True):
+        """HDC setup triple; see :func:`hdc_workload`."""
+        return self._setup(hdc_workload(
+            tables, measurements, n_qubits,
+            hardware_popcount=hardware_popcount,
+            precomputed_xor=precomputed_xor,
+        ))
 
     def run_hdc(
         self,
@@ -237,60 +291,19 @@ class RocketSoC:
         hardware_popcount: bool = False,
         precomputed_xor: bool = True,
     ) -> WorkloadResult:
-        """Classify measurements with the HDC kernel.
-
-        ``tables`` comes from
-        :func:`repro.soc.programs.pack_hdc_tables`.
-        """
-        prepare, read_output, _ = self.setup_hdc(
+        """Classify measurements with the HDC kernel."""
+        return self._run("hdc", self.setup_hdc(
             tables, measurements, n_qubits,
             hardware_popcount=hardware_popcount,
             precomputed_xor=precomputed_xor,
-        )
-        cpu = prepare()
-        stats = _traced_run("hdc", cpu)
-        return WorkloadResult(name="hdc", stats=stats,
-                              labels=read_output(cpu))
-
-    def setup_qec_decode(self, bits: np.ndarray, distance: int):
-        """QEC majority-decode setup; see the section comment."""
-        from repro.soc.programs import qec_majority_source
-
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.size % distance:
-            raise ValueError("bit count must be a multiple of the distance")
-        n_logical = bits.size // distance
-        bit_bytes = bits.tobytes()
-
-        def prepare() -> CPU:
-            cpu = self._fresh_cpu()
-            cpu.load_program(
-                assemble(qec_majority_source(n_logical, distance))
-            )
-            cpu.memory.store_bytes(MEAS_BASE, bit_bytes)
-            self._warm(cpu, MEAS_BASE, len(bit_bytes))
-            return cpu
-
-        def read_output(cpu: CPU) -> np.ndarray:
-            return np.frombuffer(
-                cpu.memory.load_bytes(OUT_BASE, n_logical), dtype=np.uint8
-            ).astype(int)
-
-        return prepare, read_output, [(MEAS_BASE, len(bit_bytes))]
+        ))
 
     def run_qec_decode(
         self, bits: np.ndarray, distance: int
     ) -> WorkloadResult:
-        """Majority-decode repetition-code blocks (paper Section VII).
-
-        ``bits``: flat 0/1 array, physical-qubit-major, with length a
-        multiple of ``distance``.  Returns the logical values.
-        """
-        prepare, read_output, _ = self.setup_qec_decode(bits, distance)
-        cpu = prepare()
-        stats = _traced_run("qec_decode", cpu)
-        return WorkloadResult(name="qec_decode", stats=stats,
-                              labels=read_output(cpu))
+        """Majority-decode repetition-code blocks; see :func:`qec_workload`."""
+        return self._run("qec_decode",
+                         self._setup(qec_workload(bits, distance)))
 
     def run_vqe_update(
         self, bits: np.ndarray, params: np.ndarray, signs: np.ndarray
@@ -302,39 +315,33 @@ class RocketSoC:
         ``signs``: 0/1 perturbation directions.  Returns the updated
         parameter vector in ``labels`` (int64 view).
         """
-        from repro.soc.programs import vqe_update_source
-
         bits = np.asarray(bits, dtype=np.uint8)
         params = np.asarray(params, dtype=np.int64)
         signs = np.asarray(signs, dtype=np.uint8)
         if len(params) != len(signs):
             raise ValueError("params and signs must align")
-        cpu = self._fresh_cpu()
-        cpu.load_program(assemble(vqe_update_source(bits.size, params.size)))
-        cpu.memory.store_bytes(MEAS_BASE, bits.tobytes())
-        cpu.memory.store_bytes(TABLES_BASE, params.astype("<i8").tobytes())
-        cpu.memory.store_bytes(
-            TABLES_BASE + 8 * params.size, signs.tobytes()
+        spec = WorkloadSpec(
+            "vqe_update",
+            assemble(vqe_update_source(bits.size, params.size)),
+            # The signs follow the parameters at TABLES_BASE.
+            stores=((MEAS_BASE, bits.tobytes()),
+                    (TABLES_BASE,
+                     params.astype("<i8").tobytes() + signs.tobytes())),
+            data_regions=((MEAS_BASE, bits.size),
+                          (TABLES_BASE, 9 * params.size)),
+            output=(OUT_BASE, params.size, "<i8"),
         )
-        self._warm(cpu, MEAS_BASE, bits.size)
-        self._warm(cpu, TABLES_BASE, 9 * params.size)
-        stats = _traced_run("vqe_update", cpu)
-        updated = np.frombuffer(
-            cpu.memory.load_bytes(OUT_BASE, 8 * params.size), dtype="<i8"
-        ).astype(np.int64)
-        return WorkloadResult(name="vqe_update", stats=stats, labels=updated)
+        return self._run("vqe_update", self._setup(spec))
 
     def run_dhrystone(self, iterations: int = 200) -> WorkloadResult:
         """Run the Dhrystone-like integer benchmark."""
-        cpu = self._fresh_cpu()
-        program = assemble(dhrystone_source(iterations))
-        cpu.load_program(program)
-        # Seed the source record with something non-trivial.
-        cpu.memory.store_bytes(
-            MEAS_BASE, bytes(range(1, 33)) + bytes(224)
+        spec = WorkloadSpec(
+            "dhrystone",
+            assemble(dhrystone_source(iterations)),
+            # Seed the source record with something non-trivial.
+            stores=((MEAS_BASE, bytes(range(1, 33)) + bytes(224)),),
         )
-        stats = _traced_run("dhrystone", cpu)
-        return WorkloadResult(name="dhrystone", stats=stats)
+        return self._run("dhrystone", self._setup(spec))
 
 
 def cycles_per_classification(result: WorkloadResult, n: int) -> float:

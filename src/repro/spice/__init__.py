@@ -15,7 +15,6 @@ from repro.spice.netlist import (
     VoltageSource,
 )
 from repro.spice.solver import (
-    BudgetConsumption,
     ConvergenceError,
     OperatingPoint,
     SolverBudget,
@@ -29,7 +28,6 @@ from repro.spice.sources import DC, PWL, Pulse, ramp, waveform_values
 from repro.spice.waveform import Waveform, propagation_delay
 
 __all__ = [
-    "BudgetConsumption",
     "Capacitor",
     "Circuit",
     "ConvergenceError",

@@ -51,7 +51,7 @@ from repro.spice.mna import GMIN_DEFAULT, MNASystem
 from repro.spice.netlist import Circuit
 from repro.spice.waveform import Waveform
 
-__all__ = ["BudgetConsumption", "ConvergenceError", "OperatingPoint",
+__all__ = ["ConvergenceError", "OperatingPoint",
            "SolverBudget", "SolverStats", "TransientResult",
            "dc_operating_point", "transient", "transient_grid"]
 
@@ -108,28 +108,6 @@ class SolverStats:
 
 
 @dataclass(frozen=True)
-class BudgetConsumption:
-    """Snapshot of what a solve has drawn against a :class:`SolverBudget`."""
-
-    iterations: int
-    seconds: float
-    max_iterations: int | None = None
-    max_seconds: float | None = None
-
-    @property
-    def iterations_remaining(self) -> int | None:
-        if self.max_iterations is None:
-            return None
-        return max(0, self.max_iterations - self.iterations)
-
-    @property
-    def seconds_remaining(self) -> float | None:
-        if self.max_seconds is None:
-            return None
-        return max(0.0, self.max_seconds - self.seconds)
-
-
-@dataclass(frozen=True)
 class SolverBudget:
     """Per-solve resource bounds.
 
@@ -137,39 +115,13 @@ class SolverBudget:
     ``dc_operating_point``/``transient`` call (summed over timesteps and
     continuation ladders); ``max_seconds`` caps its wall-clock time.
     ``None`` disables a bound.
-
-    A budget is observable mid-run: :meth:`consumed` reports what the
-    most recent solve using this budget has drawn so far, so a caller
-    can watch the remaining headroom instead of waiting for
-    :class:`~repro.errors.SolverBudgetError` to fire.
     """
 
     max_iterations: int | None = None
     max_seconds: float | None = None
-    _last_tracker: "_BudgetTracker | None" = field(
-        default=None, repr=False, compare=False
-    )
 
     def tracker(self) -> "_BudgetTracker":
-        t = _BudgetTracker(self)
-        # Frozen dataclass: the tracker backref is bookkeeping, not
-        # identity, hence the direct __setattr__.
-        object.__setattr__(self, "_last_tracker", t)
-        return t
-
-    def consumed(self) -> BudgetConsumption:
-        """Iterations/wall-clock drawn by the most recent solve.
-
-        Wall-clock advances in real time (not only at charge points),
-        so polling mid-run sees the true elapsed cost even while the
-        solver is grinding inside one Newton ladder.
-        """
-        t = self._last_tracker
-        if t is None:
-            return BudgetConsumption(0, 0.0, self.max_iterations,
-                                     self.max_seconds)
-        return BudgetConsumption(t.iterations, t.elapsed(),
-                                 self.max_iterations, self.max_seconds)
+        return _BudgetTracker(self)
 
 
 class _BudgetTracker:
@@ -180,9 +132,6 @@ class _BudgetTracker:
         self.iterations = 0
         self.charges = 0
         self.t0 = _time.monotonic()
-
-    def elapsed(self) -> float:
-        return _time.monotonic() - self.t0
 
     def charge(self, iterations: int) -> None:
         self.iterations += iterations

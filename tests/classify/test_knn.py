@@ -47,7 +47,7 @@ class TestClassification:
         )
         clf = KNNClassifier(centers)
         pts = np.array([[0.9, 0.0], [0.0, 0.9], [-0.9, 0.0], [0.0, -0.9]])
-        assert clf.classify_interleaved(pts).tolist() == [1, 1, 0, 0]
+        assert clf.predict(pts).tolist() == [1, 1, 0, 0]
 
     @given(
         x=st.floats(-2, 2, allow_nan=False),

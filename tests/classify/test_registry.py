@@ -49,7 +49,6 @@ def test_calibrate_predict_protocol(kind, shots):
     # interleaved default == explicit arange(n) % n_qubits
     qubit = np.arange(30) % 3
     np.testing.assert_array_equal(labels, clf.predict(iq, qubit=qubit))
-    np.testing.assert_array_equal(labels, clf.classify_interleaved(iq))
     assert set(np.unique(labels)) <= {0, 1}
 
 

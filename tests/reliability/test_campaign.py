@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+
+from repro.classify import HDCClassifier, HDCEncoder
 
 from repro.errors import HangError, ReproError, WorkloadError
 from repro.reliability import (
     BitFlip,
     CampaignConfig,
     WorkloadSpec,
+    hdc_workload,
     knn_workload,
     majority_vote,
     qec_workload,
     run_campaign,
     run_with_faults,
 )
-from repro.soc import CPU, HaltError, assemble
+from repro.soc import HaltError, RocketSoC, assemble
+from repro.soc.programs import OUT_BASE, pack_hdc_tables
 
 OUTCOMES = ("masked", "sdc", "crash", "hang")
 
@@ -43,7 +49,7 @@ class TestCampaign:
 
     def test_golden_output_matches_python_reference(self, knn_spec,
                                                     campaign):
-        cpu = knn_spec.prepare()
+        cpu = RocketSoC().prepare(knn_spec)
         cpu.run()
         labels = knn_spec.read_output(cpu)
         assert np.array_equal(labels, campaign.golden_output)
@@ -93,24 +99,18 @@ class TestMajorityVote:
 
 
 def _looping_spec(iterations: int = 100_000_000) -> WorkloadSpec:
-    """A workload that busy-loops ~forever (counts down from a huge
-    value), for exercising the crash/hang buckets."""
+    """A hand-built image that busy-loops ~forever (counts down from a
+    huge value), for exercising the crash/hang buckets."""
     source = (
         f"_start:\n li t0, {iterations}\n"
         "loop:\n addi t0, t0, -1\n bne t0, zero, loop\n ecall\n"
     )
-
-    def prepare() -> CPU:
-        cpu = CPU()
-        cpu.load_program(assemble(source))
-        return cpu
-
-    return WorkloadSpec("loop", prepare, lambda cpu: np.zeros(1, dtype=int))
+    return WorkloadSpec("loop", assemble(source), output=(OUT_BASE, 1, "u1"))
 
 
 class TestCrashAndHang:
     def test_halt_error_propagates_from_iss(self):
-        cpu = _looping_spec().prepare()
+        cpu = RocketSoC().prepare(_looping_spec())
         with pytest.raises(HaltError):
             cpu.run(max_instructions=1000)
 
@@ -120,17 +120,17 @@ class TestCrashAndHang:
         assert issubclass(HaltError, RuntimeError)  # legacy handlers
 
     def test_cycle_watchdog_raises_hang_error(self):
-        cpu = _looping_spec().prepare()
+        cpu = RocketSoC().prepare(_looping_spec())
         with pytest.raises(HangError):
             cpu.run(max_cycles=500)
 
     def test_run_with_faults_honors_watchdog(self):
-        cpu = _looping_spec().prepare()
+        cpu = RocketSoC().prepare(_looping_spec())
         with pytest.raises(HangError):
             run_with_faults(cpu, [], max_cycles=500)
 
     def test_faults_fire_at_scheduled_cycles(self):
-        cpu = _looping_spec(iterations=50).prepare()
+        cpu = RocketSoC().prepare(_looping_spec(iterations=50))
         # Flip a high bit of the countdown register mid-run: the loop
         # either runs vastly longer (hang) or exits early; either way
         # the fault must have been applied.
@@ -142,7 +142,7 @@ class TestCrashAndHang:
         assert fired == [(fault, True)]
 
     def test_post_halt_faults_report_unapplied(self):
-        cpu = _looping_spec(iterations=5).prepare()
+        cpu = RocketSoC().prepare(_looping_spec(iterations=5))
         fault = BitFlip("regfile", cycle=10**9, index=5, bit=0)
         _, fired = run_with_faults(cpu, [fault])
         assert fired == [(fault, False)]
@@ -154,7 +154,7 @@ class TestQECWorkload:
         distance = 3
         bits = rng.integers(0, 2, 30).astype(np.uint8)
         spec = qec_workload(bits, distance)
-        cpu = spec.prepare()
+        cpu = RocketSoC().prepare(spec)
         cpu.run()
         got = spec.read_output(cpu)
         want = (bits.reshape(-1, distance).sum(axis=1) > distance // 2)
@@ -168,3 +168,49 @@ class TestQECWorkload:
         a = run_campaign(spec, cfg)
         b = run_campaign(spec, cfg)
         assert a.bucket_signature() == b.bucket_signature()
+
+
+def _pinned_specs() -> dict[str, WorkloadSpec]:
+    rng = np.random.default_rng(2023)
+    nq = 5
+    centers = rng.normal(0.0, 0.8, (nq, 2, 2))
+    meas = rng.normal(0.0, 0.8, (4 * nq, 2))
+    encoder = HDCEncoder.random(seed=5)
+    clf = HDCClassifier.from_centers(centers, encoder=encoder)
+    tables = pack_hdc_tables(encoder.y_items, xc0=clf.xc_tables[:, 0],
+                             xc1=clf.xc_tables[:, 1])
+    bits = rng.integers(0, 2, 7 * 3).astype(np.uint8)
+    return {"knn": knn_workload(centers, meas, nq),
+            "hdc": hdc_workload(tables, meas, nq),
+            "qec": qec_workload(bits, 3)}
+
+
+#: sha256 of repr((golden_cycles, golden_output, records)) of a
+#: 120-injection, seed-2023 campaign on each image; how an image is built,
+#: shipped or loaded must not move a single record.
+_RECORD_PINS = {
+    ("knn", False):
+        "f7f7aee7fb4fc200b2898d059661d696acc650d8234b6f1ebf1390bbfc544411",
+    ("knn", True):
+        "75b3c18130f7788196c87ff460b309015152e8714267070dcc6bb471ad9ac777",
+    ("hdc", False):
+        "aed4e1b32880b4afe995d0415b08017c87170e2514fc4be4b61681ffc3dccd52",
+    ("hdc", True):
+        "7acb5a8e837f00cf0f482426afcec085ecd7ef3cb977174c1beee789f2c00821",
+    ("qec", False):
+        "99b3fb8f55d625230d9b37491d97bae070d8fae9eca008bd6cc38f46b143fc7e",
+    ("qec", True):
+        "f46162819753a59de4a753d2e970b4fea1bfe2eebbe6a6d4405ffc6fcdcfeaa5",
+}
+
+
+@pytest.mark.parametrize("name,tmr", sorted(_RECORD_PINS))
+def test_campaign_records_match_pin(name, tmr):
+    spec = _pinned_specs()[name]
+    result = run_campaign(
+        spec, CampaignConfig(n_injections=120, seed=2023, tmr=tmr),
+        jobs=1, cache=False)
+    blob = repr((result.golden_cycles, result.golden_output.tolist(),
+                 result.records))
+    assert hashlib.sha256(blob.encode()).hexdigest() == _RECORD_PINS[
+        (name, tmr)]

@@ -5,13 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.reliability import (
     CampaignConfig,
-    WorkloadSpec,
     knn_workload,
     qec_workload,
     run_campaign,
 )
+from repro.soc import RocketSoC
+from tests.reliability.test_campaign import _looping_spec
 
 
 @pytest.fixture(scope="module")
@@ -44,21 +46,35 @@ class TestSerialParallelEquivalence:
         assert parallel.bucket_signature() == serial.bucket_signature()
 
 
-class TestFactorylessSpec:
-    def test_custom_spec_without_factory_still_runs_parallel(self, knn_spec,
-                                                             config):
-        # A hand-built spec has no rebuild recipe; the parallel path must
-        # still work (the spec itself crosses the boundary, or the run
-        # falls back to serial) and match the serial result.
-        bare = WorkloadSpec(
-            name=knn_spec.name,
-            prepare=knn_spec.prepare,
-            read_output=knn_spec.read_output,
-            data_regions=knn_spec.data_regions,
-        )
-        serial = run_campaign(bare, config, jobs=1)
-        parallel = run_campaign(bare, config, jobs=4)
+class TestHandBuiltImage:
+    def test_busy_loop_parallel_and_cached(self, tmp_path, monkeypatch):
+        # An image built by hand, not by an adapter, crosses the process
+        # boundary and keys the disk cache like any other.
+        spec = _looping_spec(iterations=300)
+        config = CampaignConfig(n_injections=48, seed=11,
+                                structures=("regfile",))
+        serial = run_campaign(spec, config, jobs=1, cache=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            parallel = run_campaign(spec, config, jobs=2)
+            summary = telemetry.metrics_summary()
+        finally:
+            telemetry.reset()
+            telemetry.disable()
+        assert "runtime.fallback.process_to_serial" not in summary
+        assert "runtime.chunk_failures" not in summary
         assert parallel.bucket_signature() == serial.bucket_signature()
+        assert serial.counts()["hang"] > 0
+        assert any(tmp_path.rglob("*.pkl"))
+
+        def no_load(self, spec):
+            raise AssertionError("a cached campaign loaded the image")
+
+        monkeypatch.setattr(RocketSoC, "prepare", no_load)
+        again = run_campaign(spec, config, jobs=2)
+        assert again.bucket_signature() == serial.bucket_signature()
 
 
 class TestCampaignCache:

@@ -69,16 +69,19 @@ KERNELS = _kernels()
 
 
 def _loaded(engine: type, kernel) -> CPU:
-    """The CPU a RocketSoC workload builds, loaded but not yet run."""
+    """The CPU a RocketSoC workload builds, loaded but not yet run, with
+    the popcount extension on (so a flipped word that decodes to ``cpop``
+    executes instead of trapping)."""
     cpus: list[CPU] = []
 
     def capture(name, cpu, **kwargs):
+        cpu.popcount_extension = True
         cpus.append(cpu)
         return cpu.stats
 
     with mock.patch.object(soc_module, "CPU", engine), \
             mock.patch.object(soc_module, "_traced_run", capture):
-        kernel(RocketSoC(popcount_extension=True))
+        kernel(RocketSoC())
     return cpus[0]
 
 

@@ -25,7 +25,7 @@ class TestKNNKernel:
     def test_labels_match_reference(self, rng):
         centers, meas = _setup(rng, 20, 20)
         result = RocketSoC().run_knn(centers, meas, 20)
-        ref = KNNClassifier(centers).classify_interleaved(meas)
+        ref = KNNClassifier(centers).predict(meas)
         assert np.array_equal(result.labels, ref)
 
     def test_sqrt_variant_same_labels(self, rng):
@@ -78,7 +78,7 @@ class TestHDCKernel:
     def test_labels_match_reference(self, hdc_setup):
         nq, meas, clf, pre, _ = hdc_setup
         result = RocketSoC().run_hdc(pre, meas, nq)
-        ref = clf.classify_interleaved(meas)
+        ref = clf.predict(meas)
         assert np.array_equal(result.labels, ref)
 
     def test_naive_variant_same_labels(self, hdc_setup):
@@ -99,7 +99,7 @@ class TestHDCKernel:
     def test_hardware_popcount_helps_substantially(self, hdc_setup):
         nq, meas, clf, pre, _ = hdc_setup
         soft = RocketSoC().run_hdc(pre, meas, nq)
-        hard = RocketSoC(popcount_extension=True).run_hdc(
+        hard = RocketSoC().run_hdc(
             pre, meas, nq, hardware_popcount=True
         )
         assert np.array_equal(soft.labels, hard.labels)
