@@ -400,15 +400,22 @@ _TABLE_ROWS = tuple(
 def stack_models(models: list[FinFET], counts, tile: int = 1) -> FinFET:
     """Build a batch evaluator over ``models`` repeated ``counts`` times.
 
-    ``counts[i]`` devices share ``models[i]``; the returned object's
-    ``ids`` expects bias arrays laid out as the concatenation of each
-    model's devices (optionally ``tile`` copies of that layout back to
-    back, for multi-point finite-difference evaluation).  Its params are
-    one ``(rows, devices)`` table with each row bound to its field name.
+    ``counts[i]`` devices share ``models[i]`` (a scalar repeats every
+    model that often); the returned object's ``ids`` expects bias arrays
+    laid out as the concatenation of each model's devices (optionally
+    ``tile`` copies of that layout back to back, for multi-point
+    finite-difference evaluation).  Its params are one ``(rows,
+    devices)`` table with each row bound to its field name.  Models that
+    share one params record (a batch of SPICE replicas built from a few
+    mismatch samples) read that record once: the table is built per
+    distinct record and its columns expanded by index.
     """
+    records = {id(m.params): m.params for m in models}
+    column = {key: k for k, key in enumerate(records)}
+    cols = [column[id(m.params)] for m in models]
     table = np.array(
-        [[getattr(m.params, name) for m in models] for name in _TABLE_ROWS],
+        [[getattr(p, name) for p in records.values()] for name in _TABLE_ROWS],
         dtype=float,
     )
-    table = np.tile(np.repeat(table, counts, axis=1), tile)
+    table = np.tile(table[:, np.repeat(cols, counts)], tile)
     return FinFET(SimpleNamespace(**dict(zip(_TABLE_ROWS, table))))

@@ -6,7 +6,9 @@ calibrated BSIM-CMG transistor compact model at 300 and 10 K".  This
 module rebuilds the cell-stability half of that study:
 
 * the hold butterfly curve from two cross-coupled inverter VTCs computed
-  with the MNA DC solver;
+  with the MNA DC solver: every point of every VTC a call needs (one
+  inverter, one cell, or a whole Monte-Carlo population) is one replica
+  of ONE batched ``dc_operating_point`` solve per temperature;
 * the static noise margin (SNM) as the largest square inscribed in the
   butterfly lobes (the standard 45-degree construction);
 * Monte-Carlo SNM under cryogenic Vth mismatch
@@ -24,8 +26,43 @@ import numpy as np
 from repro.device.finfet import FinFET
 from repro.device.params import FinFETParams
 from repro.device.variability import MismatchModel
+from repro.errors import ConfigError
 
 __all__ = ["SRAMCellAnalysis", "inverter_vtc", "hold_snm"]
+
+
+def _vtcs(
+    inverters: list[tuple[FinFETParams, FinFETParams]],
+    temperature_k: float,
+    vdd: float,
+    n_points: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """VTCs of ``(nfet, pfet)`` inverters as one batched DC solve.
+
+    Returns the shared input sweep and the ``(len(inverters), n_points)``
+    outputs; each replica is one (inverter, input voltage) point.
+    """
+    from repro.spice import Circuit, DC, dc_operating_point
+
+    if n_points < 2:
+        raise ConfigError(
+            f"a VTC needs at least 2 points, got n_points={n_points}",
+            field="n_points")
+    vin = np.linspace(0.0, vdd, n_points)
+    circuits = []
+    for nfet, pfet in inverters:
+        mp, mn = FinFET(pfet), FinFET(nfet)
+        for v in vin:
+            circuit = Circuit("inv_vtc", temperature_k=temperature_k)
+            circuit.add_vsource("vdd", "vdd", "0", DC(vdd))
+            circuit.add_vsource("vin", "in", "0", DC(float(v)))
+            circuit.add_finfet("mp", "out", "in", "vdd", mp,
+                               with_parasitics=False)
+            circuit.add_finfet("mn", "out", "in", "0", mn,
+                               with_parasitics=False)
+            circuits.append(circuit)
+    vout = dc_operating_point(circuits)["out"]
+    return vin, vout.reshape(len(inverters), n_points)
 
 
 def inverter_vtc(
@@ -36,20 +73,8 @@ def inverter_vtc(
     n_points: int = 41,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Voltage-transfer curve of one bitcell inverter (DC sweep)."""
-    from repro.spice import Circuit, DC, dc_operating_point
-
-    vin = np.linspace(0.0, vdd, n_points)
-    vout = np.empty_like(vin)
-    for i, v in enumerate(vin):
-        circuit = Circuit("inv_vtc", temperature_k=temperature_k)
-        circuit.add_vsource("vdd", "vdd", "0", DC(vdd))
-        circuit.add_vsource("vin", "in", "0", DC(float(v)))
-        circuit.add_finfet("mp", "out", "in", "vdd", FinFET(pfet),
-                           with_parasitics=False)
-        circuit.add_finfet("mn", "out", "in", "0", FinFET(nfet),
-                           with_parasitics=False)
-        vout[i] = dc_operating_point(circuit)["out"]
-    return vin, vout
+    vin, vout = _vtcs([(nfet, pfet)], temperature_k, vdd, n_points)
+    return vin, vout[0]
 
 
 def _butterfly_snm(
@@ -88,10 +113,9 @@ def hold_snm(
     The two inverters may carry different (mismatched) devices; the SNM
     is the smaller of the two butterfly lobes.
     """
-    v1, f1 = inverter_vtc(nfet_left, pfet_left, temperature_k, vdd, n_points)
-    v2, f2 = inverter_vtc(nfet_right, pfet_right, temperature_k, vdd,
-                          n_points)
-    return _butterfly_snm(v1, f1, v2, f2, vdd)
+    vin, vout = _vtcs([(nfet_left, pfet_left), (nfet_right, pfet_right)],
+                      temperature_k, vdd, n_points)
+    return _butterfly_snm(vin, vout[0], vin, vout[1], vdd)
 
 
 @dataclass
@@ -133,17 +157,23 @@ class SRAMCellAnalysis:
         seed: int = 1,
         n_points: int = 31,
     ) -> np.ndarray:
-        """Sampled hold SNM across mismatched cells (V)."""
+        """Sampled hold SNM across mismatched cells (V).
+
+        Cell ``k`` pairs samples ``2k`` (left inverter) and ``2k + 1``
+        (right); all ``n_cells`` cells are one batched DC solve.
+        """
+        if n_cells < 1:
+            raise ConfigError(
+                f"Monte Carlo needs at least 1 cell, got n_cells={n_cells}",
+                field="n_cells")
         rng = np.random.default_rng(seed)
         n_samples = self.mismatch.sample(self.nfet, temperature_k,
                                          2 * n_cells, rng)
         p_samples = self.mismatch.sample(self.pfet, temperature_k,
                                          2 * n_cells, rng)
-        out = np.empty(n_cells)
-        for k in range(n_cells):
-            out[k] = hold_snm(
-                n_samples[2 * k], p_samples[2 * k],
-                n_samples[2 * k + 1], p_samples[2 * k + 1],
-                temperature_k, self.vdd, n_points,
-            )
-        return out
+        vin, vout = _vtcs(list(zip(n_samples, p_samples)), temperature_k,
+                          self.vdd, n_points)
+        return np.array([
+            _butterfly_snm(vin, vout[2 * k], vin, vout[2 * k + 1], self.vdd)
+            for k in range(n_cells)
+        ])

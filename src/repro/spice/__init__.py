@@ -2,8 +2,8 @@
 
 Stands in for Synopsys PrimeSim in the paper's flow (Fig. 4).  Supports
 resistors, capacitors, waveform-driven voltage sources and FinFET compact
--model instances; DC (Newton-Raphson + gmin stepping) and fixed-step
-backward-Euler transient analysis.
+-model instances; DC (Newton-Raphson + gmin stepping, one circuit or a
+batch) and fixed-step backward-Euler transient analysis.
 """
 
 from repro.spice.mna import MNASystem
@@ -17,6 +17,7 @@ from repro.spice.netlist import (
 from repro.spice.solver import (
     ConvergenceError,
     OperatingPoint,
+    OperatingPointBatch,
     SolverBudget,
     SolverStats,
     TransientResult,
@@ -35,6 +36,7 @@ __all__ = [
     "FinFETElement",
     "MNASystem",
     "OperatingPoint",
+    "OperatingPointBatch",
     "PWL",
     "Pulse",
     "Resistor",

@@ -6,21 +6,26 @@ replica's unknown vector is ``[node voltages..., source branch
 currents...]``; the system stacks G of them into ``(G, dim)`` and its
 matrix is the block-diagonal stack ``A`` of shape ``(G, dim, dim)``.
 
-Every stamp is compiled once in ``__init__`` from replica 0 into flat
-scatter-index/value arrays (static conductances, the gmin diagonal,
+Every stamp pattern is compiled once in ``__init__`` from replica 0 into
+flat scatter-index/value arrays (static conductances, the gmin diagonal,
 capacitor companions, per-device FinFET entry coefficients with ground
-masked out at compile time) and offset per replica.  :meth:`assemble` is
-then a handful of ``np.add.at`` scatters plus ONE stacked compact-model
-call (a ``repro.device.finfet.FinFET`` over the per-device parameter table
-of ``stack_models``) for every device of every replica -- no Python loop over devices, capacitors, nodes or replicas per
-Newton iteration.  :meth:`rhs` rebuilds the RHS around *frozen* device
-companions, which makes the solver's modified-Newton bypass iterations
-free of compact-model calls.
+masked out at compile time) and offset per replica.  Element values,
+source waveforms and device models are per replica: every replica's
+FinFETs, in replica 0's device order, are columns of one ``stack_models``
+parameter table, so replicas may carry different (e.g. mismatched)
+models for the same device.  :meth:`assemble` is then a handful of
+``np.add.at`` scatters plus ONE stacked compact-model call (a
+``repro.device.finfet.FinFET`` over that table) for every device of
+every replica -- no Python loop over devices, capacitors, nodes or
+replicas per Newton iteration.  :meth:`rhs` rebuilds the RHS around
+*frozen* device companions, which makes the solver's modified-Newton
+bypass iterations free of compact-model calls.
 
 Replica blocks never couple: every method is elementwise per replica, so
-block ``r`` is bit-equal to the system built from ``circuits[r]`` alone,
-and the solver can freeze or evict one replica without perturbing the
-others.
+block ``r`` is bit-equal to the system built from ``circuits[r]`` alone
+(given that its FinFETs group by model object as replica 0's do, which
+fixes the stamp summation order), and the solver can freeze or evict one
+replica without perturbing the others.
 """
 
 from __future__ import annotations
@@ -57,10 +62,12 @@ class MNASystem:
     """G structurally identical circuits tiled into one batched system.
 
     The replicas of one characterization row (same cell, same stimulus
-    edge, different load caps) share one topology, so the scatter
-    indices are compiled once from ``circuits[0]`` and offset per
-    replica; every per-replica quantity (element values, source
-    waveforms) lives in a ``(G, ...)`` array.  All FinFETs across all
+    edge, different load caps) or of one DC sweep (same inverter,
+    different input voltages or mismatched devices) share one topology
+    and one temperature, so the scatter indices are compiled once from
+    ``circuits[0]`` and offset per replica; every per-replica quantity
+    (element values, source waveforms, device models) lives in a
+    ``(G, ...)`` array or a table column.  All FinFETs across all
     replicas are folded into one stacked evaluator, so each Newton
     iteration makes ONE compact-model call for the whole batch.
     """
@@ -152,14 +159,17 @@ class MNASystem:
         self._cap_rhs_sign = np.tile(rhs_sign, g)
         self._cap_rhs_k = tile(rhs_k, n_caps)
 
-        # FinFETs: grouped by model object, with one global device
-        # ordering so all groups share one scatter pass and one FinFET
-        # over their stacked parameter table.  tile=3*G serves the finite-difference layout
+        # FinFETs: replica 0's devices grouped by model object give one
+        # device order for every replica (and so one scatter summation
+        # order, whatever models the replicas carry).  Each replica's own
+        # models fill its columns of one stacked parameter table;
+        # tile=3 serves the finite-difference layout
         # [base | vgs+step | vds+step] for the whole batch in one call.
-        by_model: dict[int, list] = {}
-        for fet in ref.finfets:
-            by_model.setdefault(id(fet.model), []).append(fet)
-        fets = [f for group in by_model.values() for f in group]
+        by_model: dict[int, list[int]] = {}
+        for k, fet in enumerate(ref.finfets):
+            by_model.setdefault(id(fet.model), []).append(k)
+        order = [k for group in by_model.values() for k in group]
+        fets = [ref.finfets[k] for k in order]
         self.n_fets = n_fets = len(fets)
         self._fet_d = np.array([self.index(f.drain) for f in fets], dtype=int)
         self._fet_g = np.array([self.index(f.gate) for f in fets], dtype=int)
@@ -168,8 +178,8 @@ class MNASystem:
         self._stack3 = None
         if n_fets:
             self._stack3 = stack_models(
-                [group[0].model for group in by_model.values()],
-                [len(group) for group in by_model.values()], tile=3 * g)
+                [circ.finfets[k].model for circ in circuits for k in order],
+                1, tile=3)
         mat_flat, mat_cgm, mat_cgds, mat_k = [], [], [], []
         rhs_row, rhs_sign, rhs_k = [], [], []
         for k in range(n_fets):
@@ -370,7 +380,10 @@ class MNASystem:
 
 
 def _check_structure(circuits: list[Circuit]) -> None:
-    """Replicas must be element-for-element the same topology."""
+    """Replicas must share one temperature and one element topology.
+
+    Element values, waveforms and device models may differ per replica.
+    """
     ref = circuits[0]
     ref_nodes = ref.node_names()
     for r, circ in enumerate(circuits[1:], start=1):
@@ -397,10 +410,3 @@ def _check_structure(circuits: list[Circuit]) -> None:
                 raise NetlistError(
                     f"replica {r} element structure differs from "
                     f"replica 0", element=circ.title)
-        for ref_fet, fet in zip(ref.finfets, circ.finfets):
-            if fet.model is not ref_fet.model:
-                raise NetlistError(
-                    f"replica {r} device {fet.name} uses a different "
-                    f"model object than replica 0 (replicas must "
-                    f"share models for stacked evaluation)",
-                    element=fet.name)

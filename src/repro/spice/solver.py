@@ -2,7 +2,8 @@
 
 * :func:`dc_operating_point` -- damped Newton-Raphson with automatic gmin
   stepping and a source-stepping (continuation) fallback on
-  non-convergence.
+  non-convergence, for one circuit or for G structurally identical
+  circuits at once (a DC sweep or a Monte-Carlo population).
 * :func:`transient` -- fixed-step backward-Euler integration (L-stable; the
   characterization flow picks steps ~100x smaller than the fastest
   transition, where BE's first-order error is negligible against the
@@ -12,9 +13,10 @@
 
 All three run the same driver on a :class:`~repro.spice.mna.MNASystem`:
 a single circuit is simply a batch of G = 1.  Results come back as
-:class:`OperatingPoint` / :class:`TransientResult`, which expose per-node
-:class:`~repro.spice.waveform.Waveform` objects and per-source branch
-currents for energy integration.
+:class:`OperatingPoint` / :class:`OperatingPointBatch` /
+:class:`TransientResult`, which expose per-node voltages (as
+:class:`~repro.spice.waveform.Waveform` objects for a transient) and
+per-source branch currents for energy integration.
 
 Robustness: every public entry point accepts an optional
 :class:`SolverBudget` bounding total Newton iterations and wall-clock
@@ -22,8 +24,9 @@ time, so one pathological solve cannot stall a library build.  Budget
 exhaustion raises :class:`~repro.errors.SolverBudgetError`.  Every solve
 walks the escalation ladder (plain NR -> gmin ladder -> source stepping)
 on exactly the replicas that have not converged; a replica that fails
-the whole ladder is evicted from its batch, and a single-circuit solve
-raises :class:`ConvergenceError` carrying the full escalation history.
+the whole ladder is evicted from its batch; a DC solve or a
+single-circuit transient raises :class:`ConvergenceError` carrying the
+full escalation history.
 
 Performance: the inner loop is masked modified Newton.  The first
 iteration of each solve reuses the Jacobian and frozen device companions
@@ -51,7 +54,7 @@ from repro.spice.mna import GMIN_DEFAULT, MNASystem
 from repro.spice.netlist import Circuit
 from repro.spice.waveform import Waveform
 
-__all__ = ["ConvergenceError", "OperatingPoint",
+__all__ = ["ConvergenceError", "OperatingPoint", "OperatingPointBatch",
            "SolverBudget", "SolverStats", "TransientResult",
            "dc_operating_point", "transient", "transient_grid"]
 
@@ -207,6 +210,32 @@ class OperatingPoint:
 
     def __getitem__(self, node: str) -> float:
         return self.voltages[node]
+
+
+@dataclass
+class OperatingPointBatch:
+    """DC solutions of G replicas solved as one batch.
+
+    ``voltages`` and ``source_currents`` map each node and source to a
+    ``(G,)`` array holding replica ``r`` at index ``r``; :meth:`point`
+    gives one replica as an :class:`OperatingPoint`.  ``stats`` is the
+    batch's (lockstep iterations counted once).
+    """
+
+    voltages: dict[str, np.ndarray]
+    source_currents: dict[str, np.ndarray]
+    stats: SolverStats
+
+    def __getitem__(self, node: str) -> np.ndarray:
+        return self.voltages[node]
+
+    def point(self, r: int) -> OperatingPoint:
+        """Replica ``r`` as a single-circuit result."""
+        return OperatingPoint(
+            voltages={n: float(v[r]) for n, v in self.voltages.items()},
+            source_currents={n: float(i[r])
+                             for n, i in self.source_currents.items()},
+            iterations=self.stats.newton_iterations, stats=self.stats)
 
 
 @dataclass
@@ -450,34 +479,49 @@ def _publish(sp, kind: str, stats: SolverStats, system: MNASystem,
 
 
 def dc_operating_point(
-    circuit: Circuit,
+    circuit: Circuit | list[Circuit],
     t: float = 0.0,
     budget: SolverBudget | None = None,
-) -> OperatingPoint:
+) -> OperatingPoint | OperatingPointBatch:
     """Solve the DC operating point with sources evaluated at time ``t``.
 
+    ``circuit`` is one :class:`Circuit`, answered with an
+    :class:`OperatingPoint`, or a list of G structurally identical
+    circuits (one topology and temperature; per-replica element values,
+    sources and device models -- the points of a DC sweep, the devices
+    of a Monte-Carlo population), solved as one masked-Newton batch and
+    answered with an :class:`OperatingPointBatch`.  Each replica of a
+    batch is bit-equal to its own single-circuit solve.  A
+    :class:`SolverBudget` bounds the whole call.
+
     Raises :class:`ConvergenceError` when the whole escalation ladder
-    fails.
+    fails; for a batch the message names the first failed replica.
     """
-    system = _make_system([circuit])
-    x = np.zeros((1, system.dim))
+    single = isinstance(circuit, Circuit)
+    circuits = [circuit] if single else list(circuit)
+    system = _make_system(circuits)
+    g = system.n_replicas
+    x = np.zeros((g, system.dim))
     tracker = budget.tracker() if budget is not None else None
     stats = SolverStats()
     with telemetry.span("spice.dc_operating_point",
-                        circuit=circuit.title) as sp:
+                        circuit=circuits[0].title, replicas=g) as sp:
         its, failures = _solve(system, x, system.source_values(t), None,
-                               np.ones(1, dtype=bool), tracker, stats, t)
+                               np.ones(g, dtype=bool), tracker, stats, t)
         if failures:
-            raise ConvergenceError(failures[0])
+            r = min(failures)
+            raise ConvergenceError(
+                failures[r] if single else
+                f"replica {r} of {g} ({circuits[r].title!r}): "
+                f"{failures[r]}")
         stats.newton_iterations = its
         _publish(sp, "dc", stats, system, tracker)
-    voltages = {n: float(x[0, i]) for i, n in enumerate(system.nodes)}
-    currents = {
-        src.name: float(x[0, system.n_nodes + k])
-        for k, src in enumerate(circuit.sources)
-    }
-    return OperatingPoint(voltages=voltages, source_currents=currents,
-                          iterations=its, stats=stats)
+    batch = OperatingPointBatch(
+        voltages={n: x[:, i] for i, n in enumerate(system.nodes)},
+        source_currents={src.name: x[:, system.n_nodes + k]
+                         for k, src in enumerate(circuits[0].sources)},
+        stats=stats)
+    return batch.point(0) if single else batch
 
 
 def transient(

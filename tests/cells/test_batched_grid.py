@@ -4,7 +4,8 @@ The batched path must be a pure performance transformation of the
 per-point SPICE path:
 
 * a G-replica ``MNASystem`` assembles block-for-block what each
-  replica's G=1 system assembles alone (randomized circuits);
+  replica's G=1 system assembles alone (randomized circuits, with shared
+  or per-replica device models);
 * masked convergence isolates failures -- an evicted replica never
   perturbs the survivors' solutions, and the characterizer replays an
   evicted point alone on its own grid;
@@ -59,12 +60,21 @@ def _characterizer(models, temp: float, **kw) -> CellCharacterizer:
     return CellCharacterizer(models, cfg)
 
 
-def _nand2_family(models, n: int, temp: float = 300.0) -> list[Circuit]:
-    """NAND2 replicas with per-replica loads and input ramps."""
+def _nand2_family(models, n: int, temp: float = 300.0,
+                  own_models: bool = False) -> list[Circuit]:
+    """NAND2 replicas with per-replica loads and input ramps.
+
+    ``own_models`` gives every replica its own device models, with the
+    n- and p-FET thresholds shifted by a replica-dependent offset.
+    """
     ch = _characterizer(models, temp)
     cell = cell_by_name("NAND2_X1")
     circuits = []
     for r in range(n):
+        if own_models:
+            ch = _characterizer(TechModels(
+                models.nfet.copy(VTH0=models.nfet.VTH0 + 0.01 * r),
+                models.pfet.copy(VTH0=models.pfet.VTH0 - 0.007 * r)), temp)
         wave_map = {
             "A": ramp(3e-12 + r * 1e-12, 8e-12, 0.0, VDD),
             "B": DC(VDD),
@@ -76,9 +86,14 @@ def _nand2_family(models, n: int, temp: float = 300.0) -> list[Circuit]:
 
 
 class TestReplicatedAssembly:
+    @pytest.mark.parametrize("own_models", [False, True])
     @pytest.mark.parametrize("seed", range(4))
-    def test_blocks_match_single_system_reference(self, models, seed):
-        circuits = _nand2_family(models, n=5)
+    def test_blocks_match_single_system_reference(self, models, seed,
+                                                  own_models):
+        circuits = _nand2_family(models, n=5, own_models=own_models)
+        if own_models:
+            assert circuits[0].finfets[0].model is not \
+                circuits[1].finfets[0].model
         rsys = MNASystem(circuits)
         g, dim = rsys.n_replicas, rsys.dim
         rng = np.random.default_rng(100 + seed)

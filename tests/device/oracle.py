@@ -18,6 +18,15 @@ on ``polarity`` and caches its temperature-derived quantities per
 :func:`oracle_stack_models`, which gathers those per-model scalars into
 repeated arrays.  Used by ``tests/device/test_evaluator_equivalence.py``
 (byte equality).
+
+Hold SNM: :mod:`repro.device.sram_cell` solves every point of every VTC
+a call needs as one batched ``dc_operating_point``.
+:func:`oracle_inverter_vtc`, :func:`oracle_hold_snm` and
+:func:`oracle_monte_carlo` are the per-point loop it replaced: one
+single-circuit DC solve per input voltage, each with freshly built
+FinFETs.  Used by ``tests/device/test_sram_batched.py`` (equality with
+``==``) and ``benchmarks/test_bench_dc_batch.py`` (the speedup
+baseline).
 """
 
 from __future__ import annotations
@@ -39,9 +48,13 @@ from repro.device.finfet import FinFET, normalized_charge
 from repro.device.measurement import IVCurve
 from repro.device.mobility import low_field_mobility, mobility_with_coefficients
 from repro.device.params import STAGE_PARAMETERS, FinFETParams
+from repro.device.sram_cell import SRAMCellAnalysis, _butterfly_snm
 from repro.device.thermal import cooldown_fraction, subthreshold_slope_factor
+from repro.spice import DC, Circuit, dc_operating_point
 
-__all__ = ["OracleCalibrator", "OracleFinFET", "oracle_stack_models", "residuals"]
+__all__ = ["OracleCalibrator", "OracleFinFET", "oracle_hold_snm",
+           "oracle_inverter_vtc", "oracle_monte_carlo", "oracle_stack_models",
+           "residuals"]
 
 
 def residuals(
@@ -270,3 +283,63 @@ def oracle_stack_models(models: list[OracleFinFET], counts,
                         tile: int = 1) -> OracleFinFET:
     """Batch evaluator over ``models`` repeated ``counts`` times, tiled."""
     return _OracleStack(models, counts, tile)
+
+
+def oracle_inverter_vtc(
+    nfet: FinFETParams,
+    pfet: FinFETParams,
+    temperature_k: float,
+    vdd: float = 0.70,
+    n_points: int = 41,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inverter VTC, one single-circuit DC solve per input voltage."""
+    vin = np.linspace(0.0, vdd, n_points)
+    vout = np.empty_like(vin)
+    for i, v in enumerate(vin):
+        circuit = Circuit("inv_vtc", temperature_k=temperature_k)
+        circuit.add_vsource("vdd", "vdd", "0", DC(vdd))
+        circuit.add_vsource("vin", "in", "0", DC(float(v)))
+        circuit.add_finfet("mp", "out", "in", "vdd", FinFET(pfet),
+                           with_parasitics=False)
+        circuit.add_finfet("mn", "out", "in", "0", FinFET(nfet),
+                           with_parasitics=False)
+        vout[i] = dc_operating_point(circuit)["out"]
+    return vin, vout
+
+
+def oracle_hold_snm(
+    nfet_left: FinFETParams,
+    pfet_left: FinFETParams,
+    nfet_right: FinFETParams,
+    pfet_right: FinFETParams,
+    temperature_k: float,
+    vdd: float = 0.70,
+    n_points: int = 41,
+) -> float:
+    """Hold SNM from two per-point VTCs."""
+    v1, f1 = oracle_inverter_vtc(nfet_left, pfet_left, temperature_k, vdd,
+                                 n_points)
+    v2, f2 = oracle_inverter_vtc(nfet_right, pfet_right, temperature_k, vdd,
+                                 n_points)
+    return _butterfly_snm(v1, f1, v2, f2, vdd)
+
+
+def oracle_monte_carlo(
+    analysis: SRAMCellAnalysis,
+    temperature_k: float,
+    n_cells: int = 25,
+    seed: int = 1,
+    n_points: int = 31,
+) -> np.ndarray:
+    """``SRAMCellAnalysis.monte_carlo`` with one oracle SNM per cell."""
+    rng = np.random.default_rng(seed)
+    n_samples = analysis.mismatch.sample(analysis.nfet, temperature_k,
+                                         2 * n_cells, rng)
+    p_samples = analysis.mismatch.sample(analysis.pfet, temperature_k,
+                                         2 * n_cells, rng)
+    return np.array([
+        oracle_hold_snm(n_samples[2 * k], p_samples[2 * k],
+                        n_samples[2 * k + 1], p_samples[2 * k + 1],
+                        temperature_k, analysis.vdd, n_points)
+        for k in range(n_cells)
+    ])

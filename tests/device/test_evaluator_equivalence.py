@@ -80,6 +80,25 @@ def test_stacked_currents(tile):
         _same(stack.ids(vgs[:, None], vds, t), ref.ids(vgs[:, None], vds, t))
 
 
+@pytest.mark.parametrize("tile", [1, 3])
+def test_stack_of_shared_records(tile):
+    """Models sharing a params record (one table column per distinct
+    record, expanded by index) stack to the bytes of the gathered oracle."""
+    rng = np.random.default_rng(10 + tile)
+    params = [_random_params(rng, pol) for pol in "npn"]
+    picks = [0, 1, 0, 2, 1, 1, 0, 2]
+    stack = stack_models([FinFET(params[k]) for k in picks], 1, tile=tile)
+    ref = oracle_stack_models([OracleFinFET(params[k]) for k in picks],
+                              [1] * len(picks), tile=tile)
+    n = len(picks) * tile
+    for name, row in vars(stack.params).items():
+        if name != "sign":
+            _same(row, getattr(ref.params, name))
+    for t in TEMPERATURES:
+        vgs, vds = rng.uniform(-0.8, 0.8, n), rng.uniform(-0.8, 0.8, n)
+        _same(stack.ids(vgs, vds, t), ref.ids(vgs, vds, t))
+
+
 def test_scalar_call_type_is_polarity_independent():
     n = FinFET(default_nfet()).ids(0.5, 0.5, 300.0)
     p = FinFET(default_pfet()).ids(-0.5, -0.5, 300.0)
