@@ -85,39 +85,46 @@ def _nand2_family(models, n: int, temp: float = 300.0,
     return circuits
 
 
+def _assert_blocks_match_single_systems(circuits: list[Circuit],
+                                       seed: int) -> None:
+    """Each block of the G-replica assembly equals its G=1 assembly."""
+    rsys = MNASystem(circuits)
+    g, dim = rsys.n_replicas, rsys.dim
+    rng = np.random.default_rng(100 + seed)
+    x = rng.uniform(-0.2, VDD + 0.2, size=(g, dim))
+    t = float(rng.uniform(0.0, 15e-12))
+    n_caps = rsys.cap_c.shape[1]
+    geq = rng.uniform(1e-6, 1e-4, size=(g, n_caps))
+    ieq = rng.uniform(-1e-5, 1e-5, size=(g, n_caps))
+
+    sv = rsys.source_values(t)
+    a_g, z_g, fi_g = rsys.assemble(x, sv, cap_companion=(geq, ieq))
+    z_again = rsys.rhs(sv, (geq, ieq), fi_g)
+    np.testing.assert_array_equal(z_again, z_g)
+
+    for r, circuit in enumerate(circuits):
+        single = MNASystem([circuit])
+        one = slice(r, r + 1)
+        a_1, z_1, fi_1 = single.assemble(
+            x[one], single.source_values(t),
+            cap_companion=(geq[one], ieq[one]))
+        n = single.n_fets
+        assert np.array_equal(a_g[r], a_1[0])
+        assert np.array_equal(z_g[r], z_1[0])
+        assert np.array_equal(fi_g[r * n:(r + 1) * n], fi_1)
+
+
 class TestReplicatedAssembly:
-    @pytest.mark.parametrize("own_models", [False, True])
     @pytest.mark.parametrize("seed", range(4))
-    def test_blocks_match_single_system_reference(self, models, seed,
-                                                  own_models):
-        circuits = _nand2_family(models, n=5, own_models=own_models)
-        if own_models:
-            assert circuits[0].finfets[0].model is not \
-                circuits[1].finfets[0].model
-        rsys = MNASystem(circuits)
-        g, dim = rsys.n_replicas, rsys.dim
-        rng = np.random.default_rng(100 + seed)
-        x = rng.uniform(-0.2, VDD + 0.2, size=(g, dim))
-        t = float(rng.uniform(0.0, 15e-12))
-        n_caps = rsys.cap_c.shape[1]
-        geq = rng.uniform(1e-6, 1e-4, size=(g, n_caps))
-        ieq = rng.uniform(-1e-5, 1e-5, size=(g, n_caps))
+    def test_blocks_match_single_system_reference(self, models, seed):
+        _assert_blocks_match_single_systems(_nand2_family(models, n=5), seed)
 
-        sv = rsys.source_values(t)
-        a_g, z_g, fi_g = rsys.assemble(x, sv, cap_companion=(geq, ieq))
-        z_again = rsys.rhs(sv, (geq, ieq), fi_g)
-        np.testing.assert_array_equal(z_again, z_g)
-
-        for r, circuit in enumerate(circuits):
-            single = MNASystem([circuit])
-            one = slice(r, r + 1)
-            a_1, z_1, fi_1 = single.assemble(
-                x[one], single.source_values(t),
-                cap_companion=(geq[one], ieq[one]))
-            n = single.n_fets
-            assert np.array_equal(a_g[r], a_1[0])
-            assert np.array_equal(z_g[r], z_1[0])
-            assert np.array_equal(fi_g[r * n:(r + 1) * n], fi_1)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_blocks_match_with_per_replica_models(self, models, seed):
+        circuits = _nand2_family(models, n=5, own_models=True)
+        assert circuits[0].finfets[0].model is not \
+            circuits[1].finfets[0].model
+        _assert_blocks_match_single_systems(circuits, seed)
 
     def test_source_grid_matches_scalar_values(self, models):
         circuits = _nand2_family(models, n=3)
