@@ -6,18 +6,17 @@ hard-wired x0; cache strikes are resolved against the lines actually
 resident at the injection instant; tag strikes use the cache's own
 SEU hook (:meth:`repro.soc.cache.Cache.corrupt_tag`).
 
-:func:`run_with_faults` is the campaign's inner loop: step the CPU,
-firing each scheduled fault the first time the cycle counter reaches
-its injection cycle, under the same instruction budget as a normal run
-plus a cycle-count watchdog (see :meth:`repro.soc.cpu.CPU.run` for why
-both are needed).
+:func:`run_with_faults` is the campaign's inner loop: run the CPU to
+each scheduled fault's injection cycle (``CPU.run(until_cycle=...)``),
+fire the fault, and go on, under the same instruction budget as a
+normal run plus a cycle-count watchdog (see
+:meth:`repro.soc.cpu.CPU.run` for why both are needed).
 """
 
 from __future__ import annotations
 
-from repro.errors import HangError
 from repro.reliability.faults import BitFlip
-from repro.soc.cpu import CPU, ExecutionStats, HaltError
+from repro.soc.cpu import CPU, ExecutionStats
 
 __all__ = ["inject", "run_with_faults"]
 
@@ -97,23 +96,21 @@ def run_with_faults(
     :class:`~repro.errors.HangError` exactly like
     :meth:`~repro.soc.cpu.CPU.run` -- classification into outcome
     buckets is the campaign's job.
+
+    A fault fires at the first instruction boundary where the cycle
+    counter has reached its cycle, before that boundary's budget and
+    watchdog checks.  The CPU is run in one ``CPU.run`` call per fault
+    plus one to the end, so a wrapper around ``CPU.run`` that adds up
+    each call's cumulative ``stats`` (as perfbench's traced runs do)
+    would count a faulted run more than once; no perfbench workload runs
+    campaigns.
     """
     pending = sorted(faults, key=lambda f: f.cycle)
     fired: list[tuple[BitFlip, bool]] = []
-    i = 0
-    while not cpu.halted:
-        while i < len(pending) and cpu.stats.cycles >= pending[i].cycle:
-            fired.append((pending[i], inject(cpu, pending[i])))
-            i += 1
-        if cpu.stats.instructions >= max_instructions:
-            raise HaltError(
-                f"exceeded {max_instructions} instructions without ECALL"
-            )
-        if max_cycles is not None and cpu.stats.cycles > max_cycles:
-            raise HangError(
-                f"cycle watchdog expired: {cpu.stats.cycles} > "
-                f"{max_cycles} cycles without ECALL"
-            )
-        cpu.step()
-    fired.extend((f, False) for f in pending[i:])
-    return cpu.stats, fired
+    for fault in pending:
+        cpu.run(max_instructions, max_cycles, until_cycle=fault.cycle)
+        if cpu.halted:
+            break
+        fired.append((fault, inject(cpu, fault)))
+    fired.extend((f, False) for f in pending[len(fired):])
+    return cpu.run(max_instructions, max_cycles), fired

@@ -49,6 +49,9 @@ class Cache:
             [] for _ in range(self.n_sets)
         ]
         self.stats = CacheStats()
+        # The line of the last access: resident and MRU in its set, so
+        # touching it again changes nothing but counters and its dirty bit.
+        self._mru_line = None
 
     def _locate(self, addr: int) -> tuple[int, int]:
         line = addr // self.line_bytes
@@ -59,11 +62,19 @@ class Cache:
 
         On a miss the line is filled (allocate-on-miss for both reads and
         writes) and the LRU victim evicted; a dirty victim counts one
-        writeback.
+        writeback.  Another access to the line of the last one is a hit
+        that leaves the LRU order as it is (that line is already MRU).
         """
+        line = addr // self.line_bytes
+        self.stats.accesses += 1
+        if line == self._mru_line:
+            if write:
+                ways = self._sets[line % self.n_sets]
+                ways[-1] = (ways[-1][0], True)
+            return True
+        self._mru_line = line
         set_idx, tag = self._locate(addr)
         ways = self._sets[set_idx]
-        self.stats.accesses += 1
         for k, (t, dirty) in enumerate(ways):
             if t == tag:
                 ways.pop(k)
@@ -79,6 +90,7 @@ class Cache:
 
     def flush(self) -> None:
         """Invalidate all lines (keeps statistics)."""
+        self._mru_line = None
         for ways in self._sets:
             ways.clear()
 
@@ -111,6 +123,7 @@ class Cache:
         ways = self._sets[set_idx]
         for k, (t, _dirty) in enumerate(ways):
             if t == tag:
+                self._mru_line = None
                 ways.pop(k)
                 return True
         return False

@@ -12,13 +12,22 @@ in-order single-issue pipeline:
 * I-cache and D-cache miss stalls come from the cache hierarchy.
 
 Decode once, dispatch by table: :data:`repro.soc.isa.OPCODES` says what a
-mnemonic is (encoding, operand register files, timing class).  Each
-fetched word becomes, once, a :class:`Decoded` record (handler from
-:data:`HANDLERS`, latency, fields, scoreboard slots), so
+mnemonic is (encoding, operand register files, timing class).  The word
+at each fetched PC becomes, once, a :class:`Decoded` record (handler
+from :data:`HANDLERS`, latency, fields, scoreboard slots), so
 :meth:`CPU.step` holds no per-mnemonic code.  The decode cache is keyed
-by the *word*, not the PC: an SEU that flips an instruction in memory
-(:meth:`~repro.soc.memory.Memory.flip_bit`) changes the word fetched
-next, so the corrupted instruction decodes afresh.
+by the *PC* and kept per memory page (:attr:`Memory.decoded
+<repro.soc.memory.Memory.decoded>`): every write to a page -- a store
+into text, or an SEU from :meth:`~repro.soc.memory.Memory.flip_bit` --
+drops that page's records, so the changed instruction decodes afresh.
+A hit needs neither the word nor a load.
+
+Fetch costs one I-cache access per instruction, but that access is
+cheap in the common case: :meth:`Cache.access
+<repro.soc.cache.Cache.access>` answers a repeat access to the line of
+its previous access (the next instruction of a straight-line run) from
+one comparison, with the same statistics and LRU state as a full
+lookup.
 
 The optional ``popcount_extension`` enables the custom ``cpop``
 instruction for the ABL-1 ablation ("hardware support would reduce the
@@ -27,6 +36,7 @@ computation time significantly", paper Section VI-C).
 
 from __future__ import annotations
 
+import math
 import operator
 import struct
 from dataclasses import dataclass, field
@@ -368,7 +378,6 @@ class CPU:
         self.exit_code = 0
         self.stats = ExecutionStats()
         self._ready = [0] * 64  # cycle each scoreboard slot is ready
-        self._decoded: dict[int, Decoded] = {}
 
     # ------------------------------------------------------------------ #
     def load_program(self, program: Program) -> None:
@@ -388,16 +397,16 @@ class CPU:
         pc = self.pc
         now = stats.cycles
 
-        # Fetch (I-cache) and decode, once per distinct word.
+        # Fetch (I-cache) and decode, once per address until it is written.
         stall = self.caches.fetch(pc)
         if stall:
             stats.stall_cycles_icache += stall
             counts["l1i_miss"] = counts.get("l1i_miss", 0) + 1
             now += stall
-        word = self.memory.load_u(pc, 4)
-        op = self._decoded.get(word)
+        op = self.memory.decoded.get(pc)
         if op is None:
-            op = self._decoded[word] = _decode(word)
+            op = _decode(self.memory.load_u(pc, 4))
+            self.memory.remember_decoded(pc, op)
         counts[op.kind] = counts.get(op.kind, 0) + 1
         stats.instructions += 1
 
@@ -435,6 +444,7 @@ class CPU:
         self,
         max_instructions: int = 50_000_000,
         max_cycles: int | None = None,
+        until_cycle: int | None = None,
     ) -> ExecutionStats:
         """Run until ECALL; returns the statistics.
 
@@ -444,16 +454,28 @@ class CPU:
         Tripping it raises :class:`~repro.errors.HangError` (the *hang*
         outcome bucket) rather than :class:`HaltError` (the *crash*
         bucket).
+
+        ``until_cycle`` pauses the run: it returns, not halted, at the
+        first instruction boundary where ``stats.cycles >= until_cycle``,
+        before that boundary's budget and watchdog checks.  The caller
+        may then change the machine (inject a fault) and call ``run``
+        again to go on.
         """
+        stats = self.stats
+        step = self.step
+        pause = math.inf if until_cycle is None else until_cycle
+        watchdog = math.inf if max_cycles is None else max_cycles
         while not self.halted:
-            if self.stats.instructions >= max_instructions:
+            if stats.cycles >= pause:
+                break
+            if stats.instructions >= max_instructions:
                 raise HaltError(
                     f"exceeded {max_instructions} instructions without ECALL"
                 )
-            if max_cycles is not None and self.stats.cycles > max_cycles:
+            if stats.cycles > watchdog:
                 raise HangError(
-                    f"cycle watchdog expired: {self.stats.cycles} > "
+                    f"cycle watchdog expired: {stats.cycles} > "
                     f"{max_cycles} cycles without ECALL"
                 )
-            self.step()
-        return self.stats
+            step()
+        return stats

@@ -1,4 +1,12 @@
-"""Sparse byte-addressable memory for the ISS."""
+"""Sparse byte-addressable memory for the ISS.
+
+Besides the bytes, a :class:`Memory` keeps the CPU's decoded
+instructions, keyed by address (:attr:`Memory.decoded`).  Every write
+path -- :meth:`~Memory.store_bytes`, :meth:`~Memory.store_u`,
+:meth:`~Memory.store_double` and the SEU primitive
+:meth:`~Memory.flip_bit` -- drops the entries of the pages it touches, so
+an instruction that is stored over or struck decodes afresh.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +16,9 @@ __all__ = ["Memory"]
 
 _PAGE_BITS = 12
 _PAGE_SIZE = 1 << _PAGE_BITS
+_OFFSET_MASK = _PAGE_SIZE - 1
 _ZERO_PAGE = bytes(_PAGE_SIZE)
+_DOUBLE = struct.Struct("<d")
 
 
 class Memory:
@@ -16,13 +26,28 @@ class Memory:
 
     def __init__(self) -> None:
         self._pages: dict[int, bytearray] = {}
+        #: Address -> decoded instruction, valid until its page is written.
+        self.decoded: dict[int, object] = {}
+        self._decoded_at: dict[int, list[int]] = {}  # page -> its addresses
 
     def _page(self, addr: int) -> tuple[bytearray, int]:
-        page = self._pages.get(addr >> _PAGE_BITS)
+        """The page of ``addr`` (allocated if new) and the offset, for a
+        write: drops the decoded instructions the page holds."""
+        number = addr >> _PAGE_BITS
+        page = self._pages.get(number)
         if page is None:
-            page = bytearray(_PAGE_SIZE)
-            self._pages[addr >> _PAGE_BITS] = page
-        return page, addr & (_PAGE_SIZE - 1)
+            page = self._pages[number] = bytearray(_PAGE_SIZE)
+        if number in self._decoded_at:
+            for at in self._decoded_at.pop(number):
+                self.decoded.pop(at, None)
+        return page, addr & _OFFSET_MASK
+
+    def remember_decoded(self, addr: int, record) -> None:
+        """Keep ``record``, decoded from the 4-byte word at ``addr``, in
+        :attr:`decoded` until a write to a page that word lies on."""
+        self.decoded[addr] = record
+        for number in {addr >> _PAGE_BITS, (addr + 3) >> _PAGE_BITS}:
+            self._decoded_at.setdefault(number, []).append(addr)
 
     # ------------------------------------------------------------------ #
     def load_bytes(self, addr: int, size: int) -> bytes:
@@ -30,7 +55,7 @@ class Memory:
         while size:
             # A read of an untouched page sees zeros and allocates nothing.
             page = self._pages.get(addr >> _PAGE_BITS, _ZERO_PAGE)
-            offset = addr & (_PAGE_SIZE - 1)
+            offset = addr & _OFFSET_MASK
             chunk = min(size, _PAGE_SIZE - offset)
             out += page[offset : offset + chunk]
             addr += chunk
@@ -45,11 +70,20 @@ class Memory:
             page[offset : offset + chunk] = data[pos : pos + chunk]
             pos += chunk
 
-    # Typed accessors ----------------------------------------------------- #
+    # Typed accessors: a load inside one page reads the page in place. --- #
     def load_u(self, addr: int, size: int) -> int:
+        offset = addr & _OFFSET_MASK
+        if offset + size <= _PAGE_SIZE:
+            page = self._pages.get(addr >> _PAGE_BITS, _ZERO_PAGE)
+            return int.from_bytes(page[offset : offset + size], "little")
         return int.from_bytes(self.load_bytes(addr, size), "little")
 
     def load_s(self, addr: int, size: int) -> int:
+        offset = addr & _OFFSET_MASK
+        if offset + size <= _PAGE_SIZE:
+            page = self._pages.get(addr >> _PAGE_BITS, _ZERO_PAGE)
+            return int.from_bytes(page[offset : offset + size], "little",
+                                  signed=True)
         return int.from_bytes(self.load_bytes(addr, size), "little",
                               signed=True)
 
@@ -58,10 +92,14 @@ class Memory:
             size, "little"))
 
     def load_double(self, addr: int) -> float:
-        return struct.unpack("<d", self.load_bytes(addr, 8))[0]
+        offset = addr & _OFFSET_MASK
+        if offset + 8 <= _PAGE_SIZE:
+            page = self._pages.get(addr >> _PAGE_BITS, _ZERO_PAGE)
+            return _DOUBLE.unpack_from(page, offset)[0]
+        return _DOUBLE.unpack(self.load_bytes(addr, 8))[0]
 
     def store_double(self, addr: int, value: float) -> None:
-        self.store_bytes(addr, struct.pack("<d", value))
+        self.store_bytes(addr, _DOUBLE.pack(value))
 
     # Fault injection ----------------------------------------------------- #
     def flip_bit(self, addr: int, bit: int) -> None:

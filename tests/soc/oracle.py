@@ -8,24 +8,35 @@ re-classifies the mnemonic by string tests, walks an if/elif chain that
 spells out, per mnemonic, which registers to wait on and what to
 compute, and picks the scoreboard to update from a list of FP-destination
 mnemonics.  Its scoreboards are two lists, ``_ready_x`` and ``_ready_f``.
-It shares the decoder (:func:`repro.soc.isa.decode`), the caches and
-the memory with the engine; what it checks is dispatch and timing.
+It shares the decoder (:func:`repro.soc.isa.decode`) and the memory
+with the engine, but decodes the word it loads at every step, so the
+engine's PC-keyed decode cache is checked against it.  What it checks
+is dispatch, timing and decode invalidation.
+
+:class:`ReferenceCache` is the plain cache lookup (scan the set, move
+the hit line to the MRU end) without the engine's MRU-line hit;
+:func:`reference_hierarchy` builds the paper's hierarchy from it, so
+the oracle side of a lockstep run does not share the fast path under
+test.
 
 One fix is shared with the engine: a load or move into ``f0`` (``fld``,
 ``fmv.d.x``) marks the FP scoreboard like any other FP destination.
 
 Used by ``tests/soc/test_engine_equivalence.py`` (lockstep equality on
-every kernel, fuzzed words and single-bit flips, and an SEU campaign).
+every kernel, fuzzed words and single-bit flips, decode invalidation,
+and an SEU campaign), ``tests/soc/test_cache.py`` and
+``benchmarks/test_bench_iss.py``.
 """
 
 from __future__ import annotations
 
 import struct
 
+from repro.soc.cache import Cache, CacheHierarchy
 from repro.soc.cpu import CPU, LATENCY, REDIRECT_PENALTY
 from repro.soc.isa import Instruction, decode
 
-__all__ = ["OracleCPU"]
+__all__ = ["OracleCPU", "ReferenceCache", "reference_hierarchy"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -46,6 +57,38 @@ def _f2b(x: float) -> int:
 
 def _b2f(b: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", b & _MASK64))[0]
+
+
+class ReferenceCache(Cache):
+    """A :class:`Cache` whose every access scans its set."""
+
+    def access(self, addr: int, write: bool = False) -> bool:
+        set_idx, tag = self._locate(addr)
+        ways = self._sets[set_idx]
+        self.stats.accesses += 1
+        for k, (t, dirty) in enumerate(ways):
+            if t == tag:
+                ways.pop(k)
+                ways.append((tag, dirty or write))
+                return True
+        self.stats.misses += 1
+        if len(ways) >= self.associativity:
+            _, dirty = ways.pop(0)
+            if dirty:
+                self.stats.writebacks += 1
+        ways.append((tag, write))
+        return False
+
+
+def reference_hierarchy() -> CacheHierarchy:
+    """The default :class:`CacheHierarchy`, every level a reference cache."""
+    caches = CacheHierarchy()
+    for level in ("l1i", "l1d", "l2"):
+        c = getattr(caches, level)
+        size = c.n_sets * c.line_bytes * c.associativity
+        setattr(caches, level, ReferenceCache(c.name, size, c.line_bytes,
+                                              c.associativity))
+    return caches
 
 
 class OracleCPU(CPU):

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.soc.cache import Cache, CacheHierarchy
+from tests.soc.oracle import ReferenceCache
 
 
 class TestSingleCache:
@@ -101,3 +104,48 @@ class TestHierarchy:
         large = misses_for(1000)  # ~64 KiB, thrashes L1D
         assert small <= 0.06  # only compulsory misses
         assert large > 0.5
+
+
+# Operations on a 4-set, 2-way cache of 16-byte lines: accesses over 12
+# lines (so sets conflict and evict), flushes, and tag strikes on the
+# k-th resident line.
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("access"), st.integers(0, 12 * 16 - 1), st.booleans()),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("corrupt"), st.integers(0, 7)),
+), max_size=120)
+
+
+@given(ops=_OPS)
+@settings(max_examples=300, deadline=None)
+def test_fast_path_equals_reference_cache(ops):
+    """The MRU-line hit of ``Cache.access`` changes nothing observable:
+    every hit/miss, the statistics and the lines (LRU order and dirty
+    bits) equal a cache that scans its set on every access."""
+    fast = Cache("fast", 4 * 2 * 16, 16, 2)
+    ref = ReferenceCache("ref", 4 * 2 * 16, 16, 2)
+    for op in ops:
+        if op[0] == "access":
+            assert fast.access(op[1], op[2]) == ref.access(op[1], op[2])
+        elif op[0] == "flush":
+            fast.flush()
+            ref.flush()
+        else:
+            lines = ref.lines()
+            if lines:
+                set_idx, tag, _ = lines[op[1] % len(lines)]
+                assert fast.corrupt_tag(set_idx, tag)
+                assert ref.corrupt_tag(set_idx, tag)
+        assert fast.stats == ref.stats
+        assert fast.lines() == ref.lines()
+
+
+def test_repeat_write_to_mru_line_marks_it_dirty():
+    c = Cache("t", 2 * 64 * 2, 64, 2)
+    stride = c.n_sets * 64
+    c.access(0)
+    c.access(8, write=True)  # same line as the last access
+    assert c.lines() == [(0, 0, True)]
+    c.access(stride)
+    c.access(2 * stride)     # evicts the dirty line
+    assert c.stats.writebacks == 1

@@ -1,12 +1,16 @@
 """The table-driven ISS equals the if/elif oracle exactly, step by step.
 
-``repro.soc.cpu`` decodes each word once into a record and dispatches
-from a handler table; ``tests/soc/oracle.py`` re-classifies and walks a
-per-mnemonic chain every step.  Every comparison here is ``==``: PC,
-both register files (``f`` bitwise), both scoreboards and every
-``ExecutionStats`` field after every step of every paper kernel; one
-step from every fuzzed word and every single-bit flip of a kernel's
-text; and every record of a small SEU campaign run on each engine.
+``repro.soc.cpu`` decodes the word at each PC once into a record
+(dropped when its page is written) and dispatches from a handler table;
+``tests/soc/oracle.py`` decodes the fetched word, re-classifies it and
+walks a per-mnemonic chain every step, on reference caches without the
+engine's MRU-line hit.  Every comparison here is ``==``: PC, both
+register files (``f`` bitwise), both scoreboards, every
+``ExecutionStats`` field and every cache's statistics after every step
+of every paper kernel, and of kernels whose text or caches change
+mid-run; one step from every fuzzed word and every single-bit flip of a
+kernel's text; and every record of a small SEU campaign run on each
+engine.
 """
 
 from __future__ import annotations
@@ -23,11 +27,12 @@ from hypothesis import strategies as st
 import repro.soc.soc as soc_module
 from repro.classify import HDCClassifier, HDCEncoder
 from repro.reliability import CampaignConfig, knn_workload, run_campaign
-from repro.soc import CPU, RocketSoC
+from repro.soc import CPU, RocketSoC, assemble
 from repro.soc.cpu import HANDLERS
-from repro.soc.isa import OPCODES
+from repro.soc.isa import OPCODES, Instruction, encode
 from repro.soc.programs import pack_hdc_tables
-from tests.soc.oracle import OracleCPU
+from repro.soc.soc import WorkloadSpec
+from tests.soc.oracle import OracleCPU, reference_hierarchy
 
 _NQ, _SHOTS = 8, 8
 
@@ -71,7 +76,7 @@ KERNELS = _kernels()
 def _loaded(engine: type, kernel) -> CPU:
     """The CPU a RocketSoC workload builds, loaded but not yet run, with
     the popcount extension on (so a flipped word that decodes to ``cpop``
-    executes instead of trapping)."""
+    executes instead of trapping).  The oracle gets reference caches."""
     cpus: list[CPU] = []
 
     def capture(name, cpu, **kwargs):
@@ -79,9 +84,10 @@ def _loaded(engine: type, kernel) -> CPU:
         cpus.append(cpu)
         return cpu.stats
 
+    caches = reference_hierarchy if engine is OracleCPU else None
     with mock.patch.object(soc_module, "CPU", engine), \
             mock.patch.object(soc_module, "_traced_run", capture):
-        kernel(RocketSoC())
+        kernel(RocketSoC(cache_factory=caches))
     return cpus[0]
 
 
@@ -96,26 +102,123 @@ def _state(cpu: CPU) -> tuple:
             cpu.stats, cpu.halted, cpu.exit_code)
 
 
+def _cache_stats(cpu: CPU) -> tuple:
+    caches = cpu.caches
+    return caches.l1i.stats, caches.l1d.stats, caches.l2.stats
+
+
+def _lockstep(kernel, event=None, max_steps: int = 200_000):
+    """Step engine and oracle together until the oracle halts or both
+    raise the same error, comparing state and cache statistics after
+    every step.  ``event(cpu, n)``, if given, acts on each machine before
+    step ``n`` (counted from 0).  Returns the pair."""
+    engine = _loaded(CPU, kernel)
+    oracle = _loaded(OracleCPU, kernel)
+    assert _state(engine) == _state(oracle)
+    for n in range(max_steps):
+        if oracle.halted:
+            break
+        if event is not None:
+            event(engine, n)
+            event(oracle, n)
+        errors = []
+        for cpu in (oracle, engine):
+            try:
+                cpu.step()
+            except Exception as exc:
+                errors.append((type(exc), str(exc)))
+        assert len(errors) in (0, 2) and len(set(errors)) <= 1, errors
+        assert _state(engine) == _state(oracle), (
+            f"diverged after {oracle.stats.instructions} instructions "
+            f"at pc {oracle.pc:#x}")
+        assert _cache_stats(engine) == _cache_stats(oracle)
+        if errors:
+            break
+    assert engine.memory._pages == oracle.memory._pages
+    return engine, oracle
+
+
 def test_every_mnemonic_has_one_handler():
     assert set(HANDLERS) == set(OPCODES)
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_kernel_lockstep(name):
-    engine = _loaded(CPU, KERNELS[name])
-    oracle = _loaded(OracleCPU, KERNELS[name])
-    assert _state(engine) == _state(oracle)
-    while not oracle.halted:
-        oracle.step()
-        engine.step()
-        assert _state(engine) == _state(oracle), (
-            f"diverged after {oracle.stats.instructions} instructions "
-            f"at pc {oracle.pc:#x}")
+    engine, oracle = _lockstep(KERNELS[name])
+    assert oracle.halted
     assert engine.stats.instructions > 100
-    assert engine.memory._pages == oracle.memory._pages
-    for level in ("l1i", "l1d", "l2"):
-        assert (getattr(engine.caches, level).stats
-                == getattr(oracle.caches, level).stats)
+
+
+# ---------------------------------------------------------------------- #
+# Decode invalidation: text and caches that change mid-run
+# ---------------------------------------------------------------------- #
+_ADD_100 = encode(Instruction("addi", rd=10, rs1=10, imm=100))
+_SELF_MODIFYING = assemble(f"""
+_start:
+    li t2, 6
+    li t4, 4
+    li t3, {_ADD_100}
+    la t0, patch
+loop:
+    addi t2, t2, -1
+    bne t2, t4, patch
+    sw t3, 0(t0)
+patch:
+    addi a0, a0, 1
+    bnez t2, loop
+    ecall
+""")
+
+
+def test_store_into_text_ahead_of_pc_decodes_afresh():
+    # The first pass runs the original `patch` (+1); the store in the
+    # second rewrites it, just ahead of the PC, to +100 for the last five.
+    image = WorkloadSpec("self_modifying", _SELF_MODIFYING)
+    engine, oracle = _lockstep(lambda soc: soc_module._traced_run(
+        image.name, soc.prepare(image)))
+    assert oracle.halted
+    assert engine.exit_code == oracle.exit_code == 1 + 5 * 100
+
+
+@pytest.mark.parametrize("bit", [7, 15, 21, 30])
+def test_flip_of_next_instruction_decodes_afresh(bit):
+    # Strike at the first step from 300 on whose PC already ran, so the
+    # engine holds a decoded record of the word it is about to fetch.
+    cpu, seen = _loaded(CPU, KERNELS["knn"]), set()
+    while cpu.stats.instructions < 300 or cpu.pc not in seen:
+        seen.add(cpu.pc)
+        cpu.step()
+    at, struck = cpu.stats.instructions, []
+
+    def flip(cpu, n):
+        if n == at:
+            struck.append(cpu.pc)
+            cpu.memory.flip_bit(cpu.pc + bit // 8, bit % 8)
+
+    _lockstep(KERNELS["knn"], flip, max_steps=20_000)
+    assert struck == [cpu.pc] * 2
+
+
+def test_cache_flush_mid_run():
+    def flush(cpu, n):
+        if n % 250 == 100:
+            cpu.caches.flush()
+
+    engine, oracle = _lockstep(KERNELS["hdc_precomputed"], flush)
+    assert oracle.halted
+
+
+def test_icache_tag_strike_on_executing_line_mid_run():
+    struck = []
+
+    def strike(cpu, n):
+        if n % 97 == 50:
+            l1i = cpu.caches.l1i
+            struck.append(l1i.corrupt_tag(*l1i._locate(cpu.pc)))
+
+    engine, oracle = _lockstep(KERNELS["knn"], strike)
+    assert oracle.halted
+    assert struck and all(struck)
 
 
 # ---------------------------------------------------------------------- #

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import struct
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.soc import Memory
+from repro.soc.memory import _PAGE_SIZE
 
 
 class TestSparseMemory:
@@ -62,3 +64,48 @@ class TestSparseMemory:
         mem.store_bytes(0, b"\xff" * 8)
         mem.store_u(2, 2, 0)
         assert mem.load_bytes(0, 8) == b"\xff\xff\x00\x00\xff\xff\xff\xff"
+
+
+def _byte_by_byte(mem: Memory, addr: int, size: int) -> bytes:
+    return bytes(mem.load_bytes(addr + k, 1)[0] for k in range(size))
+
+
+@given(offset=st.integers(_PAGE_SIZE - 12, _PAGE_SIZE + 4),
+       size=st.sampled_from([1, 2, 4, 8]),
+       fill=st.binary(min_size=24, max_size=24),
+       touched=st.sampled_from(["both", "low", "high", "none"]))
+@settings(max_examples=200, deadline=None)
+def test_typed_loads_equal_byte_by_byte(offset, size, fill, touched):
+    """In-page and page-crossing loads, over written and untouched
+    pages, read what the bytes say; reads allocate no page."""
+    mem = Memory()
+    start = _PAGE_SIZE - 12  # the 24 bytes around one page boundary
+    if touched in ("both", "low"):
+        mem.store_bytes(start, fill[:12])
+    if touched in ("both", "high"):
+        mem.store_bytes(_PAGE_SIZE, fill[12:])
+    pages = dict(mem._pages)
+    raw = _byte_by_byte(mem, offset, size)
+    assert mem.load_u(offset, size) == int.from_bytes(raw, "little")
+    assert mem.load_s(offset, size) == int.from_bytes(raw, "little",
+                                                      signed=True)
+    if size == 8:
+        assert struct.pack("<d", mem.load_double(offset)) == raw
+    assert mem._pages == pages
+
+
+def test_writes_drop_decoded_records_of_their_pages():
+    mem = Memory()
+    mem.remember_decoded(0x1000, "a")
+    mem.remember_decoded(0x2FFE, "b")  # straddles two pages
+    mem.store_u(0x5000, 4, 1)             # another page: both survive
+    assert mem.decoded == {0x1000: "a", 0x2FFE: "b"}
+    mem.store_u(0x3000, 1, 1)             # the upper page of "b"
+    assert mem.decoded == {0x1000: "a"}
+    mem.flip_bit(0x1FFF, 0)
+    assert mem.decoded == {}
+    for write in (lambda: mem.store_bytes(0x1004, b"x"),
+                  lambda: mem.store_double(0x1008, 1.0)):
+        mem.remember_decoded(0x1000, "a")
+        write()
+        assert mem.decoded == {}
