@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.logic import Expr, NOT, VAR, truth_table
 from repro.cells.stacks import Stack
@@ -102,9 +103,10 @@ class StandardCell:
             available.add(stage.output)
 
     # ------------------------------------------------------------------ #
-    @property
+    @cached_property
     def sized_stages(self) -> tuple[Stage, ...]:
-        """Stages with fins resolved for this cell's drive."""
+        """Stages with fins resolved for this cell's drive (derived once:
+        the cell is frozen)."""
         return tuple(s.sized(self.drive) for s in self.stages)
 
     @property
@@ -149,13 +151,6 @@ class StandardCell:
     def area_um2(self) -> float:
         """Estimated layout area in um^2."""
         return self.total_fins() * AREA_PER_FIN_UM2
-
-    def stage_driving(self, signal: str) -> Stage | None:
-        """The stage whose output is ``signal`` (None for cell inputs)."""
-        for s in self.stages:
-            if s.output == signal:
-                return s
-        return None
 
     def loads_of(self, signal: str) -> list[tuple[Stage, int, int]]:
         """Stages that consume ``signal``: (stage, n-fanin, p-fanin)."""

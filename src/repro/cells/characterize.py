@@ -213,13 +213,6 @@ class CharacterizedCell:
                 return arc
         raise KeyError(f"{self.name}: no timing arc from pin {pin!r}")
 
-    @property
-    def worst_arc_delay_nominal(self) -> float:
-        """max arc delay at mid slew/load -- a quick cell-speed metric."""
-        if not self.arcs:
-            return 0.0
-        return max(a.worst_delay(16e-12, 2e-15) for a in self.arcs)
-
 
 @dataclass(frozen=True)
 class GridPoint:

@@ -61,6 +61,10 @@ class CellLibrary:
     config_digest: str | None = None
     """Content digest of the :class:`CharacterizationConfig` that built
     this library; ``None`` for hand-assembled libraries."""
+    _footprints: dict[str, list[CharacterizedCell]] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    """Drive variants per footprint, weakest first; built on the first
+    :meth:`by_footprint` and dropped by :meth:`add`."""
 
     def __getitem__(self, name: str) -> CharacterizedCell:
         try:
@@ -78,6 +82,7 @@ class CellLibrary:
         if cell.name in self.cells:
             raise ValueError(f"duplicate cell {cell.name!r}")
         self.cells[cell.name] = cell
+        self._footprints = None
 
     # ------------------------------------------------------------------ #
     def combinational(self) -> list[CharacterizedCell]:
@@ -88,10 +93,15 @@ class CellLibrary:
 
     def by_footprint(self, footprint: str) -> list[CharacterizedCell]:
         """All drive variants of one logical family, weakest first."""
-        variants = [
-            c for c in self.cells.values() if c.footprint == footprint
-        ]
-        return sorted(variants, key=lambda c: c.area_um2)
+        if self._footprints is None:
+            index: dict[str, list[CharacterizedCell]] = {}
+            for c in self.cells.values():
+                index.setdefault(c.footprint, []).append(c)
+            self._footprints = {
+                fp: sorted(cells, key=lambda c: c.area_um2)
+                for fp, cells in index.items()
+            }
+        return list(self._footprints.get(footprint, ()))
 
     def match_function(self, truth: int, n_inputs: int) -> list[CharacterizedCell]:
         """Cells whose truth table matches exactly (same input order).

@@ -57,6 +57,24 @@ T_ROOM = 300.0
 T_CRYO = 10.0
 
 
+def _cached(obj, stage: str, slot, compute):
+    """``obj``'s cached value in ``slot``, computed once; every access
+    counts as a hit or a miss of ``stage`` (see :class:`flow_stage`)."""
+    cache = obj.__dict__.setdefault("_stage_cache", {})
+    events = obj.__dict__.setdefault("_stage_events", {})
+    ev = events.setdefault(stage, [0, 0])  # [hits, misses]
+    if slot in cache:
+        ev[0] += 1
+        telemetry.count(f"flow.cache_hit.{stage}")
+        return cache[slot]
+    ev[1] += 1
+    telemetry.count(f"flow.cache_miss.{stage}")
+    with telemetry.span(f"flow.{stage}"):
+        value = compute()
+    cache[slot] = value
+    return value
+
+
 class flow_stage:  # noqa: N801 - decorator, lowercase like cached_property
     """``cached_property`` with per-stage telemetry.
 
@@ -84,19 +102,7 @@ class flow_stage:  # noqa: N801 - decorator, lowercase like cached_property
     def __get__(self, obj, objtype=None):
         if obj is None:
             return self
-        cache = obj.__dict__.setdefault("_stage_cache", {})
-        events = obj.__dict__.setdefault("_stage_events", {})
-        ev = events.setdefault(self.name, [0, 0])  # [hits, misses]
-        if self.name in cache:
-            ev[0] += 1
-            telemetry.count(f"flow.cache_hit.{self.name}")
-            return cache[self.name]
-        ev[1] += 1
-        telemetry.count(f"flow.cache_miss.{self.name}")
-        with telemetry.span(f"flow.{self.name}"):
-            value = self.func(obj)
-        cache[self.name] = value
-        return value
+        return _cached(obj, self.name, self.name, lambda: self.func(obj))
 
     def __set__(self, obj, value):
         # Keep cached_property's injectability (tests pre-seed stages).
@@ -295,12 +301,26 @@ class CryoStudy:
     # Stage 5: workloads on the ISS (Section V-B, Table 2)
     # ------------------------------------------------------------------ #
     def classification_setup(self, n_qubits: int):
-        """Backend + calibrated classifiers for a given system size."""
+        """Backend + calibrated classifiers for a given system size.
+
+        Built once per size and shared by every caller on this study
+        (``stage_cache_stats()["classification_setup"]`` counts the
+        reuse); the dataset arrays are read-only so that no caller can
+        change another's input.
+        """
+        return _cached(self, "classification_setup",
+                       ("classification_setup", n_qubits),
+                       lambda: self._classification_setup(n_qubits))
+
+    def _classification_setup(self, n_qubits: int):
         backend = falcon_backend(n_qubits=n_qubits, seed=self.config.seed)
         dataset = generate_dataset(
             backend, n_shots=self.config.shots,
             n_calibration_shots=256, seed=self.config.seed + 1,
         )
+        for array in (dataset.calibration_centers, dataset.states,
+                      dataset.points):
+            array.flags.writeable = False
         encoder = HDCEncoder.random(seed=self.config.seed)
         knn = get_classifier("knn").from_centers(dataset.calibration_centers)
         hdc = get_classifier("hdc").from_centers(

@@ -21,9 +21,12 @@ only its own parameters; later stages therefore refine on top of earlier
 ones exactly like the manual flow the paper describes.
 
 A residual evaluation is one compact-model call per temperature on the
-parameter table of :func:`~repro.device.finfet.stack_models` (one
-:class:`~repro.device.finfet.FinFET`, as in the SPICE engine), and so is each finite-difference Jacobian: scipy hands
-every perturbed parameter set to the ``workers`` map at once.
+parameter table of :func:`~repro.device.finfet.parameter_table` (one
+:class:`~repro.device.finfet.FinFET`, as in the SPICE engine), and so is
+each finite-difference Jacobian: scipy hands every perturbed parameter
+set to the ``workers`` map at once.  A stage's sets differ from its start
+record in the stage's parameters only, so each table is that record's
+column with those rows patched.
 """
 
 from __future__ import annotations
@@ -37,7 +40,13 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from repro import telemetry
-from repro.device.finfet import FinFET, stack_models
+from repro.device.finfet import (
+    TABLE_ROW,
+    FinFET,
+    parameter_table,
+    patch_table,
+    table_model,
+)
 from repro.device.measurement import (
     IVCurve,
     IVDataset,
@@ -288,21 +297,21 @@ class Calibrator:
         return windows
 
     def _residuals(
-        self, params_list: list[FinFETParams], windows: list[_Window]
+        self, table: np.ndarray, windows: list[_Window]
     ) -> list[np.ndarray]:
-        """Log-current residual vector of each parameter set.
+        """Log-current residual vector of each column of a parameter table
+        (:func:`~repro.device.finfet.parameter_table`).
 
         One stacked model call per temperature evaluates every set on the
         tiled window; rows keep the per-curve order.
         """
-        k = len(params_list)
+        k = table.shape[1]
         if not windows:
             return [np.zeros(1) for _ in range(k)]
-        models = [FinFET(p) for p in params_list]
         blocks = []
         for w in windows:
             n = len(w.target)
-            ids = stack_models(models, [n] * k).ids(
+            ids = table_model(np.repeat(table, n, axis=1)).ids(
                 np.tile(w.vgs, k), np.tile(w.vds, k), w.temperature_k
             )
             blocks.append(
@@ -329,17 +338,19 @@ class Calibrator:
         # Nudge the start strictly inside the box (least_squares requirement).
         x0 = np.clip(x0, lo + 1e-9, hi - 1e-9)
         n_evals = 0
+        # Every parameter set of the stage differs from its start record in
+        # the stage's own rows only: build that column once, patch per set.
+        base = parameter_table([params])
+        rows = [TABLE_ROW[n] for n in names]
 
-        def trial(x: np.ndarray) -> FinFETParams:
-            return params.copy(
-                **{n: b.decode(v) for n, b, v in zip(names, bounds, x)}
-            )
+        def decoded(x: np.ndarray) -> list:
+            return [b.decode(v) for b, v in zip(bounds, x)]
 
         def evaluate(xs) -> list[np.ndarray]:
             nonlocal n_evals
-            trials = [trial(x) for x in xs]
-            n_evals += len(trials)
-            return self._residuals(trials, windows)
+            values = [decoded(x) for x in xs]
+            n_evals += len(values)
+            return self._residuals(patch_table(base, rows, values), windows)
 
         r0 = evaluate([x0])[0]
         cost_before = float(np.sqrt(np.mean(r0**2)))
@@ -356,7 +367,7 @@ class Calibrator:
             # scipy still picks the steps and forms the differences.
             workers=lambda fun, xs: evaluate(xs),
         )
-        fitted = trial(sol.x)
+        fitted = params.copy(**dict(zip(names, decoded(sol.x))))
         cost_after = float(np.sqrt(np.mean(sol.fun**2)))
         result = StageResult(
             name=spec.name,

@@ -48,7 +48,8 @@ from repro.device.thermal import (
     threshold_voltage,
 )
 
-__all__ = ["FinFET", "normalized_charge", "stack_models"]
+__all__ = ["FinFET", "TABLE_ROW", "normalized_charge", "parameter_table",
+           "patch_table", "stack_models", "table_model"]
 
 # Beyond this normalized overdrive the Lambert-W argument overflows double
 # precision; switch to the (very accurate) asymptotic expansion.
@@ -354,19 +355,6 @@ class FinFET:
         ids = self.ids(vgs, vds, temperature_k)
         return np.asarray(vgs), ids
 
-    def output_curve(
-        self,
-        vgs: float,
-        temperature_k: float,
-        vds: np.ndarray | None = None,
-        n_points: int = 41,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Return (vds, ids) for an Ids-Vds sweep at fixed ``vgs``."""
-        if vds is None:
-            vds = self.params.sign * np.linspace(0.0, const.VDD, n_points)
-        ids = self.ids(vgs, vds, temperature_k)
-        return np.asarray(vds), ids
-
     def ion(self, temperature_k: float, vdd: float = const.VDD) -> float:
         """ON-current magnitude at |Vgs| = |Vds| = Vdd in A."""
         sign = self.params.sign
@@ -396,6 +384,42 @@ _TABLE_ROWS = tuple(
     f.name for f in dataclasses.fields(FinFETParams) if f.name != "polarity"
 ) + ("weff", "cox", "cgate_fin", "sign")
 
+#: Row of each field in a parameter table.
+TABLE_ROW = {name: row for row, name in enumerate(_TABLE_ROWS)}
+
+#: The fields the derived rows (weff, cox, cgate_fin) are computed from.
+_GEOMETRY = frozenset({"hfin", "tfin", "eot", "lgate", "COV"})
+
+
+def parameter_table(records) -> np.ndarray:
+    """The ``(rows, records)`` table of parameter records, one column
+    each."""
+    return np.array(
+        [[getattr(p, name) for p in records] for name in _TABLE_ROWS],
+        dtype=float,
+    )
+
+
+def patch_table(base: np.ndarray, rows: list[int], values) -> np.ndarray:
+    """One column per entry of ``values``: ``base`` (one record's
+    ``(rows, 1)`` table) with ``rows`` set to that entry; the derived rows
+    are recomputed, by :class:`FinFETParams`' own properties, only when
+    one of their inputs is among the patched rows."""
+    values = np.array(values, dtype=float)
+    table = np.repeat(base, len(values), axis=1)
+    table[rows] = values.T
+    if _GEOMETRY & {_TABLE_ROWS[r] for r in rows}:
+        fields = SimpleNamespace(**dict(zip(_TABLE_ROWS, table)))
+        for name in ("weff", "cox", "cgate_fin"):
+            # The rows are views: cgate_fin reads the fresh weff and cox.
+            table[TABLE_ROW[name]] = getattr(FinFETParams, name).fget(fields)
+    return table
+
+
+def table_model(table: np.ndarray) -> FinFET:
+    """An evaluator over a parameter table, one device per column."""
+    return FinFET(SimpleNamespace(**dict(zip(_TABLE_ROWS, table))))
+
 
 def stack_models(models: list[FinFET], counts, tile: int = 1) -> FinFET:
     """Build a batch evaluator over ``models`` repeated ``counts`` times.
@@ -413,9 +437,5 @@ def stack_models(models: list[FinFET], counts, tile: int = 1) -> FinFET:
     records = {id(m.params): m.params for m in models}
     column = {key: k for k, key in enumerate(records)}
     cols = [column[id(m.params)] for m in models]
-    table = np.array(
-        [[getattr(p, name) for p in records.values()] for name in _TABLE_ROWS],
-        dtype=float,
-    )
-    table = np.tile(table[:, np.repeat(cols, counts)], tile)
-    return FinFET(SimpleNamespace(**dict(zip(_TABLE_ROWS, table))))
+    table = parameter_table(records.values())
+    return table_model(np.tile(table[:, np.repeat(cols, counts)], tile))

@@ -46,9 +46,9 @@ class QubitReadoutModel:
     @property
     def expected_fidelity(self) -> float:
         """Analytic single-shot assignment fidelity (2-D Gaussian)."""
-        from scipy.stats import norm
+        from scipy.special import ndtr
 
-        return float(norm.cdf(self.separation / (2 * self.sigma)))
+        return float(ndtr(self.separation / (2 * self.sigma)))
 
 
 @dataclass
@@ -141,7 +141,8 @@ def falcon_backend(
     Works for any qubit count -- the Fig. 7 scaling study builds
     thousands-of-qubit variants of the same model.
     """
-    from scipy.stats import norm
+    # Imported here: ``repro.serve`` reaches this module without scipy.
+    from scipy.special import ndtri
 
     rng = np.random.default_rng(seed)
     qubits = []
@@ -153,8 +154,8 @@ def falcon_backend(
         c0 = (mid_i - radius * np.cos(angle), mid_q - radius * np.sin(angle))
         c1 = (mid_i + radius * np.cos(angle), mid_q + radius * np.sin(angle))
         fidelity = rng.uniform(*fidelity_band)
-        # Invert the fidelity formula to pick sigma.
-        z = norm.ppf(fidelity)
+        # Invert the fidelity formula (the normal CDF) to pick sigma.
+        z = ndtri(fidelity)
         sigma = float(np.hypot(*(np.subtract(c1, c0)))) / (2 * z)
         qubits.append(QubitReadoutModel(c0, c1, sigma))
     return QuantumBackend(qubits=qubits, seed=seed)

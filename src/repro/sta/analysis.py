@@ -5,12 +5,15 @@ transition through the mapped netlist, with unateness and net loads from
 pin caps plus placed wires; reports the critical path, fmax, per-endpoint
 arrivals and hold slacks.
 
-Levelized as in OpenTimer (Huang & Wong, ICCAD 2015): each call keys every
-``(net, transition)`` by an integer and groups the arc edges by
-:meth:`GateNetlist.levels` depth, clock-to-Q arcs first.  A level is one
-stacked-table gather per NLDM grid, then the first max (setup) or first min
-(hold) per destination key over candidates in pin order, rise before fall:
-the tie rule of the scalar oracle in ``tests/sta/oracle.py``.
+Levelized as in OpenTimer (Huang & Wong, ICCAD 2015): a netlist's timing
+graph is compiled once into index arrays -- every ``(net, transition)``
+keyed by an integer, the arc edges grouped by :meth:`GateNetlist.levels`
+depth, clock-to-Q arcs first -- and kept while nothing it was compiled
+from changes; each call gathers one library's pin caps and tables into
+it.  A level is one stacked-table gather per NLDM grid, then the first max
+(setup) or first min (hold) per destination key over candidates in pin
+order, rise before fall: the tie rule of the scalar oracle in
+``tests/sta/oracle.py``.
 
 Start points: flop Q pins, macro data outputs, primary inputs.  Endpoints:
 flop D pins, plus macro data inputs and primary outputs for setup.
@@ -19,13 +22,14 @@ flop D pins, plus macro data inputs and primary outputs for setup.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.cells.nldm import bilinear
 from repro.synth.netlist import GateNetlist
-from repro.synth.opt import net_load
+from repro.synth.opt import MACRO_PIN_CAP
 from repro.synth.placement import Placement
 
 __all__ = ["HoldReport", "PathPoint", "TimingReport", "analyze",
@@ -37,10 +41,19 @@ INPUT_SLEW = 10e-12
 #: Slew assumed at flop clock pins (ideal clock tree).
 CLOCK_SLEW = 8e-12
 
-#: Output transitions (0 = rise, 1 = fall) reached from an input rise and
-#: from an input fall, per arc sense; anything else is non-unate.
-_OUT_TRS = {"positive_unate": ((0,), (1,)), "negative_unate": ((1,), (0,))}
-_NON_UNATE = ((0, 1), (0, 1))
+#: Edge kinds of an arc instance.  Each kind's edges are (input, output)
+#: transition pairs (0 = rise, 1 = fall) in the oracle's relaxation order:
+#: per input transition, rise before fall.  A clock-to-Q arc is one
+#: clock "rise" reaching both; an unknown sense is non-unate.
+_CLOCK_TO_Q, _NON_UNATE = 0, 3
+_SENSES = {"positive_unate": 1, "negative_unate": 2}
+_EDGE_KINDS = (((0, 0), (0, 1)), ((0, 0), (1, 1)), ((0, 1), (1, 0)),
+               ((0, 0), (0, 1), (1, 0), (1, 1)))
+_EDGES_PER_KIND = np.array([len(k) for k in _EDGE_KINDS], dtype=np.int64)
+_EDGE_IN, _EDGE_OUT = (
+    np.array([[e[i] for e in k] + [0] * (4 - len(k)) for k in _EDGE_KINDS],
+             dtype=np.int64)
+    for i in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -102,28 +115,184 @@ class HoldReport:
 #: slot of the key arrays.  Its predecessor -1 ends every path walk.
 _CLOCK = -1
 
+#: Slot 0 of a graph's pin capacitances: a macro input pin.
+_MACRO_PIN = 0
+
 
 @dataclass
-class _Level:
-    """The arc edges into one level, sorted by destination key."""
+class _Topology:
+    """What a netlist, its placement and the library's arc structure fix.
 
+    Keys are ``2 * nets[net] + tr`` per (net, transition), plus the clock.
+    Arc edges are sorted by (level, destination key), pin order and rise
+    before fall kept within one destination; ``levels`` holds each
+    level's edge slice, its destination keys once each, and their first
+    edge and edge count within the slice.
+    """
+
+    nets: dict[str, int]
+    wire: np.ndarray  # wire cap of each gate's output net, netlist order
+    load_gate: np.ndarray  # the loads of every gate output in load order:
+    load_pin: np.ndarray  # its gate row and the load's pin slot
+    pins: list[tuple[str, str]]  # (cell, pin) per slot from 1
+    arcs: list[tuple[str, str]]  # (cell, related pin) per arc slot
     src: np.ndarray
-    delay: np.ndarray  # table ids
-    slew: np.ndarray
-    load: np.ndarray
-    dst: np.ndarray  # each destination key once
-    starts: np.ndarray  # its first edge
-    counts: np.ndarray  # and its edge count
+    gate: np.ndarray  # the gate row whose output load an edge sees
+    table: np.ndarray  # 4 * arc slot + output transition
+    levels: list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _compile(netlist: GateNetlist, library,
+             placement: Placement | None) -> _Topology:
+    """Key every (net, transition); sort the arc edges by level."""
+    nets: dict[str, int] = {}
+    for net in netlist.inputs + [
+        n for macro in netlist.macros.values() for n in macro.outputs
+    ]:
+        nets.setdefault(net, len(nets))
+    pins: dict[tuple[str, str], int] = {}
+    arcs: dict[tuple[str, str], int] = {}
+    # cell name -> (clock-to-Q arc slot, None) for a flop, else
+    # (None, {pin: (arc slot, edge kind)})
+    cells: dict[str, tuple] = {}
+
+    def resolve(name: str) -> tuple:
+        cell = library[name]
+        if cell.is_sequential:
+            cell.arc_from(cell.clock_pin)  # KeyError without a CK arc
+            return arcs.setdefault((name, cell.clock_pin), len(arcs)), None
+        by_pin = {}
+        for arc in cell.arcs:
+            by_pin.setdefault(arc.related_pin, (
+                arcs.setdefault((name, arc.related_pin), len(arcs)),
+                _SENSES.get(arc.sense, _NON_UNATE)))
+        return None, by_pin
+
+    def pin_slot(inst: str, pin: str) -> int:
+        load = gates.get(inst)
+        if load is None:
+            return _MACRO_PIN
+        return pins.setdefault((load.cell, pin), len(pins) + 1)
+
+    depth = netlist.levels(library)
+    gates = netlist.gates
+    rows = list(gates.values())
+    out_key, level = [], []
+    # One record per arc instance: (gate row, source key, arc slot, kind).
+    hits: list[tuple[int, int, int, int]] = []
+    for row, gate in enumerate(rows):
+        out_key.append(2 * nets.setdefault(gate.output, len(nets)))
+        clock_arc, by_pin = (cells.get(gate.cell)
+                             or cells.setdefault(gate.cell,
+                                                 resolve(gate.cell)))
+        if by_pin is None:
+            level.append(0)  # clock-to-Q first
+            hits.append((row, _CLOCK, clock_arc, _CLOCK_TO_Q))
+            continue
+        level.append(depth[gate.name] + 1)
+        for pin, net in gate.pins.items():
+            hit = by_pin.get(pin)
+            if hit is not None:
+                hits.append((row, 2 * nets.setdefault(net, len(nets)),
+                             hit[0], hit[1]))
+
+    # Expand each arc instance into its edges, in the oracle's order.
+    h_row, h_src, h_arc, h_kind = (
+        np.array(col, dtype=np.int64).reshape(-1)
+        for col in (zip(*hits) if hits else [()] * 4))
+    counts = _EDGES_PER_KIND[h_kind]
+    inst = np.repeat(np.arange(len(hits)), counts)  # each edge's instance
+    nth = np.arange(len(inst)) - np.repeat(np.cumsum(counts) - counts, counts)
+    kind = h_kind[inst]
+    in_tr, tr = _EDGE_IN[kind, nth], _EDGE_OUT[kind, nth]
+    row = h_row[inst]
+    dst = np.array(out_key, dtype=np.int64)[row] + tr
+    lvl = np.array(level, dtype=np.int64)[row]
+    # Stable: the edges into one key keep pin order, rise before fall.
+    order = np.lexsort((dst, lvl))
+    lvl, dst = lvl[order], dst[order]
+    bounds = np.flatnonzero(np.diff(lvl)) + 1
+    levels = []
+    for lo, hi in zip([0, *bounds], [*bounds, len(lvl)]):
+        keys, starts, n = np.unique(dst[lo:hi], return_index=True,
+                                    return_counts=True)
+        levels.append((slice(lo, hi), keys, starts, n))
+
+    loads = [netlist.loads_of(gate.output) for gate in rows]
+    wire = np.array([placement.net_wire_cap(gate.output)
+                     if placement is not None else 0.0 for gate in rows],
+                    dtype=float)
+    return _Topology(
+        nets, wire,
+        np.repeat(np.arange(len(rows)), [len(ls) for ls in loads]),
+        np.array([pin_slot(name, pin) for ls in loads for name, pin in ls],
+                 dtype=np.int64),
+        list(pins), list(arcs),
+        (h_src[inst] + in_tr)[order], row[order],
+        (4 * h_arc[inst] + tr)[order], levels,
+    )
+
+
+def _fingerprint(netlist: GateNetlist, library,
+                 placement: Placement | None) -> list:
+    """Everything :func:`_compile` reads, flattened so that two equal
+    lists mean equal inputs (each variable-length part is prefixed by its
+    length): the gates with their pin->net maps and output loads, the
+    primary inputs, the macro outputs, the placement's positions and the
+    library's arc structure of every cell the netlist uses."""
+    flat: list = [len(netlist.inputs), *netlist.inputs, len(netlist.macros)]
+    for macro in netlist.macros.values():
+        flat += (macro.name, len(macro.outputs), *macro.outputs)
+    flat.append(len(netlist.gates))
+    used = set()
+    for gate in netlist.gates.values():
+        loads = netlist.loads_of(gate.output)
+        flat += (gate.name, gate.cell, gate.output, len(gate.pins),
+                 *gate.pins, *gate.pins.values(), len(loads), *loads)
+        used.add(gate.cell)
+    if placement is None:
+        flat.append(None)
+    else:
+        positions = placement.positions
+        flat += (len(positions), *positions, *positions.values())
+    for name in sorted(used):
+        cell = library[name]
+        flat += (name, cell.is_sequential, cell.clock_pin, len(cell.arcs),
+                 *((a.related_pin, a.sense) for a in cell.arcs))
+    return flat
+
+
+#: netlist -> (fingerprint, topology) of its last compile.  Weak keys: a
+#: netlist that is gone takes its graph with it.
+_COMPILED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _topology(netlist: GateNetlist, library,
+              placement: Placement | None) -> _Topology:
+    """The compiled graph, reused while its fingerprint holds.
+
+    Setup and hold, and every library with the same arc structure (both
+    Table 1 corners), share one compile.  A placement of another netlist
+    object is compiled afresh each time.
+    """
+    if placement is not None and placement.netlist is not netlist:
+        return _compile(netlist, library, placement)
+    key = _fingerprint(netlist, library, placement)
+    hit = _COMPILED.get(netlist)
+    if hit is not None and hit[0] == key:
+        return hit[1]
+    topology = _compile(netlist, library, placement)
+    _COMPILED[netlist] = (key, topology)
+    return topology
 
 
 @dataclass
 class _Graph:
-    """Key ``2 * nets[net] + tr`` per (net, transition), plus the clock."""
+    """A topology's tables and per-edge loads in one library."""
 
-    nets: dict[str, int]
     stacks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     grid_of: np.ndarray
-    levels: list[_Level]
+    load: np.ndarray
 
     def lookup(self, tids, slew, load) -> np.ndarray:
         """Interpolate table ``tids[k]`` at ``(slew[k], load[k])``."""
@@ -147,65 +316,24 @@ def _stack(tables: list) -> tuple[list, np.ndarray]:
         stacks.append((first.slews, first.loads, np.stack(
             [t.values if k == key else blank for t, k in zip(tables, keys)]
         )))
-    return stacks, np.array([grids[k] for k in keys])
+    return stacks, np.array([grids[k] for k in keys], dtype=np.int64)
 
 
-def _build_graph(netlist: GateNetlist, library,
-                 placement: Placement | None) -> _Graph:
-    """Key every (net, transition); bucket the arc edges by level."""
-    nets: dict[str, int] = {}
-    for net in netlist.inputs + [
-        n for macro in netlist.macros.values() for n in macro.outputs
-    ]:
-        nets.setdefault(net, len(nets))
-    tables: dict[int, tuple] = {}  # id(table) -> (table id, table)
-
-    def tid(table) -> int:
-        return tables.setdefault(id(table), (len(tables), table))[0]
-
-    depth = netlist.levels(library)
-    # level -> edges (destination, source, delay table, slew table, load)
-    rows: dict[int, list[tuple]] = {}
-    for gate in netlist.gates.values():
-        cell = library[gate.cell]
-        load = net_load(
-            netlist, gate.output, library,
-            placement.net_wire_cap(gate.output) if placement else 0.0,
-        )
-        out = 2 * nets.setdefault(gate.output, len(nets))
-        if cell.is_sequential:
-            # Clock-to-Q first: one "rise" of the clock reaches both.
-            level = 0
-            arcs = [(cell.arc_from(cell.clock_pin), _CLOCK, ((0, 1),))]
-        else:
-            level = depth[gate.name] + 1
-            arcs = []
-            for pin, net in gate.pins.items():
-                try:
-                    arc = cell.arc_from(pin)
-                except KeyError:
-                    continue
-                arcs.append((arc, 2 * nets.setdefault(net, len(nets)),
-                             _OUT_TRS.get(arc.sense, _NON_UNATE)))
-        for arc, src, out_trs in arcs:
-            delays = (tid(arc.cell_rise), tid(arc.cell_fall))
-            slews = (tid(arc.rise_transition), tid(arc.fall_transition))
-            for in_tr, trs in enumerate(out_trs):
-                for tr in trs:
-                    rows.setdefault(level, []).append(
-                        (out + tr, src + in_tr, delays[tr], slews[tr], load)
-                    )
-
-    levels = []
-    for level in sorted(rows):
-        dst, src, delay, slew, load = map(np.array, zip(*rows[level]))
-        # Stable: the edges into one key keep pin order, rise before fall.
-        order = np.argsort(dst, kind="stable")
-        keys, starts, counts = np.unique(dst[order], return_index=True,
-                                         return_counts=True)
-        levels.append(_Level(src[order], delay[order], slew[order],
-                             load[order], keys, starts, counts))
-    return _Graph(nets, *_stack([t for _, t in tables.values()]), levels)
+def _bind(topology: _Topology, library) -> _Graph:
+    """Gather the library's pin caps and NLDM tables by slot."""
+    caps = np.array([MACRO_PIN_CAP] + [
+        library[cell].pin_capacitance(pin) for cell, pin in topology.pins
+    ])
+    # Wire first, then each pin in load order, as net_load adds them
+    # (add.at accumulates in index order).
+    load = topology.wire.copy()
+    np.add.at(load, topology.load_gate, caps[topology.load_pin])
+    tables = []
+    for cell, pin in topology.arcs:
+        arc = library[cell].arc_from(pin)
+        tables += (arc.cell_rise, arc.cell_fall, arc.rise_transition,
+                   arc.fall_transition)
+    return _Graph(*_stack(tables), load[topology.gate])
 
 
 @dataclass
@@ -229,9 +357,10 @@ def _propagate(netlist: GateNetlist, library,
                placement: Placement | None, input_arrival: float,
                macro_scale: float, input_slew: float, latest: bool) -> _State:
     """Latest (setup) or earliest (hold) arrival at every key."""
-    graph = _build_graph(netlist, library, placement)
+    topo = _topology(netlist, library, placement)
+    graph = _bind(topo, library)
     reduce = np.maximum if latest else np.minimum
-    size = 2 * len(graph.nets) + 1
+    size = 2 * len(topo.nets) + 1
     arrival = np.full(size, -np.inf if latest else np.inf)
     slew = np.zeros(size)
     pred = np.full(size, -1)
@@ -241,23 +370,25 @@ def _propagate(netlist: GateNetlist, library,
         for macro in netlist.macros.values() for net in macro.outputs
     ]
     for net, t in starts:
-        key = 2 * graph.nets[net]
+        key = 2 * topo.nets[net]
         arrival[key:key + 2], slew[key:key + 2] = t, input_slew
 
-    for lv in graph.levels:
-        in_slew = slew[lv.src]
-        cand = arrival[lv.src] + graph.lookup(lv.delay, in_slew, lv.load)
-        out_slew = graph.lookup(lv.slew, in_slew, lv.load)
+    for edges, dst, first_edge, counts in topo.levels:
+        src = topo.src[edges]
+        tids, load = topo.table[edges], graph.load[edges]
+        in_slew = slew[src]
+        cand = arrival[src] + graph.lookup(tids, in_slew, load)
+        out_slew = graph.lookup(tids + 2, in_slew, load)
         # First best candidate per destination ("strictly better wins").
-        best = np.repeat(reduce.reduceat(cand, lv.starts), lv.counts)
+        best = np.repeat(reduce.reduceat(cand, first_edge), counts)
         first = np.minimum.reduceat(
             np.where(cand == best, np.arange(len(cand)), len(cand)),
-            lv.starts,
+            first_edge,
         )
-        arrival[lv.dst] = cand[first]
-        slew[lv.dst] = out_slew[first]
-        pred[lv.dst] = lv.src[first]
-    return _State(graph.nets, arrival.tolist(), pred.tolist())
+        arrival[dst] = cand[first]
+        slew[dst] = out_slew[first]
+        pred[dst] = src[first]
+    return _State(topo.nets, arrival.tolist(), pred.tolist())
 
 
 def analyze(

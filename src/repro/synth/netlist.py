@@ -227,12 +227,13 @@ class GateNetlist:
         STA propagation order.  Flops sit at 0, a combinational gate one
         deeper than its deepest gate driver (0 with none)."""
         depth = {g.name: 0 for g in self.sequential_gates(library)}
+        drivers = self._drivers
         for gate in self.topological_gates(library):
             d = 0
-            for net in gate.input_nets():
-                drv = self._drivers.get(net)
-                if drv in depth:
-                    d = max(d, depth[drv] + 1)
+            for net in gate.pins.values():
+                up = depth.get(drivers.get(net), -1) + 1
+                if up > d:
+                    d = up
             depth[gate.name] = d
         return depth
 

@@ -18,6 +18,9 @@ from repro.synth.netlist import GateNetlist
 __all__ = ["upsize_for_load", "sweep_dangling", "net_load",
            "buffer_high_fanout"]
 
+#: Load of one macro input pin (F): ~1 fF.
+MACRO_PIN_CAP = 1.0e-15
+
 
 def buffer_high_fanout(
     netlist: GateNetlist,
@@ -79,7 +82,7 @@ def net_load(netlist: GateNetlist, net: str, library, wire_cap: float = 0.0) -> 
             gate = netlist.gates[inst]
             total += library[gate.cell].pin_capacitance(pin)
         else:
-            total += 1.0e-15  # macro input pin: ~1 fF
+            total += MACRO_PIN_CAP
     return total
 
 

@@ -112,6 +112,16 @@ class TestSizing:
         assert x4.nfin_n == 4 * x1.nfin_n
         assert x4.nfin_p == 4 * x1.nfin_p
 
+    def test_cached_sized_stages_equal_fresh(self, catalog):
+        # Derived once per frozen cell; every read returns the same tuple,
+        # equal to sizing the stages afresh.
+        for cell in catalog:
+            if cell.is_sequential:
+                continue
+            cached = cell.sized_stages
+            assert cell.sized_stages is cached
+            assert cached == tuple(s.sized(cell.drive) for s in cell.stages)
+
     def test_stack_height_compensation(self):
         # NAND3's 3-high NMOS stack gets 3 fins per device at X1.
         nand3 = cell_by_name("NAND3_X1").sized_stages[0]

@@ -198,6 +198,23 @@ class TestLibraryContainer:
         areas = [c.area_um2 for c in invs]
         assert areas == sorted(areas)
 
+    def test_by_footprint_index_follows_add(self, lib300):
+        import dataclasses
+
+        from repro.cells import CellLibrary
+
+        lib = CellLibrary("copy", lib300.temperature_k, lib300.vdd)
+        for cell in lib300.cells.values():
+            lib.add(cell)
+        assert lib.by_footprint("INV") == lib300.by_footprint("INV")
+        # A variant added after the first query shows up, area-sorted.
+        big = dataclasses.replace(lib300["INV_X1"], name="INV_X99",
+                                  area_um2=1e3)
+        lib.add(big)
+        assert lib.by_footprint("INV")[-1] is big
+        assert lib.by_footprint("INV")[:-1] == lib300.by_footprint("INV")
+        assert lib.by_footprint("NOPE") == []
+
     def test_match_function_finds_nand(self, lib300):
         nand = lib300["NAND2_X1"]
         matches = lib300.match_function(nand.truth, 2)

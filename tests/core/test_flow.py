@@ -7,6 +7,7 @@ device-layer tests plus test_calibrated_flow_consistency below.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import CryoStudy, StudyConfig
@@ -106,6 +107,39 @@ class TestFig7(object):
     def test_unknown_method_rejected(self, study):
         with pytest.raises(ValueError, match="method"):
             study.scaling_study("svm", qubit_counts=(10,))
+
+
+class TestClassificationSetup(object):
+    """One readout setup per size per study, shared read-only."""
+
+    def test_memo_returns_one_setup_and_counts_the_hit(self):
+        study = CryoStudy(StudyConfig(fast=True, shots=5))
+        first = study.classification_setup(20)
+        assert study.classification_setup(20) is first
+        assert study.classification_setup(8) is not first
+        assert study.stage_cache_stats()["classification_setup"] == {
+            "hits": 1, "misses": 2}
+
+    def test_dataset_arrays_are_read_only(self):
+        _, dataset, _, _ = CryoStudy(
+            StudyConfig(fast=True, shots=5)).classification_setup(8)
+        _, _, pts = dataset.interleaved()
+        for array in (dataset.calibration_centers, dataset.states,
+                      dataset.points, pts):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_two_studies_with_one_config_agree(self):
+        config = StudyConfig(fast=True, shots=5, seed=7)
+        (b1, d1, k1, h1), (b2, d2, k2, h2) = (
+            CryoStudy(config).classification_setup(12) for _ in range(2))
+        assert b1.qubits == b2.qubits
+        for name in ("calibration_centers", "states", "points"):
+            np.testing.assert_array_equal(getattr(d1, name),
+                                          getattr(d2, name), strict=True)
+        assert k1.to_dict() == k2.to_dict()
+        assert h1.to_dict() == h2.to_dict()
 
 
 class TestCalibratedFlowConsistency(object):

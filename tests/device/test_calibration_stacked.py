@@ -1,7 +1,7 @@
 """Stacked calibration equals the per-curve oracle (``tests/device/oracle.py``).
 
 A residual evaluation of :class:`Calibrator` is one stacked model call per
-temperature over every parameter set it is given; these tests hold each
+temperature over every parameter set (table column) it is given; these tests hold each
 row of it, and the fits built on it, exactly (``==``) to the per-curve
 loop.
 """
@@ -14,6 +14,7 @@ import pytest
 from repro import telemetry
 from repro.device import Calibrator, default_nfet, default_pfet
 from repro.device.calibration import _STAGE_SPECS, _StageSpec
+from repro.device.finfet import parameter_table
 from repro.device.params import STAGE_PARAMETERS
 from tests.device import oracle
 
@@ -51,7 +52,7 @@ def test_stacked_residuals_equal_per_curve_oracle(iv_datasets, polarity, spec, k
     names = STAGE_PARAMETERS.get(spec.name, STAGE_PARAMETERS["polish_room"])
     sets = _random_sets(cal, [n for n in names if n in cal.bounds], k, seed=k)
     curves = cal._stage_curves(spec)
-    stacked = cal._residuals(sets, cal._stage_data(spec))
+    stacked = cal._residuals(parameter_table(sets), cal._stage_data(spec))
     assert len(stacked) == k
     for params, rows in zip(sets, stacked):
         np.testing.assert_array_equal(

@@ -15,7 +15,13 @@ import pytest
 
 from repro.device import default_nfet, default_pfet
 from repro.device.calibration import DEFAULT_BOUNDS
-from repro.device.finfet import FinFET, stack_models
+from repro.device.finfet import (
+    TABLE_ROW,
+    FinFET,
+    parameter_table,
+    patch_table,
+    stack_models,
+)
 from tests.device.oracle import OracleFinFET, oracle_stack_models
 
 TEMPERATURES = (300.0, 77.0, 10.0, 0.5)
@@ -103,3 +109,19 @@ def test_scalar_call_type_is_polarity_independent():
     n = FinFET(default_nfet()).ids(0.5, 0.5, 300.0)
     p = FinFET(default_pfet()).ids(-0.5, -0.5, 300.0)
     assert type(n) is type(p)
+
+
+@pytest.mark.parametrize("fields", [("VTH0", "UO"), ("eot", "hfin", "COV"),
+                                    ("lgate", "ITUN")])
+def test_patched_table_equals_records(fields):
+    """A table patched from one record's column equals the table of the
+    patched records, derived rows (weff, cox, cgate_fin) included."""
+    base = default_pfet()
+    rng = np.random.default_rng(len(fields))
+    values = [[getattr(base, f) * rng.uniform(0.8, 1.2) for f in fields]
+              for _ in range(4)]
+    records = [base.copy(**dict(zip(fields, v))) for v in values]
+    patched = patch_table(parameter_table([base]),
+                          [TABLE_ROW[f] for f in fields], values)
+    np.testing.assert_array_equal(patched, parameter_table(records),
+                                  strict=True)

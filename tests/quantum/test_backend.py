@@ -122,3 +122,39 @@ class TestDataset:
     def test_measurement_count(self, backend):
         ds = generate_dataset(backend, n_shots=7)
         assert ds.n_measurements == 7 * backend.n_qubits
+
+
+class TestNormalQuantiles:
+    """``scipy.special.ndtri``/``ndtr`` give every bit ``scipy.stats.norm``
+    gave, without importing ``scipy.stats``."""
+
+    @pytest.mark.parametrize("n_qubits,seed", [(27, 27), (400, 2023)])
+    def test_sigmas_equal_scipy_stats(self, n_qubits, seed):
+        from scipy.stats import norm
+
+        backend = falcon_backend(n_qubits=n_qubits, seed=seed)
+        # Replay the backend's draws: angle, radius, centre, fidelity.
+        rng = np.random.default_rng(seed)
+        for q in backend.qubits:
+            rng.uniform(0, 2 * np.pi), rng.uniform(0.4, 0.9)
+            rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)
+            z = norm.ppf(rng.uniform(0.97, 0.995))
+            assert q.sigma == float(np.hypot(
+                *(np.subtract(q.center_1, q.center_0)))) / (2 * z)
+
+    def test_expected_fidelity_equals_scipy_stats(self):
+        from scipy.stats import norm
+
+        for q in falcon_backend(n_qubits=400, seed=5).qubits:
+            assert q.expected_fidelity == float(
+                norm.cdf(q.separation / (2 * q.sigma)))
+
+    def test_quantile_and_cdf_bit_equal(self):
+        from scipy.special import ndtr, ndtri
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(0)
+        p = rng.uniform(1e-6, 1 - 1e-6, 200_000)
+        x = rng.uniform(-8.0, 8.0, 200_000)
+        np.testing.assert_array_equal(ndtri(p), norm.ppf(p), strict=True)
+        np.testing.assert_array_equal(ndtr(x), norm.cdf(x), strict=True)
