@@ -13,7 +13,6 @@
     python -m repro run fig6        # one experiment + ledger + verdict
     python -m repro report          # latest-vs-paper / drift tables
     python -m repro compare A B     # per-metric deltas of two runs
-    python -m repro assault         # hostile-scenario campaign (--tier)
     python -m repro profile fig2    # sampler+tracer deep profile
     python -m repro serve           # batched classification service
     python -m repro top host:port   # live serving dashboard (stats op)
@@ -435,50 +434,6 @@ def _run_profile(args) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# repro assault: the hostile-scenario campaign (repro.assault).
-# ---------------------------------------------------------------------- #
-def _run_assault(args) -> int:
-    from pathlib import Path
-
-    from repro.assault import (
-        AssaultConfig,
-        record_tier_report,
-        render_reports,
-        run_assault,
-    )
-    from repro.assault.corpus import TIERS
-    from repro.provenance.fidelity import FAIL
-
-    requested = tuple(t.strip() for t in args.tier.split(",") if t.strip())
-    if requested == ("all",):
-        requested = TIERS
-    config = AssaultConfig(
-        tiers=requested,
-        seed=args.seed,
-        jobs=1 if args.jobs is None else args.jobs,
-    )
-    start_ts = telemetry.iso_ts(time.time())
-    reports = run_assault(config)
-    _report(render_reports(reports, "json" if args.json else "text"))
-    ledger = _ledger(args)
-    if ledger is not None:
-        for report in reports:
-            record = record_tier_report(report, ledger, start_ts=start_ts)
-            _report(f"assault {report.tier} run {record.run_id} "
-                    f"appended to {ledger.path}")
-    if args.report_json:
-        Path(args.report_json).write_text(
-            render_reports(reports, "json") + "\n", encoding="utf-8")
-        _report(f"wrote tier report to {args.report_json}")
-    code = 0
-    if args.strict and any(r.verdict == FAIL for r in reports):
-        _LOG.error("assault verdict is FAIL (--strict)")
-        code = 1
-    _emit_telemetry(args)
-    return code
-
-
-# ---------------------------------------------------------------------- #
 # repro serve: the async batched classification service (repro.serve).
 # ---------------------------------------------------------------------- #
 def _run_serve(args) -> int:
@@ -690,23 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("run_b", metavar="RUN_B",
                      help="run id or unambiguous prefix")
     sub.add_argument("--json", action="store_true", help="JSON output")
-
-    sub = command("assault", "hostile-scenario campaign", _run_assault,
-                  jobs, tele, ledger)
-    sub.add_argument(
-        "--tier", default="smoke", metavar="T[,T...]",
-        help="comma-separated tiers to run (smoke, edge, storm, "
-             "endurance, or 'all')",
-    )
-    sub.add_argument("--seed", type=int, default=2023,
-                     help="campaign seed (scenarios replay bit-identically "
-                          "for one seed)")
-    sub.add_argument("--strict", action="store_true",
-                     help="exit 1 on any FAIL verdict")
-    sub.add_argument("--json", action="store_true",
-                     help="tier report as JSON")
-    sub.add_argument("--report-json", default=None, metavar="FILE",
-                     help="also write the tier report as JSON to FILE")
 
     sub = command("profile", "one experiment under the resource sampler "
                   "and the tracer", _run_profile, *experiment_flags)

@@ -55,8 +55,8 @@ def validate_shots(field: str, shots) -> np.ndarray:
     The contract is shape ``(n_qubits, n_shots, 2)`` with at least one
     qubit and one shot and every I/Q component finite.  Violations
     raise :class:`~repro.errors.ValidationError` naming ``field`` --
-    the up-front rejection the assault harness's edge tier expects,
-    instead of a shape/NaN surprise deep inside ``mean()``.
+    the up-front rejection the edge-tier scenarios in ``tests/assault``
+    expect, instead of a shape/NaN surprise deep inside ``mean()``.
     """
     try:
         arr = np.asarray(shots, dtype=float)

@@ -98,9 +98,9 @@ class ValidationError(ReproError, ValueError):
 
 
 class NetlistError(ValidationError):
-    """A circuit/netlist is structurally invalid (the assault harness's
-    edge tier feeds these: dangling nodes, NaN parameters, zero-width
-    devices, combinational loops...)."""
+    """A circuit/netlist is structurally invalid (the edge-tier scenarios
+    in ``tests/assault`` feed these: dangling nodes, NaN parameters,
+    zero-width devices, combinational loops...)."""
 
     def __init__(self, message: str, element: str = ""):
         super().__init__(message)

@@ -113,9 +113,9 @@ class ServeConfig:
     sndbuf_bytes: int | None = None
     """Shrink per-connection send buffering (socket ``SO_SNDBUF`` plus
     the transport high-water mark); ``None`` keeps OS defaults.  The
-    slow-client assault scenario sets this so a stalled reader trips
-    the drain timeout deterministically instead of hiding behind
-    megabytes of kernel buffer."""
+    slow-client scenario in ``tests/assault`` sets this so a stalled
+    reader trips the drain timeout deterministically instead of hiding
+    behind megabytes of kernel buffer."""
     slo_latency_ms: float = slo_mod.DEFAULT_LATENCY_MS
     """Declared per-request latency objective (default: the paper's
     110 us decoherence budget at the serving benchmark's wire scale);
@@ -536,9 +536,10 @@ class ClassifierServer:
 class ServerThread:
     """A :class:`ClassifierServer` on a private loop in a daemon thread.
 
-    The harness tests, benchmarks and assault scenarios use: enter the
-    context, read ``host``/``port``, hammer it from sync clients, exit
-    and receive the session :class:`~repro.provenance.RunRecord`.
+    The harness tests, benchmarks and ``tests/assault`` scenarios use:
+    enter the context, read ``host``/``port``, hammer it from sync
+    clients, exit and receive the session
+    :class:`~repro.provenance.RunRecord`.
     """
 
     def __init__(self, registry: ModelRegistry,

@@ -1,24 +1,25 @@
 """Seeded chaos injectors: controlled damage to the repro stack itself.
 
-The reliability layer (PR 1) attacks the *simulated* hardware with SEU
+The reliability layer attacks the *simulated* hardware with SEU
 campaigns; this module attacks the *reproduction infrastructure* -- the
 cache, the run ledger, the executor's worker pool, the solver -- the
 way a chaos-engineering harness attacks a production service.  Every
 injector is
 
 * **seeded**: all randomness flows from the :class:`ChaosMonkey`'s own
-  ``random.Random(seed)``, so a failing assault campaign replays
+  ``random.Random(seed)``, so a failing scenario replays
   bit-identically;
 * **a context manager**: damage is applied on entry and *reverted* on
-  exit, so the endurance tier can loop injections against one sandbox
-  without compounding state, and a scenario can assert both the
+  exit, so the endurance scenarios can loop injections against one
+  sandbox without compounding state, and a scenario can assert both the
   degraded behavior (inside the block) and the recovery (after it);
 * **surgical**: each targets exactly one failure mode named by the
   scenario corpus (truncation, bit flip, stale-version poisoning,
   ledger line corruption, worker death, solver non-convergence).
 
 None of these helpers are used by production code paths; they exist for
-:mod:`repro.assault.corpus` scenarios and the chaos test suite.
+the scenario corpus (``tests/assault/test_corpus.py``) and the chaos
+tests.
 """
 
 from __future__ import annotations

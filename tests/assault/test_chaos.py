@@ -6,11 +6,11 @@ import pickle
 
 import pytest
 
-from repro.assault import ChaosMonkey
 from repro.errors import ConfigError
 from repro.provenance import RunLedger, RunRecord
 from repro.runtime import ResultCache
 from repro.runtime.cache import CACHE_VERSION
+from tests.assault.chaos import ChaosMonkey
 
 
 @pytest.fixture
@@ -115,7 +115,7 @@ class TestWorkerAssassin:
         assert assassin(2) == 3
 
     def test_picklable(self):
-        from repro.assault.corpus import _square
+        from tests.assault.test_corpus import _square
 
         assassin = ChaosMonkey().worker_assassin(_square, kill_items={1})
         clone = pickle.loads(pickle.dumps(assassin))

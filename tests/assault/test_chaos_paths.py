@@ -1,6 +1,6 @@
 """Chaos paths end-to-end: typed errors, degradation, and telemetry.
 
-These are the satellite regression tests the assault corpus generalizes:
+These are the regression tests the scenario corpus generalizes:
 each drives one chaos injection through the *real* stack and asserts
 both halves of the contract -- the degraded behavior (miss / typed
 error / recovery, never garbage or a raw traceback) and the telemetry
@@ -12,10 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro import telemetry
-from repro.assault import ChaosMonkey
 from repro.errors import SolverBudgetError
 from repro.provenance import RunLedger, RunRecord
 from repro.runtime import ResultCache, get_executor
+from tests.assault.chaos import ChaosMonkey
 
 
 @pytest.fixture(autouse=True)
@@ -70,7 +70,7 @@ class TestLedgerChaosPaths:
 
 class TestExecutorChaosPaths:
     def test_worker_death_mid_map_recovers(self, tmp_path):
-        from repro.assault.corpus import _square
+        from tests.assault.test_corpus import _square
 
         assassin = ChaosMonkey().worker_assassin(_square,
                                                  kill_items={2, 5})
@@ -81,7 +81,7 @@ class TestExecutorChaosPaths:
 
 class TestSolverChaosPaths:
     def test_budget_exhaustion_is_typed(self):
-        from repro.assault.corpus import _inverter
+        from tests.assault.test_corpus import _inverter
         from repro.spice import dc_operating_point
         from repro.spice.solver import SolverBudget
 
@@ -90,7 +90,7 @@ class TestSolverChaosPaths:
                                budget=SolverBudget(max_iterations=1))
 
     def test_forced_nonconvergence_is_typed(self):
-        from repro.assault.corpus import _inverter
+        from tests.assault.test_corpus import _inverter
         from repro.spice import dc_operating_point
         from repro.spice.solver import ConvergenceError
 

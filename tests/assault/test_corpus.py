@@ -1,12 +1,16 @@
-"""The frozen scenario corpus, organized as tiered missions.
+"""The scenario corpus: the repro stack under hostile conditions.
 
-Tier taxonomy (mirroring the smoke -> edge/security -> latency staging
-of tiered test-mission harnesses):
+Where :mod:`repro.reliability` injects faults into the *simulated*
+hardware, these scenarios inject them into the *reproduction
+infrastructure itself* -- the result cache, the run ledger, the
+executor's worker pool, the SPICE solver, the serving layer -- and
+check how it degrades.  Each scenario is one test and its tier is a
+pytest marker, in escalating hostility:
 
 ``smoke``
     The stack's vital signs: cache round-trip, ledger round-trip,
     executor fan-out, a small DC solve, fidelity grading.  Everything
-    must complete cleanly -- a smoke FAIL means the repo is broken
+    must complete cleanly -- a smoke failure means the repo is broken
     before any adversary shows up.
 ``edge``
     Malformed *inputs*: broken netlists (dangling nodes, NaN
@@ -20,37 +24,37 @@ of tiered test-mission harnesses):
     stale-version-poisoned cache entries, ledger corruption, worker
     death mid-``map``, solver budget exhaustion and forced
     non-convergence, an SEU campaign running concurrently with library
-    characterization.  The contract is graceful degradation: misses
-    instead of garbage, typed errors instead of tracebacks, recovery
-    after the chaos lifts.
+    characterization, request floods and stalled clients against the
+    classification service.  The contract is graceful degradation:
+    misses instead of garbage, typed errors instead of tracebacks,
+    recovery after the chaos lifts.
 ``endurance``
     The storm scenarios looped with seeded random interleaving:
     repeated cache churn under corruption, ledger growth under
     periodic damage, solver sweeps under random budgets.  Catches state
     that only corrupts cumulatively.
 
-Adding a scenario: write a ``run(ctx)`` function and decorate it::
+A plain ``pytest`` run covers all four tiers; ``python -m pytest
+tests/assault -m "smoke or edge"`` runs a selection.  Each scenario
+states its contract with the helpers in ``grading.py`` (``with
+expect_error(...)`` or ``assert_clean(check, obs)``), and the ``ctx``
+fixture in ``conftest.py`` gives it a throwaway cache/ledger sandbox, a
+seeded :class:`~tests.assault.chaos.ChaosMonkey` and a seeded
+``ctx.rng``.  Adding a scenario::
 
-    @scenario("cache_eviction_race", tier="storm",
-              description="...", expect=expect_clean(_my_check))
-    def _cache_eviction_race(ctx):
+    @pytest.mark.storm
+    def test_cache_eviction_race(ctx):
+        '''What the stack must survive.'''
         ...
-        return observation
-
-The :class:`~repro.assault.scenarios.ScenarioContext` gives every
-scenario an isolated cache/ledger sandbox and a seeded
-:class:`~repro.assault.chaos.ChaosMonkey`.
+        assert_clean(_my_check, observation)
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.assault.scenarios import (
-    ScenarioSpec,
-    expect_clean,
-    expect_error,
-)
+import pytest
+
 from repro.errors import (
     ConfigError,
     NetlistError,
@@ -58,46 +62,13 @@ from repro.errors import (
     SolverError,
     ValidationError,
 )
+from tests.assault.grading import assert_clean, expect_error
 
-__all__ = ["TIERS", "all_scenarios", "scenario", "scenarios_for"]
-
-#: Canonical tier order (escalating hostility).
 TIERS = ("smoke", "edge", "storm", "endurance")
-
-_CORPUS: list[ScenarioSpec] = []
-
-
-def scenario(name: str, *, tier: str, description: str, expect):
-    """Register one frozen scenario in the corpus (decorator)."""
-    if tier not in TIERS:
-        raise ConfigError(f"unknown tier {tier!r}; pick from {TIERS}",
-                          field="tier")
-    if any(s.name == name for s in _CORPUS):
-        raise ValueError(f"scenario {name!r} already registered")
-
-    def decorate(run):
-        _CORPUS.append(ScenarioSpec(name=name, tier=tier,
-                                    description=description, run=run,
-                                    expect=expect))
-        return run
-
-    return decorate
-
-
-def scenarios_for(tier: str) -> list[ScenarioSpec]:
-    """The corpus slice for one tier, in registration order."""
-    if tier not in TIERS:
-        raise ConfigError(f"unknown tier {tier!r}; pick from {TIERS}",
-                          field="tier")
-    return [s for s in _CORPUS if s.tier == tier]
-
-
-def all_scenarios() -> list[ScenarioSpec]:
-    return list(_CORPUS)
 
 
 # ====================================================================== #
-# Shared builders (small on purpose: scenarios run on every PR)
+# Shared builders (small on purpose: scenarios run on every push)
 # ====================================================================== #
 def _square(x):
     """Module-level so it pickles across the process boundary."""
@@ -141,11 +112,9 @@ def _record(i: int):
 # ====================================================================== #
 # smoke -- vital signs, everything must work cleanly
 # ====================================================================== #
-@scenario("cache_roundtrip", tier="smoke",
-          description="put/get/membership on a fresh cache",
-          expect=expect_clean(lambda obs: obs["hits"] == 3
-                              and obs["member"] is True))
-def _cache_roundtrip(ctx):
+@pytest.mark.smoke
+def test_cache_roundtrip(ctx):
+    """put/get/membership on a fresh cache."""
     from repro.runtime import stable_digest
 
     keys = [stable_digest({"i": i}) for i in range(3)]
@@ -153,191 +122,193 @@ def _cache_roundtrip(ctx):
         ctx.cache.put(key, {"payload": i})
     hits = sum(ctx.cache.get(k, None) == {"payload": i}
                for i, k in enumerate(keys))
-    return {"hits": hits, "member": keys[0] in ctx.cache}
+    assert_clean(
+        lambda obs: obs["hits"] == 3 and obs["member"] is True,
+        {"hits": hits, "member": keys[0] in ctx.cache})
 
 
-@scenario("ledger_roundtrip", tier="smoke",
-          description="append records, read them back in order",
-          expect=expect_clean(lambda obs: obs["read"] == 3
-                              and obs["latest"] == "assault_probe_2"))
-def _ledger_roundtrip(ctx):
+@pytest.mark.smoke
+def test_ledger_roundtrip(ctx):
+    """append records, read them back in order."""
     for i in range(3):
         ctx.ledger.append(_record(i))
     records = ctx.ledger.records()
-    return {"read": len(records), "latest": records[-1].experiment}
+    assert_clean(
+        lambda obs: obs["read"] == 3 and obs["latest"] == "assault_probe_2",
+        {"read": len(records), "latest": records[-1].experiment})
 
 
-@scenario("executor_fanout", tier="smoke",
-          description="thread-pool map matches the serial reference",
-          expect=expect_clean(lambda obs: obs["parallel"] == obs["serial"]))
-def _executor_fanout(ctx):
+@pytest.mark.smoke
+def test_executor_fanout(ctx):
+    """thread-pool map matches the serial reference."""
     from repro.runtime import get_executor
 
     items = list(range(16))
-    return {
+    assert_clean(lambda obs: obs["parallel"] == obs["serial"], {
         "parallel": get_executor(2, "thread").map(_square, items),
         "serial": get_executor(1).map(_square, items),
-    }
+    })
 
 
-@scenario("solver_dc_divider", tier="smoke",
-          description="a trivial DC solve lands on the analytic answer",
-          expect=expect_clean(lambda obs: abs(obs["mid"] - 0.5) < 1e-6))
-def _solver_dc_divider(ctx):
+@pytest.mark.smoke
+def test_solver_dc_divider(ctx):
+    """a trivial DC solve lands on the analytic answer."""
     from repro.spice import dc_operating_point
 
-    return {"mid": dc_operating_point(_rc_divider())["mid"]}
+    assert_clean(
+        lambda obs: abs(obs["mid"] - 0.5) < 1e-6,
+        {"mid": dc_operating_point(_rc_divider())["mid"]})
 
 
-@scenario("fidelity_grading", tier="smoke",
-          description="the PASS/WARN/FAIL machinery grades a clean run",
-          expect=expect_clean(lambda obs: obs["verdict"] == "PASS"))
-def _fidelity_grading(ctx):
+@pytest.mark.smoke
+def test_fidelity_grading(ctx):
+    """the PASS/WARN/FAIL machinery grades a clean run."""
     from repro.provenance import FidelitySpec, metric
 
     spec = FidelitySpec(metrics=(
         metric("probe", 1.0, lambda r: r["probe"], rel=0.05),
     ))
-    return {"verdict": spec.evaluate("probe", {"probe": 1.01}).verdict}
+    assert_clean(
+        lambda obs: obs["verdict"] == "PASS",
+        {"verdict": spec.evaluate("probe", {"probe": 1.01}).verdict})
 
 
 # ====================================================================== #
 # edge -- malformed inputs must be rejected with typed errors
 # ====================================================================== #
-@scenario("netlist_negative_resistance", tier="edge",
-          description="R <= 0 rejected at element construction",
-          expect=expect_error(NetlistError))
-def _netlist_negative_resistance(ctx):
+@pytest.mark.edge
+def test_netlist_negative_resistance(ctx):
+    """R <= 0 rejected at element construction."""
     from repro.spice import Circuit
 
-    Circuit().add_resistor("r1", "a", "0", -50.0)
+    with expect_error(NetlistError):
+        Circuit().add_resistor("r1", "a", "0", -50.0)
 
 
-@scenario("netlist_nan_parameter", tier="edge",
-          description="NaN capacitance rejected at element construction",
-          expect=expect_error(NetlistError))
-def _netlist_nan_parameter(ctx):
+@pytest.mark.edge
+def test_netlist_nan_parameter(ctx):
+    """NaN capacitance rejected at element construction."""
     from repro.spice import Circuit
 
-    Circuit().add_capacitor("c1", "a", "0", float("nan"))
+    with expect_error(NetlistError):
+        Circuit().add_capacitor("c1", "a", "0", float("nan"))
 
 
-@scenario("netlist_duplicate_element", tier="edge",
-          description="reusing an element name is rejected",
-          expect=expect_error(NetlistError))
-def _netlist_duplicate_element(ctx):
+@pytest.mark.edge
+def test_netlist_duplicate_element(ctx):
+    """reusing an element name is rejected."""
     from repro.spice import Circuit
 
-    c = Circuit()
-    c.add_resistor("r1", "a", "0", 1e3)
-    c.add_resistor("r1", "b", "0", 1e3)
+    with expect_error(NetlistError):
+        c = Circuit()
+        c.add_resistor("r1", "a", "0", 1e3)
+        c.add_resistor("r1", "b", "0", 1e3)
 
 
-@scenario("netlist_dangling_node", tier="edge",
-          description="a resistor into nowhere fails validation, not "
-                      "silently solving to 0 V through gmin",
-          expect=expect_error(NetlistError))
-def _netlist_dangling_node(ctx):
+@pytest.mark.edge
+def test_netlist_dangling_node(ctx):
+    """a resistor into nowhere fails validation, not silently solving to
+    0 V through gmin."""
     from repro.spice import Circuit, dc_operating_point
     from repro.spice.sources import DC
 
-    c = Circuit()
-    c.add_vsource("v1", "a", "0", DC(1.0))
-    c.add_resistor("r1", "a", "nowhere", 1e3)
-    dc_operating_point(c)
+    with expect_error(NetlistError):
+        c = Circuit()
+        c.add_vsource("v1", "a", "0", DC(1.0))
+        c.add_resistor("r1", "a", "nowhere", 1e3)
+        dc_operating_point(c)
 
 
-@scenario("netlist_zero_width_device", tier="edge",
-          description="a 0-fin FinFET is rejected before assembly "
-                      "(device params or circuit validation, both typed)",
-          expect=expect_error(ValidationError))
-def _netlist_zero_width_device(ctx):
+@pytest.mark.edge
+def test_netlist_zero_width_device(ctx):
+    """a 0-fin FinFET is rejected before assembly (device params or
+    circuit validation, both typed)."""
     from repro.device import FinFET, golden_nfet
     from repro.spice import Circuit, dc_operating_point
     from repro.spice.sources import DC
 
-    broken = dataclasses.replace(golden_nfet(), nfin=0)
-    c = Circuit()
-    c.add_vsource("vdd", "vdd", "0", DC(0.7))
-    c.add_finfet("mn", "vdd", "vdd", "0", FinFET(broken))
-    dc_operating_point(c)
+    with expect_error(ValidationError):
+        broken = dataclasses.replace(golden_nfet(), nfin=0)
+        c = Circuit()
+        c.add_vsource("vdd", "vdd", "0", DC(0.7))
+        c.add_finfet("mn", "vdd", "vdd", "0", FinFET(broken))
+        dc_operating_point(c)
 
 
-@scenario("netlist_unknown_probe_node", tier="edge",
-          description="recording an unknown node is rejected up front",
-          expect=expect_error(NetlistError))
-def _netlist_unknown_probe_node(ctx):
+@pytest.mark.edge
+def test_netlist_unknown_probe_node(ctx):
+    """recording an unknown node is rejected up front."""
     from repro.spice import transient
 
-    transient(_rc_divider(), t_stop=1e-10, dt=1e-12, record=["ghost"])
+    with expect_error(NetlistError):
+        transient(_rc_divider(), t_stop=1e-10, dt=1e-12, record=["ghost"])
 
 
-@scenario("config_unknown_engine", tier="edge",
-          description="an unknown characterization engine is rejected",
-          expect=expect_error(ConfigError))
-def _config_unknown_engine(ctx):
+@pytest.mark.edge
+def test_config_unknown_engine(ctx):
+    """an unknown characterization engine is rejected."""
     from repro.cells import CharacterizationConfig
 
-    CharacterizationConfig(engine="quantum_annealer")
+    with expect_error(ConfigError):
+        CharacterizationConfig(engine="quantum_annealer")
 
 
-@scenario("config_nan_temperature", tier="edge",
-          description="NaN corner temperature is rejected",
-          expect=expect_error(ConfigError))
-def _config_nan_temperature(ctx):
+@pytest.mark.edge
+def test_config_nan_temperature(ctx):
+    """NaN corner temperature is rejected."""
     from repro.cells import CharacterizationConfig
 
-    CharacterizationConfig(temperature_k=float("nan"))
+    with expect_error(ConfigError):
+        CharacterizationConfig(temperature_k=float("nan"))
 
 
-@scenario("config_zero_shots", tier="edge",
-          description="a zero-shot study config is rejected",
-          expect=expect_error(ConfigError))
-def _config_zero_shots(ctx):
+@pytest.mark.edge
+def test_config_zero_shots(ctx):
+    """a zero-shot study config is rejected."""
     from repro.core import StudyConfig
 
-    StudyConfig(shots=0)
+    with expect_error(ConfigError):
+        StudyConfig(shots=0)
 
 
-@scenario("config_bad_soc_geometry", tier="edge",
-          description="non-power-of-two cache geometry is rejected",
-          expect=expect_error(ConfigError))
-def _config_bad_soc_geometry(ctx):
+@pytest.mark.edge
+def test_config_bad_soc_geometry(ctx):
+    """non-power-of-two cache geometry is rejected."""
     from repro.synth.soc_builder import SoCConfig
 
-    SoCConfig(line_bytes=48)
+    with expect_error(ConfigError):
+        SoCConfig(line_bytes=48)
 
 
-@scenario("synth_combinational_cycle", tier="edge",
-          description="a cyclic gate netlist is rejected by the "
-                      "topological traversal",
-          expect=expect_error(NetlistError))
-def _synth_combinational_cycle(ctx):
+@pytest.mark.edge
+def test_synth_combinational_cycle(ctx):
+    """a cyclic gate netlist is rejected by the topological traversal."""
     from repro.synth.netlist import GateNetlist
 
-    n = GateNetlist("loop")
-    n.add_gate("INV_X1", {"A": "n2"}, output="n1", name="g1")
-    n.add_gate("INV_X1", {"A": "n1"}, output="n2", name="g2")
-    n.topological_gates(library={})
+    with expect_error(NetlistError):
+        n = GateNetlist("loop")
+        n.add_gate("INV_X1", {"A": "n2"}, output="n1", name="g1")
+        n.add_gate("INV_X1", {"A": "n1"}, output="n2", name="g2")
+        n.topological_gates(library={})
 
 
-@scenario("transient_oversized", tier="edge",
-          description="a t_stop/dt pair implying billions of steps is "
-                      "rejected instead of grinding or OOMing",
-          expect=expect_error(ConfigError))
-def _transient_oversized(ctx):
+@pytest.mark.edge
+def test_transient_oversized(ctx):
+    """a t_stop/dt pair implying billions of steps is rejected instead
+    of grinding or OOMing."""
     from repro.spice import transient
 
-    transient(_rc_divider(), t_stop=1.0, dt=1e-12)
+    with expect_error(ConfigError):
+        transient(_rc_divider(), t_stop=1.0, dt=1e-12)
 
 
-@scenario("transient_nonpositive_step", tier="edge",
-          description="dt <= 0 is rejected with a typed error",
-          expect=expect_error(ConfigError))
-def _transient_nonpositive_step(ctx):
+@pytest.mark.edge
+def test_transient_nonpositive_step(ctx):
+    """dt <= 0 is rejected with a typed error."""
     from repro.spice import transient
 
-    transient(_rc_divider(), t_stop=1e-9, dt=0.0)
+    with expect_error(ConfigError):
+        transient(_rc_divider(), t_stop=1e-9, dt=0.0)
 
 
 # ====================================================================== #
@@ -353,10 +324,9 @@ def _check_cache_chaos(obs):
     return True
 
 
-@scenario("cache_truncation", tier="storm",
-          description="a truncated entry reads as a miss, never garbage",
-          expect=expect_clean(_check_cache_chaos))
-def _cache_truncation(ctx):
+@pytest.mark.storm
+def test_cache_truncation(ctx):
+    """a truncated entry reads as a miss, never garbage."""
     from repro.runtime import stable_digest
 
     key = stable_digest({"cell": "INV_X1"})
@@ -365,17 +335,16 @@ def _cache_truncation(ctx):
         miss = ctx.cache.get(key, None) is None
         member = key in ctx.cache
     ctx.cache.put(key, {"delay_ps": 12.5})
-    return {
+    assert_clean(_check_cache_chaos, {
         "miss_under_chaos": miss,
         "not_member_under_chaos": not member,
         "recovered": ctx.cache.get(key, None) == {"delay_ps": 12.5},
-    }
+    })
 
 
-@scenario("cache_bitflip", tier="storm",
-          description="a bit-flipped entry fails its CRC and misses",
-          expect=expect_clean(_check_cache_chaos))
-def _cache_bitflip(ctx):
+@pytest.mark.storm
+def test_cache_bitflip(ctx):
+    """a bit-flipped entry fails its CRC and misses."""
     from repro.runtime import stable_digest
 
     key = stable_digest({"cell": "NAND2_X1"})
@@ -384,19 +353,17 @@ def _cache_bitflip(ctx):
         miss = ctx.cache.get(key, None) is None
         member = key in ctx.cache
     ctx.cache.put(key, list(range(64)))
-    return {
+    assert_clean(_check_cache_chaos, {
         "miss_under_chaos": miss,
         "not_member_under_chaos": not member,
         "recovered": ctx.cache.get(key, None) == list(range(64)),
-    }
+    })
 
 
-@scenario("cache_stale_version_poison", tier="storm",
-          description="an entry written under an older cache version is "
-                      "invisible, never served",
-          expect=expect_clean(lambda obs: obs["poison_invisible"]
-                              and obs["real_value_served"]))
-def _cache_stale_version_poison(ctx):
+@pytest.mark.storm
+def test_cache_stale_version_poison(ctx):
+    """an entry written under an older cache version is invisible, never
+    served."""
     from repro.runtime import stable_digest
 
     key = stable_digest({"corner": "10K"})
@@ -405,10 +372,12 @@ def _cache_stale_version_poison(ctx):
                             and key not in ctx.cache)
         ctx.cache.put(key, {"fresh": 1})
         served = ctx.cache.get(key, None)
-    return {
-        "poison_invisible": poison_invisible,
-        "real_value_served": served == {"fresh": 1},
-    }
+    assert_clean(
+        lambda obs: obs["poison_invisible"] and obs["real_value_served"],
+        {
+            "poison_invisible": poison_invisible,
+            "real_value_served": served == {"fresh": 1},
+        })
 
 
 def _check_ledger_chaos(obs):
@@ -439,72 +408,71 @@ def _ledger_chaos(ctx, mode: str, expected_valid: int, appended: int = 3):
     }
 
 
-@scenario("ledger_garbage_line", tier="storm",
-          description="an appended garbage line is skipped, valid "
-                      "records survive",
-          expect=expect_clean(_check_ledger_chaos))
-def _ledger_garbage_line(ctx):
-    return _ledger_chaos(ctx, "garbage", expected_valid=3)
+@pytest.mark.storm
+def test_ledger_garbage_line(ctx):
+    """an appended garbage line is skipped, valid records survive."""
+    assert_clean(
+        _check_ledger_chaos,
+        _ledger_chaos(ctx, "garbage", expected_valid=3))
 
 
-@scenario("ledger_midfile_corruption", tier="storm",
-          description="a record mangled mid-file loses only itself",
-          expect=expect_clean(_check_ledger_chaos))
-def _ledger_midfile_corruption(ctx):
-    return _ledger_chaos(ctx, "midline", expected_valid=2)
+@pytest.mark.storm
+def test_ledger_midfile_corruption(ctx):
+    """a record mangled mid-file loses only itself."""
+    assert_clean(
+        _check_ledger_chaos,
+        _ledger_chaos(ctx, "midline", expected_valid=2))
 
 
-@scenario("ledger_binary_junk", tier="storm",
-          description="raw binary appended to the ledger is skipped",
-          expect=expect_clean(_check_ledger_chaos))
-def _ledger_binary_junk(ctx):
-    return _ledger_chaos(ctx, "binary", expected_valid=3)
+@pytest.mark.storm
+def test_ledger_binary_junk(ctx):
+    """raw binary appended to the ledger is skipped."""
+    assert_clean(
+        _check_ledger_chaos,
+        _ledger_chaos(ctx, "binary", expected_valid=3))
 
 
-@scenario("executor_worker_death", tier="storm",
-          description="a worker hard-killed mid-map is recovered by the "
-                      "in-parent chunk re-run; results stay "
-                      "bit-identical",
-          expect=expect_clean(lambda obs: obs["results"] == obs["expected"]))
-def _executor_worker_death(ctx):
+@pytest.mark.storm
+def test_executor_worker_death(ctx):
+    """a worker hard-killed mid-map is recovered by the in-parent chunk
+    re-run; results stay bit-identical."""
     from repro.runtime import get_executor
 
     items = list(range(8))
     assassin = ctx.chaos.worker_assassin(_square, kill_items={3, 5})
     results = get_executor(2, "process").map(assassin, items)
-    return {"results": results, "expected": [_square(i) for i in items]}
+    assert_clean(
+        lambda obs: obs["results"] == obs["expected"],
+        {"results": results, "expected": [_square(i) for i in items]})
 
 
-@scenario("solver_budget_exhaustion", tier="storm",
-          description="a 1-iteration budget surfaces SolverBudgetError, "
-                      "not a hang or a raw traceback",
-          expect=expect_error(SolverBudgetError))
-def _solver_budget_exhaustion(ctx):
+@pytest.mark.storm
+def test_solver_budget_exhaustion(ctx):
+    """a 1-iteration budget surfaces SolverBudgetError, not a hang or a
+    raw traceback."""
     from repro.spice import dc_operating_point
     from repro.spice.solver import SolverBudget
 
-    dc_operating_point(_inverter(), budget=SolverBudget(max_iterations=1))
+    with expect_error(SolverBudgetError):
+        dc_operating_point(_inverter(), budget=SolverBudget(max_iterations=1))
 
 
-@scenario("solver_nonconvergence", tier="storm",
-          description="a hopeless solve walks the whole escalation "
-                      "ladder and raises a typed ConvergenceError",
-          expect=expect_error(SolverError))
-def _solver_nonconvergence(ctx):
+@pytest.mark.storm
+def test_solver_nonconvergence(ctx):
+    """a hopeless solve walks the whole escalation ladder and raises a
+    typed ConvergenceError."""
     from repro.spice import dc_operating_point
 
-    with ctx.chaos.hostile_solver(max_iterations=1):
-        dc_operating_point(_inverter())
+    with expect_error(SolverError):
+        with ctx.chaos.hostile_solver(max_iterations=1):
+            dc_operating_point(_inverter())
 
 
-@scenario("grid_eviction_storm", tier="storm",
-          description="hostile solver during batched-grid "
-                      "characterization: evictions degrade to the "
-                      "per-point retry ladder -- notes recorded, zero "
-                      "empty tables",
-          expect=expect_clean(lambda obs: obs["notes_recorded"]
-                              and obs["no_empty_tables"]))
-def _grid_eviction_storm(ctx):
+@pytest.mark.storm
+def test_grid_eviction_storm(ctx):
+    """hostile solver during batched-grid characterization: evictions
+    degrade to the per-point retry ladder -- notes recorded, zero empty
+    tables."""
     import numpy as np
 
     from repro.cells import (
@@ -531,21 +499,21 @@ def _grid_eviction_storm(ctx):
         arc = ch._characterize_arc_spice(cell, "A", notes)
     tables = [arc.cell_rise, arc.cell_fall,
               arc.rise_transition, arc.fall_transition]
-    return {
-        "notes_recorded": bool(notes),
-        "no_empty_tables": all(
-            np.isfinite(t.values).all() and (t.values > 0).all()
-            for t in tables
-        ),
-    }
+    assert_clean(
+        lambda obs: obs["notes_recorded"] and obs["no_empty_tables"],
+        {
+            "notes_recorded": bool(notes),
+            "no_empty_tables": all(
+                np.isfinite(t.values).all() and (t.values > 0).all()
+                for t in tables
+            ),
+        })
 
 
-@scenario("seu_storm_during_characterization", tier="storm",
-          description="an SEU campaign hammers the ISS while a library "
-                      "characterizes; both finish intact",
-          expect=expect_clean(lambda obs: obs["coverage_complete"]
-                              and obs["outcomes_accounted"]))
-def _seu_storm_during_characterization(ctx):
+@pytest.mark.storm
+def test_seu_storm_during_characterization(ctx):
+    """an SEU campaign hammers the ISS while a library characterizes;
+    both finish intact."""
     from concurrent.futures import ThreadPoolExecutor
 
     import numpy as np
@@ -577,21 +545,22 @@ def _seu_storm_during_characterization(ctx):
             catalog=catalog, name="under_fire",
         )
         campaign = campaign_future.result(timeout=300)
-    return {
-        "coverage_complete": library.coverage is None
-        or not library.coverage.quarantined,
-        "outcomes_accounted": sum(campaign.counts().values()) == 10,
-    }
+    assert_clean(
+        lambda obs: obs["coverage_complete"] and obs["outcomes_accounted"],
+        {
+            "coverage_complete": library.coverage is None
+            or not library.coverage.quarantined,
+            "outcomes_accounted": sum(campaign.counts().values()) == 10,
+        })
 
 
 # ====================================================================== #
 # endurance -- the storm, looped, with seeded interleaving
 # ====================================================================== #
-@scenario("cache_churn", tier="endurance",
-          description="20 rounds of put/corrupt/get: never garbage, "
-                      "membership always consistent with readability",
-          expect=expect_clean(lambda obs: obs["violations"] == []))
-def _cache_churn(ctx):
+@pytest.mark.endurance
+def test_cache_churn(ctx):
+    """20 rounds of put/corrupt/get: never garbage, membership always
+    consistent with readability."""
     from repro.runtime import stable_digest
 
     violations = []
@@ -618,14 +587,15 @@ def _cache_churn(ctx):
             if (key in ctx.cache) != (ctx.cache.get(key, None) is not None):
                 violations.append(
                     f"round {round_no}: membership != readability")
-    return {"violations": violations}
+    assert_clean(
+        lambda obs: obs["violations"] == [],
+        {"violations": violations})
 
 
-@scenario("ledger_growth_under_corruption", tier="endurance",
-          description="append/corrupt cycles: reads never raise, the "
-                      "valid-record count never regresses",
-          expect=expect_clean(lambda obs: obs["violations"] == []))
-def _ledger_growth_under_corruption(ctx):
+@pytest.mark.endurance
+def test_ledger_growth_under_corruption(ctx):
+    """append/corrupt cycles: reads never raise, the valid-record count
+    never regresses."""
     violations = []
     appended = 0
     for round_no in range(12):
@@ -645,15 +615,15 @@ def _ledger_growth_under_corruption(ctx):
             violations.append(
                 f"round {round_no}: {clean} records after chaos lifted, "
                 f"expected {appended}")
-    return {"violations": violations}
+    assert_clean(
+        lambda obs: obs["violations"] == [],
+        {"violations": violations})
 
 
-@scenario("solver_budget_sweep", tier="endurance",
-          description="repeated solves under random budgets: every "
-                      "outcome is a solution or a typed SolverError",
-          expect=expect_clean(lambda obs: obs["violations"] == []
-                              and obs["solved"] > 0))
-def _solver_budget_sweep(ctx):
+@pytest.mark.endurance
+def test_solver_budget_sweep(ctx):
+    """repeated solves under random budgets: every outcome is a solution
+    or a typed SolverError."""
     from repro.errors import SolverError
     from repro.spice import dc_operating_point
     from repro.spice.solver import SolverBudget
@@ -677,7 +647,9 @@ def _solver_budget_sweep(ctx):
         if not 0.0 <= op["out"] <= 0.7:
             violations.append(
                 f"round {round_no}: out={op['out']} outside the rails")
-    return {"violations": violations, "solved": solved}
+    assert_clean(
+        lambda obs: obs["violations"] == [] and obs["solved"] > 0,
+        {"violations": violations, "solved": solved})
 
 
 # ---------------------------------------------------------------------- #
@@ -730,12 +702,11 @@ def _check_request_storm(obs):
     return True
 
 
-@scenario("serve_request_storm", tier="storm",
-          description="a concurrent request flood against a tiny "
-                      "admission queue: immediate typed 429s, zero "
-                      "wrong labels, full recovery after the flood",
-          expect=expect_clean(_check_request_storm))
-def _serve_request_storm(ctx):
+@pytest.mark.storm
+def test_serve_request_storm(ctx):
+    """a concurrent request flood against a tiny admission queue:
+    immediate typed 429s, zero wrong labels, full recovery after the
+    flood."""
     import threading
 
     import numpy as np
@@ -784,7 +755,7 @@ def _serve_request_storm(ctx):
             recovered = np.array_equal(
                 client.classify("knn", points), expected)
         stats = handle.server.live.counters()
-    return {
+    assert_clean(_check_request_storm, {
         "served": served,
         "rejected": rejected,
         "wrong_labels": wrong,
@@ -792,7 +763,7 @@ def _serve_request_storm(ctx):
         "error_types": error_types,
         "rejected_counter": stats["serve.rejected"],
         "recovered": recovered,
-    }
+    })
 
 
 def _check_slow_client(obs):
@@ -805,12 +776,11 @@ def _check_slow_client(obs):
     return True
 
 
-@scenario("serve_slow_client", tier="storm",
-          description="a client that floods requests but never reads "
-                      "responses is evicted by the write-drain timeout "
-                      "while healthy clients keep getting exact labels",
-          expect=expect_clean(_check_slow_client))
-def _serve_slow_client(ctx):
+@pytest.mark.storm
+def test_serve_slow_client(ctx):
+    """a client that floods requests but never reads responses is
+    evicted by the write-drain timeout while healthy clients keep
+    getting exact labels."""
     import socket as socketlib
     import time as _time
 
@@ -848,11 +818,11 @@ def _serve_slow_client(ctx):
                 reference.predict(points[:50]))
         stats = handle.server.live.counters()
         stalled.close()
-    return {
+    assert_clean(_check_slow_client, {
         "disconnects": stats["serve.slow_client_disconnects"],
         "healthy_ok": healthy_ok,
         "served": stats["serve.requests"],
-    }
+    })
 
 
 def _check_stats_scrape_storm(obs):
@@ -875,14 +845,12 @@ def _check_stats_scrape_storm(obs):
     return True
 
 
-@scenario("serve_stats_scrape_storm", tier="storm",
-          description="in-band {'op': 'stats'} scrapes during a request "
-                      "flood: every scrape answers fast (admission "
-                      "cannot reject it), snapshots are internally "
-                      "consistent (no torn reads), counters stay "
-                      "monotonic, traffic is undisturbed",
-          expect=expect_clean(_check_stats_scrape_storm))
-def _serve_stats_scrape_storm(ctx):
+@pytest.mark.storm
+def test_serve_stats_scrape_storm(ctx):
+    """in-band {'op': 'stats'} scrapes during a request flood: every
+    scrape answers fast (admission cannot reject it), snapshots are
+    internally consistent (no torn reads), counters stay monotonic,
+    traffic is undisturbed."""
     import threading
     import time as _time
 
@@ -955,7 +923,7 @@ def _serve_stats_scrape_storm(ctx):
                 non_monotonic.append(
                     f"{key}: {value} -> {cur['counters'][key]}")
     final = snapshots[-1]["counters"]
-    return {
+    assert_clean(_check_stats_scrape_storm, {
         "scrapes": len(snapshots),
         "expected_scrapes": n_scrapes,
         "slow_scrapes": sum(d > scrape_budget_s for d in durations),
@@ -966,4 +934,4 @@ def _serve_stats_scrape_storm(ctx):
         "flooded": (final["serve.requests"] + final["serve.rejected"]
                     + final["serve.deadline_expired"]) > 0,
         "recovered": recovered,
-    }
+    })

@@ -1,86 +1,82 @@
-"""The corpus registry and the campaign runner."""
+"""The corpus as a whole, and replaying its scenarios outside a run."""
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
-from repro.assault import (
-    TIERS,
-    AssaultConfig,
-    all_scenarios,
-    run_assault,
-    run_scenario,
-    scenarios_for,
-)
 from repro.errors import ConfigError
-from repro.provenance.fidelity import PASS
+from tests.assault import test_corpus as corpus
+from tests.assault.conftest import make_ctx
+from tests.assault.grading import expect_error
+
+FAILED = pytest.fail.Exception
+
+
+def _scenarios(tier=None):
+    """``{name: function}`` of the corpus scenarios, optionally one tier."""
+    return {
+        name.removeprefix("test_"): fn
+        for name, fn in vars(corpus).items()
+        if name.startswith("test_") and callable(fn)
+        and (tier is None or tier in _tiers(fn))
+    }
+
+
+def _tiers(fn):
+    return [m.name for m in getattr(fn, "pytestmark", [])
+            if m.name in corpus.TIERS]
+
+
+def _replay(name, fn, root):
+    """Run one scenario in a fresh sandbox; grade it PASS/WARN/FAIL."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            fn(make_ctx(name, root))
+        except FAILED as exc:
+            return "FAIL", str(exc)
+    return ("WARN", str(caught[0].message)) if caught else ("PASS", "")
 
 
 class TestCorpus:
     def test_every_tier_populated(self):
-        for tier in TIERS:
-            assert scenarios_for(tier), f"tier {tier} is empty"
-
-    def test_names_unique(self):
-        names = [s.name for s in all_scenarios()]
-        assert len(names) == len(set(names))
+        for tier in corpus.TIERS:
+            assert _scenarios(tier), f"tier {tier} is empty"
 
     def test_every_scenario_described(self):
-        for s in all_scenarios():
-            assert s.description, s.name
-            assert s.tier in TIERS, s.name
-
-    def test_unknown_tier_is_typed(self):
-        with pytest.raises(ConfigError, match="unknown tier"):
-            scenarios_for("apocalypse")
-
-
-class TestAssaultConfig:
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ConfigError, match="unknown tier"):
-            AssaultConfig(tiers=("smoke", "apocalypse"))
-
-    def test_empty_tiers_rejected(self):
-        with pytest.raises(ConfigError, match="at least one"):
-            AssaultConfig(tiers=())
+        # A docstring and exactly one tier marker per scenario, so the
+        # ``-m <tier>`` selections partition the corpus.
+        for name, fn in _scenarios().items():
+            assert fn.__doc__, name
+            assert len(_tiers(fn)) == 1, f"{name}: {_tiers(fn)}"
 
 
 class TestRunner:
-    def test_smoke_tier_passes_clean_repo(self, tmp_path):
-        reports = run_assault(AssaultConfig(tiers=("smoke",),
-                                            workdir=str(tmp_path)))
-        assert len(reports) == 1
-        assert reports[0].tier == "smoke"
-        assert reports[0].verdict == PASS
-        assert len(reports[0].results) == len(scenarios_for("smoke"))
-
-    def test_edge_tier_passes_clean_repo(self, tmp_path):
-        reports = run_assault(AssaultConfig(tiers=("edge",),
-                                            workdir=str(tmp_path)))
-        assert reports[0].verdict == PASS
-
     def test_campaign_is_deterministic(self, tmp_path):
         def statuses(run_dir):
-            reports = run_assault(AssaultConfig(
-                tiers=("edge",), seed=777, workdir=str(run_dir)))
-            return [(r.name, r.status) for r in reports[0].results]
+            return [(name, _replay(name, fn, run_dir / name)[0])
+                    for name, fn in _scenarios("edge").items()]
 
-        assert statuses(tmp_path / "a") == statuses(tmp_path / "b")
+        first = statuses(tmp_path / "a")
+        assert first == statuses(tmp_path / "b")
+        assert {status for _, status in first} == {"PASS"}
 
     def test_single_scenario_replay(self, tmp_path):
-        spec = scenarios_for("smoke")[0]
-        first = run_scenario(spec, tmp_path / "x", seed=5)
-        second = run_scenario(spec, tmp_path / "y", seed=5)
-        assert first.status == second.status == PASS
+        name, fn = next(iter(_scenarios("smoke").items()))
+        first = _replay(name, fn, tmp_path / "x")
+        second = _replay(name, fn, tmp_path / "y")
+        assert first == second == ("PASS", "")
+        x, y = make_ctx(name, tmp_path / "x"), make_ctx(name, tmp_path / "y")
+        assert x.seed == y.seed
+        assert x.rng.random() == y.rng.random()
 
     def test_failing_scenario_is_graded_not_raised(self, tmp_path):
-        from repro.assault import ScenarioSpec, expect_clean
-
         def explode(ctx):
-            raise ZeroDivisionError("boom")
+            with expect_error(ConfigError):
+                raise ZeroDivisionError("boom")
 
-        spec = ScenarioSpec(name="explode", tier="smoke", description="",
-                            run=explode, expect=expect_clean())
-        result = run_scenario(spec, tmp_path, seed=1)
-        assert result.status == "FAIL"
-        assert result.error_type == "ZeroDivisionError"
+        status, note = _replay("explode", explode, tmp_path)
+        assert status == "FAIL"
+        assert "ZeroDivisionError" in note

@@ -9,8 +9,7 @@ from repro import telemetry
 from repro.__main__ import _expand, build_parser, main
 from repro.experiments import registry
 
-BUILTINS = {"stats", "run", "report", "compare", "assault", "profile",
-            "serve", "top"}
+BUILTINS = {"stats", "run", "report", "compare", "profile", "serve", "top"}
 
 
 def _commands() -> set[str]:
@@ -34,6 +33,11 @@ class TestCLI:
 
     def test_unknown_command_rejected(self):
         assert main(["fig99"]) == 2
+
+    def test_assault_command_is_gone(self):
+        # The hostile-scenario corpus is the pytest suite tests/assault.
+        assert main(["assault"]) == 2
+        assert main(["assault", "--tier", "smoke", "--strict"]) == 2
 
     def test_all_commands_listed(self):
         commands = _commands()

@@ -137,3 +137,56 @@ class TestCompare:
         b = RunRecord(experiment="fig2")
         cmp = compare_records(a, b)
         assert json.loads(render_compare(cmp, fmt="json")) == cmp
+
+
+class TestLegacyAssaultRecords:
+    """Ledgers from before the scenario corpus became the pytest suite
+    ``tests/assault`` hold one ``kind="assault"`` record per tier run.
+    They must still load, and must never sway the fidelity verdict."""
+
+    @staticmethod
+    def legacy_tier_record():
+        # The shape the removed ``repro assault`` command appended.
+        return RunRecord(
+            experiment="assault_storm",
+            kind="assault",
+            start_ts="2026-10-01T12:00:00.000000Z",
+            wall_s=1.8,
+            metrics={"scenarios": 2.0, "passed": 1.0, "warned": 0.0,
+                     "failed": 1.0, "seed": 2023.0},
+            fidelity={
+                "experiment": "assault_storm",
+                "verdict": "FAIL",
+                "checks": [
+                    {"name": "cache_truncation", "status": "PASS",
+                     "note": ""},
+                    {"name": "cache_bitflip", "status": "FAIL",
+                     "note": "degradation contract violated"},
+                ],
+            },
+        )
+
+    def test_build_report_ignores_assault_records(self, ledger):
+        legacy = self.legacy_tier_record()
+        ledger.append(legacy)
+        assert build_report(ledger)["verdict"] is None
+        ledger.append(rec(checks=[CHECK]))
+        (stored,) = ledger.records(kind="assault")
+        assert stored == legacy
+        assert stored.verdict == "FAIL"
+        assert len(ledger.records()) == 2
+        report = build_report(ledger)
+        assert [e["experiment"] for e in report["experiments"]] == ["fig2"]
+        assert report["verdict"] == "PASS"
+
+    def test_cli_reads_legacy_ledger(self, ledger, capsys):
+        from repro.__main__ import main
+
+        legacy = self.legacy_tier_record()
+        ledger.append(legacy)
+        ledger.append(rec(checks=[CHECK]))
+        runs = ["--runs-dir", str(ledger.runs_dir)]
+        assert main(["report", "--strict", "--json", *runs]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "PASS"
+        assert main(["compare", legacy.run_id, legacy.run_id, *runs]) == 0
+        assert "assault_storm" in capsys.readouterr().out

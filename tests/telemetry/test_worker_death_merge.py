@@ -1,6 +1,6 @@
 """Telemetry must survive a worker dying mid-``map``.
 
-A hard-killed process worker (``repro.assault``'s :class:`WorkerAssassin`,
+A hard-killed process worker (``tests/assault``'s :class:`WorkerAssassin`,
 the stand-in for an OOM kill) takes its chunk's telemetry snapshot down
 with it.  The contract under that loss: surviving workers' snapshots
 still merge under the call-site span, the in-parent retry of the dead
@@ -16,8 +16,8 @@ import os
 import pytest
 
 from repro import telemetry
-from repro.assault.chaos import WorkerAssassin
 from repro.runtime import get_executor
+from tests.assault.chaos import WorkerAssassin
 
 
 def _traced_square(x):
