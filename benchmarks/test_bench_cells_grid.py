@@ -1,14 +1,15 @@
 """Batched-grid characterization bench: batched vs. per-point SPICE.
 
-One NAND2 timing arc is characterized twice -- as a handful of
-batched-grid transients (``transient_grid``, the characterizer's path)
-and by replaying every planned point alone on its own grid through the
-per-point retry ladder (``_solve_point_resilient``, the path batching
-replaces) -- interleaved best-of-N so machine noise hits both equally.
-The batched win comes from the step-count ratio: one lockstep Newton
-step costs nearly the same for a whole load row (or several merged
-rows) as for a single point, because the stacked compact-model call
-dominates and its cost is size-independent at these widths.
+One NAND2 timing arc is characterized twice -- as one batched-grid
+transient (``transient_grid``, the characterizer's path: every point of
+the arc a replica on its planned batch's grid) and by replaying every
+planned point alone on its own grid through the per-point retry ladder
+(``_solve_point_resilient``, the path batching replaces) -- interleaved
+best-of-N so machine noise hits both equally.  The batched win comes
+from the step-count ratio: one lockstep Newton step costs nearly the
+same for the whole arc as for a single point, because the stacked
+compact-model call dominates and its cost is size-independent at these
+widths, so the arc pays its longest grid's steps once.
 
 The slew axis is a three-point subset spanning the default range; the
 load axis is the full seven-point row (the batching dimension).  Both

@@ -12,8 +12,8 @@ temperature the compact model supports.  Two engines are provided:
   temperature dependence flows through the compact model (Ieff, Ioff), so
   300 K vs 10 K *ratios* -- the paper's object of study -- are preserved.
 * ``spice`` -- full transient simulation of the transistor netlist via
-  :mod:`repro.spice`, each arc's table points solved as a handful of
-  lockstep batched-grid transients.  Used for representative cells and
+  :mod:`repro.spice`, each arc's table points solved as one lockstep
+  batched-grid transient.  Used for representative cells and
   for validating the analytic engine (see
   tests/cells/test_engines_agree.py).
 
@@ -73,16 +73,19 @@ SHORT_CIRCUIT_FACTOR = 1.15
 SPICE_POINT_BUDGET_S = 30.0
 SPICE_RETRY_BUDGET_S = 10.0
 
-# One batched-grid solve covers up to a whole arc's worth of points, so
-# it gets a correspondingly larger wall-clock budget than a single point.
+# One batched-grid solve covers a whole arc's worth of points, so it gets
+# a correspondingly larger wall-clock budget than a single point: this
+# much per planned grid batch of the arc.
 SPICE_GRID_BUDGET_S = 120.0
 
 GRID_STEP_REPLICA_TAX = 0.04
 """Marginal per-replica cost of one lockstep Newton step, relative to the
 replica-independent base cost (the compact-model call dominates and its
 cost is nearly size-independent at characterization batch sizes).  Used
-only by the batch planner's cost model when deciding whether merging two
-load rows onto one union time grid is cheaper than solving them apart."""
+only by the batch planner's cost model when deciding whether two load
+rows share one union time grid.  The whole arc is one lockstep call
+whatever the plan, so this only fixes each point's grid, and with it
+every pinned table number; it is kept for those numbers."""
 
 
 @dataclass(frozen=True)
@@ -557,22 +560,24 @@ class CellCharacterizer:
         pin: str,
         side: dict[str, bool] | None = None,
     ) -> list[GridBatch]:
-        """Schedule an arc's table points into batched-grid transients.
+        """Fix the time grid of each of an arc's table points.
 
         The planning unit is the per-(slew, edge) load row: all seven
         loads share one input ramp, so they share a union time grid with
         ``dt = min`` over the row (tightest accuracy requirement) and
         ``t_stop = max`` (slowest transition completes).  Rows whose
-        union grids are compatible are then greedily merged into wider
-        batches: one lockstep Newton step costs nearly the same for 7
-        replicas as for 49 (the stacked compact-model call dominates and
-        is size-independent at these widths), so the only real cost of a
-        batch is its step count and width is close to free.  Two rows
-        merge whenever the merged union grid's predicted work (steps x a
-        small per-replica tax, see :data:`GRID_STEP_REPLICA_TAX`) does
-        not exceed the rows solved apart.  Rows with clashing grids --
-        e.g. a 2 ps slew row stepping at 67 fs next to a 128 ps row
-        stepping at 500 fs -- stay separate.
+        union grids are compatible are then greedily merged onto one
+        wider union grid: two rows merge whenever the merged grid's
+        predicted work (steps x a small per-replica tax, see
+        :data:`GRID_STEP_REPLICA_TAX`) does not exceed the rows' apart.
+        Rows with clashing grids -- e.g. a 2 ps slew row stepping at
+        67 fs next to a 128 ps row stepping at 500 fs -- stay separate.
+
+        The characterizer steps every batch of an arc in one
+        ``transient_grid`` call, each point on its batch's grid, so a
+        merge saves no call: it only fixes every point's grid, and with
+        it every table number.  The merge is kept because those numbers
+        are pinned.
         """
         from repro.spice import DC, ramp
 
@@ -635,10 +640,13 @@ class CellCharacterizer:
     def _characterize_arc_spice(
         self, cell: StandardCell, pin: str, notes: list[str] | None = None
     ) -> TimingArc:
-        """One arc's tables from a handful of batched-grid transients.
+        """One arc's tables from one lockstep batched-grid transient.
 
-        Each planned batch is one :func:`repro.spice.transient_grid`
-        call; a point the batch evicts (or every point of a batch that
+        Every point of the arc is a replica of one
+        :func:`repro.spice.transient_grid` call, stepping on its planned
+        batch's union grid (so the planner still fixes every number);
+        the call's wall budget is :data:`SPICE_GRID_BUDGET_S` per planned
+        batch.  A point the call evicts (or every point, if the call
         aborts) is replayed alone on its own grid through
         :meth:`_solve_point_resilient`, and a point that fails that too
         falls back to its analytic estimate.  Every degradation lands in
@@ -656,59 +664,58 @@ class CellCharacterizer:
         tables = self._blank_tables()
         senses = set()
         record = [pin, cell.output]
-        for batch in self.plan_grid_batches(cell, pin, side):
-            circuits = [
-                self.build_cell_circuit(cell, p.load, p.wave_map)
-                for p in batch.points
-            ]
-            with telemetry.span(
-                "cells.grid_batch",
-                cell=cell.name, pin=pin, replicas=len(circuits),
-                steps=batch.steps,
-            ):
-                try:
-                    results = transient_grid(
-                        circuits, batch.t_stop, batch.dt, record=record,
-                        budget=SolverBudget(max_seconds=SPICE_GRID_BUDGET_S),
-                    )
-                except SolverError as exc:
-                    # The whole batch ran out of budget: every member
-                    # point is replayed through the per-point ladder.
-                    notes.append(
-                        f"arc {pin}: grid batch aborted "
-                        f"({type(exc).__name__}: {exc}); replaying "
-                        f"{len(circuits)} points sequentially"
-                    )
-                    telemetry.count("cells.grid_batch_aborts")
-                    results = [None] * len(circuits)
+        batches = self.plan_grid_batches(cell, pin, side)
+        points = [p for batch in batches for p in batch.points]
+        circuits = [self.build_cell_circuit(cell, p.load, p.wave_map)
+                    for p in points]
+        with telemetry.span(
+            "cells.grid_batch",
+            cell=cell.name, pin=pin, replicas=len(circuits),
+            batches=len(batches), steps=max(b.steps for b in batches),
+        ):
+            try:
+                results = transient_grid(
+                    circuits,
+                    [b.t_stop for b in batches for _ in b.points],
+                    [b.dt for b in batches for _ in b.points],
+                    record=record,
+                    budget=SolverBudget(
+                        max_seconds=SPICE_GRID_BUDGET_S * len(batches)),
+                )
+            except SolverError as exc:
+                # The call ran out of budget: every point is replayed
+                # through the per-point ladder.
+                notes.append(
+                    f"arc {pin}: grid batch aborted "
+                    f"({type(exc).__name__}: {exc}); replaying "
+                    f"{len(circuits)} points sequentially"
+                )
+                telemetry.count("cells.grid_batch_aborts")
+                results = [None] * len(circuits)
 
-            for p, circuit, res in zip(batch.points, circuits, results):
-                senses.add((p.in_tr, p.out_tr))
-                if res is not None:
-                    telemetry.count("cells.grid_batched_points")
-                else:
-                    # Evicted from the batch: replay this point alone on
-                    # its own grid through the existing retry ladder.
-                    telemetry.count("cells.grid_fallback_points")
-                    notes.append(
-                        f"arc {pin}: grid eviction at slew={p.slew:.3g} "
-                        f"load={p.load:.3g} {p.in_tr}; replaying per-point"
-                    )
-                    res = self._solve_point_resilient(
-                        cell, pin, circuit, p.t_stop, p.dt, notes
-                    )
-                if res is None:
-                    d, sl = p.est_d, p.est_s
-                else:
-                    win = res.waveform(pin)
-                    wout = res.waveform(cell.output)
-                    d = propagation_delay(
-                        win, wout, cfg.vdd, p.in_tr, p.out_tr
-                    )
-                    sl = wout.transition_time(
-                        0.0, cfg.vdd, direction=p.out_tr
-                    )
-                self._keep_worst(tables, p.out_tr, (p.i, p.j), d, sl)
+        for p, circuit, res in zip(points, circuits, results):
+            senses.add((p.in_tr, p.out_tr))
+            if res is not None:
+                telemetry.count("cells.grid_batched_points")
+            else:
+                # Evicted from the call: replay this point alone on
+                # its own grid through the existing retry ladder.
+                telemetry.count("cells.grid_fallback_points")
+                notes.append(
+                    f"arc {pin}: grid eviction at slew={p.slew:.3g} "
+                    f"load={p.load:.3g} {p.in_tr}; replaying per-point"
+                )
+                res = self._solve_point_resilient(
+                    cell, pin, circuit, p.t_stop, p.dt, notes
+                )
+            if res is None:
+                d, sl = p.est_d, p.est_s
+            else:
+                win = res.waveform(pin)
+                wout = res.waveform(cell.output)
+                d = propagation_delay(win, wout, cfg.vdd, p.in_tr, p.out_tr)
+                sl = wout.transition_time(0.0, cfg.vdd, direction=p.out_tr)
+            self._keep_worst(tables, p.out_tr, (p.i, p.j), d, sl)
 
         return self._finish_arc(pin, senses, tables)
 

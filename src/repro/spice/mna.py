@@ -238,27 +238,32 @@ class MNASystem:
             [[src.value(t) for src in srcs] for srcs in self._sources]
         ).reshape(self.n_replicas, self.n_sources)
 
-    def source_grid(self, times: np.ndarray) -> np.ndarray:
-        """(n_times, G, n_sources) source values over a whole time grid.
+    def source_grid(self, times: list[np.ndarray]) -> np.ndarray:
+        """(n_times, G, n_sources) source values over every replica's grid.
 
-        Waveform objects shared across replicas (the common case: only
-        the load differs within a characterization row) are evaluated
-        once.  Precomputing the grid up front removes every per-iteration
-        Python waveform call from the transient driver.
+        ``times`` holds one time grid per replica (replicas on one grid
+        pass the same array object); a replica whose grid is shorter
+        than the longest holds its last value past its end, where it is
+        frozen.  Each waveform object is evaluated once per grid:
+        replicas that share a waveform and a grid (the common case: only
+        the load differs within a characterization row) share one
+        evaluation.  Precomputing the grid up front removes every
+        per-iteration Python waveform call from the transient driver.
         """
         from repro.spice.sources import waveform_values
 
-        times = np.asarray(times, dtype=float)
-        out = np.empty((times.size, self.n_replicas, self.n_sources))
-        cache: dict[int, np.ndarray] = {}
-        for r, srcs in enumerate(self._sources):
+        n_times = max(len(grid) for grid in times)
+        out = np.empty((n_times, self.n_replicas, self.n_sources))
+        cache: dict[tuple[int, int], np.ndarray] = {}
+        for r, (srcs, grid) in enumerate(zip(self._sources, times)):
             for k, src in enumerate(srcs):
-                wave = src.waveform
-                vals = cache.get(id(wave))
+                key = (id(src.waveform), id(grid))
+                vals = cache.get(key)
                 if vals is None:
-                    vals = waveform_values(wave, times)
-                    cache[id(wave)] = vals
-                out[:, r, k] = vals
+                    vals = waveform_values(src.waveform, grid)
+                    cache[key] = vals
+                out[:vals.size, r, k] = vals
+                out[vals.size:, r, k] = vals[-1]
         return out
 
     def cap_voltages(self, x: np.ndarray) -> np.ndarray:
@@ -379,34 +384,35 @@ class MNASystem:
         return gm, gds, ieq
 
 
+def _structure_keys(circ: Circuit) -> tuple[list, ...]:
+    """Each element's name and terminals, per element kind, in order."""
+    return ([(e.name, e.n1, e.n2) for e in circ.resistors],
+            [(e.name, e.n1, e.n2) for e in circ.capacitors],
+            [(e.name, e.pos, e.neg) for e in circ.sources],
+            [(e.name, e.drain, e.gate, e.source) for e in circ.finfets])
+
+
 def _check_structure(circuits: list[Circuit]) -> None:
     """Replicas must share one temperature and one element topology.
 
     Element values, waveforms and device models may differ per replica.
+    Replica 0's element keys are built once.  Equal keys imply equal
+    node sets (every node is some element's terminal), so a replica's
+    node list is only built to word the error when its keys differ.
     """
     ref = circuits[0]
-    ref_nodes = ref.node_names()
+    ref_keys = _structure_keys(ref)
     for r, circ in enumerate(circuits[1:], start=1):
         if circ.temperature_k != ref.temperature_k:
             raise NetlistError(
                 f"replica {r} temperature {circ.temperature_k} K != "
                 f"replica 0 {ref.temperature_k} K", element=circ.title)
-        if circ.node_names() != ref_nodes:
+        if _structure_keys(circ) == ref_keys:
+            continue
+        if circ.node_names() != ref.node_names():
             raise NetlistError(
                 f"replica {r} node set differs from replica 0",
                 element=circ.title)
-        pairs = [
-            (ref.resistors, circ.resistors,
-             lambda e: (e.name, e.n1, e.n2)),
-            (ref.capacitors, circ.capacitors,
-             lambda e: (e.name, e.n1, e.n2)),
-            (ref.sources, circ.sources,
-             lambda e: (e.name, e.pos, e.neg)),
-            (ref.finfets, circ.finfets,
-             lambda e: (e.name, e.drain, e.gate, e.source)),
-        ]
-        for ref_elems, elems, keyfn in pairs:
-            if [keyfn(e) for e in ref_elems] != [keyfn(e) for e in elems]:
-                raise NetlistError(
-                    f"replica {r} element structure differs from "
-                    f"replica 0", element=circ.title)
+        raise NetlistError(
+            f"replica {r} element structure differs from replica 0",
+            element=circ.title)

@@ -9,7 +9,9 @@
   transition, where BE's first-order error is negligible against the
   compact-model accuracy).
 * :func:`transient_grid` -- the same integration for G structurally
-  identical circuits stepped in lockstep on one shared time grid.
+  identical circuits stepped in lockstep, each on its own time grid
+  (``t_stop``/``dt`` shared or one per circuit); the lockstep runs to
+  the longest grid and a replica whose grid has ended is frozen.
 
 All three run the same driver on a :class:`~repro.spice.mna.MNASystem`:
 a single circuit is simply a batch of G = 1.  Results come back as
@@ -20,11 +22,12 @@ per-source branch currents for energy integration.
 
 Robustness: every public entry point accepts an optional
 :class:`SolverBudget` bounding total Newton iterations and wall-clock
-time, so one pathological solve cannot stall a library build.  Budget
-exhaustion raises :class:`~repro.errors.SolverBudgetError`.  Every solve
-walks the escalation ladder (plain NR -> gmin ladder -> source stepping)
-on exactly the replicas that have not converged; a replica that fails
-the whole ladder is evicted from its batch; a DC solve or a
+time, so one pathological solve cannot stall a library build (a
+batch has one budget for the whole call).  Budget exhaustion raises
+:class:`~repro.errors.SolverBudgetError`.  Every solve walks the
+escalation ladder (plain NR -> gmin ladder -> source stepping) on
+exactly the replicas that have not converged; a replica that fails the
+whole ladder is evicted from its batch; a DC solve or a
 single-circuit transient raises :class:`ConvergenceError` carrying the
 full escalation history.
 
@@ -44,6 +47,7 @@ solve for the whole batch.
 from __future__ import annotations
 
 import time as _time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,11 +104,15 @@ class SolverStats:
     source_steps: int = 0
     """Source-stepping rungs attempted (0 unless the ladder escalated)."""
     timesteps: int = 0
-    """Transient steps solved (0 for a DC solve)."""
+    """Transient steps solved (0 for a DC solve); in a
+    :func:`transient_grid` call, the lockstep steps (the longest
+    grid's)."""
     budget_charges: int = 0
     """Times the :class:`SolverBudget` tracker was consulted."""
     dt_effective: float = 0.0
-    """The timestep actually used (transient only)."""
+    """The timestep actually used (transient only); the smallest one
+    when the replicas of a :func:`transient_grid` call step on
+    different grids."""
     jacobian_reuses: int = 0
     """Newton iterations served by a reused Jacobian (modified Newton);
     0 for cold DC solves."""
@@ -389,7 +397,6 @@ def _solve(
     alive: np.ndarray,
     tracker: _BudgetTracker | None,
     stats: SolverStats,
-    t: float,
 ) -> tuple[int, dict[int, str]]:
     """Escalation ladder over the replicas in ``alive``.
 
@@ -437,9 +444,9 @@ def _solve(
         if not stepping.any():
             break
     failures = {
-        int(r): (f"no convergence at t={t}: plain NR failed, gmin ladder "
-                 f"failed at gmin={gmin_failed[r]} (ladder={_GMIN_LADDER}), "
-                 f"and source stepping failed at scale={source_failed[r]}")
+        int(r): (f"plain NR failed, gmin ladder failed at "
+                 f"gmin={gmin_failed[r]} (ladder={_GMIN_LADDER}), and "
+                 f"source stepping failed at scale={source_failed[r]}")
         for r in np.flatnonzero(~np.isnan(source_failed))
     }
     alive[list(failures)] = False
@@ -507,13 +514,13 @@ def dc_operating_point(
     with telemetry.span("spice.dc_operating_point",
                         circuit=circuits[0].title, replicas=g) as sp:
         its, failures = _solve(system, x, system.source_values(t), None,
-                               np.ones(g, dtype=bool), tracker, stats, t)
+                               np.ones(g, dtype=bool), tracker, stats)
         if failures:
             r = min(failures)
+            msg = f"no convergence at t={t}: {failures[r]}"
             raise ConvergenceError(
-                failures[r] if single else
-                f"replica {r} of {g} ({circuits[r].title!r}): "
-                f"{failures[r]}")
+                msg if single else
+                f"replica {r} of {g} ({circuits[r].title!r}): {msg}")
         stats.newton_iterations = its
         _publish(sp, "dc", stats, system, tracker)
     batch = OperatingPointBatch(
@@ -565,8 +572,8 @@ def transient(
 
 def transient_grid(
     circuits: list[Circuit],
-    t_stop: float,
-    dt: float,
+    t_stop: float | Sequence[float],
+    dt: float | Sequence[float],
     record: list[str] | None = None,
     method: str = "be",
     budget: SolverBudget | None = None,
@@ -574,13 +581,20 @@ def transient_grid(
     """Fixed-step transient of G structurally identical circuits at once.
 
     The replicas (same topology, per-replica element values and source
-    waveforms -- e.g. one load row of an NLDM characterization grid) are
+    waveforms -- e.g. the load rows of an NLDM characterization arc) are
     tiled into one :class:`~repro.spice.mna.MNASystem` and stepped in
-    lockstep on one shared time grid: each Newton iteration makes ONE
-    compact-model call and ONE batched block solve for the whole grid,
-    and every source value on the grid is precomputed up front, so the
-    per-step Python overhead is paid once per *batch* instead of once
-    per point.  Parameters are those of :func:`transient`.
+    lockstep: each Newton iteration makes ONE compact-model call and ONE
+    batched block solve for the whole grid, and every source value is
+    precomputed up front, so the per-step Python overhead is paid once
+    per *call* instead of once per point.
+
+    ``t_stop`` and ``dt`` are scalars (one grid for every replica) or
+    one value per circuit.  Each replica gets its own grid, snapped as in
+    :func:`transient`, and the lockstep runs to the longest one; a
+    replica whose grid has ended is frozen like a converged one.  Since
+    replicas never couple, every result equals the circuit's own
+    :func:`transient` on its own grid.  The other parameters are those of
+    :func:`transient`.
 
     Masked convergence / eviction: replicas that converge within a step
     freeze until the next step; a replica that fails the whole
@@ -589,22 +603,39 @@ def transient_grid(
     Callers replay evicted points on their own (see
     ``repro.cells.characterize._solve_point_resilient``), so one bad
     corner never voids the batch.  A :class:`SolverBudget` bounds the
-    whole batch; exhaustion raises
+    whole call; exhaustion raises
     :class:`~repro.errors.SolverBudgetError` (the batch, unlike a
     replica, cannot be partially salvaged).
 
     Returns one :class:`TransientResult` per input circuit, in order,
-    with ``None`` for evicted replicas.  All results share the batch's
-    :class:`SolverStats` object.
+    with ``None`` for evicted replicas; each carries its own ``time``
+    and ``dt_effective``, and its arrays are views into one buffer of the
+    recorded nodes and source currents.  All results share the batch's
+    :class:`SolverStats` object, whose ``timesteps`` counts the lockstep
+    steps (the longest grid) and whose ``dt_effective`` is the smallest
+    step of the call.
     """
     return _transient(circuits, t_stop, dt, record, method, budget,
                       kind="transient_grid")
 
 
+def _per_replica(name: str, value, g: int) -> np.ndarray:
+    """``value`` as a ``(G,)`` float array: a scalar for every replica
+    or a sequence with one entry per replica."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim == 0:
+        return np.full(g, float(arr))
+    if arr.shape != (g,):
+        raise ConfigError(
+            f"{name} must be a scalar or one value per circuit "
+            f"({g}), got shape {arr.shape}", field="dt")
+    return arr
+
+
 def _transient(
     circuits: list[Circuit],
-    t_stop: float,
-    dt: float,
+    t_stop,
+    dt,
     record: list[str] | None,
     method: str,
     budget: SolverBudget | None,
@@ -615,58 +646,79 @@ def _transient(
     ``kind`` names the telemetry span (``spice.<kind>``) and counters.
     A ``"transient"`` run raises :class:`ConvergenceError` at the first
     failed step; a ``"transient_grid"`` run evicts the failed replica.
+    ``t_stop`` and ``dt`` are scalars or one value per circuit.
     """
-    if not np.isfinite(dt) or not np.isfinite(t_stop) \
-            or dt <= 0 or t_stop <= 0:
+    circuits = list(circuits)
+    g = len(circuits)
+    t_stop = _per_replica("t_stop", t_stop, g)
+    dt = _per_replica("dt", dt, g)
+    if not (np.isfinite(dt).all() and np.isfinite(t_stop).all()
+            and (dt > 0).all() and (t_stop > 0).all()):
         raise ConfigError("t_stop and dt must be finite and positive",
                           field="dt")
     if method not in ("be", "trap"):
         raise ConfigError(f"unknown integration method {method!r}",
                           field="method")
-    if t_stop / dt > _MAX_TRANSIENT_STEPS:
+    ratio = float((t_stop / dt).max()) if g else 0.0
+    if ratio > _MAX_TRANSIENT_STEPS:
         raise ConfigError(
-            f"oversized transient: t_stop/dt = {t_stop / dt:.3g} steps "
+            f"oversized transient: t_stop/dt = {ratio:.3g} steps "
             f"exceeds the {_MAX_TRANSIENT_STEPS} cap", field="dt")
     system = _make_system(circuits)
-    g = system.n_replicas
     record = system.nodes if record is None else record
     record_idx = [system.index(node) for node in record]  # validate early
 
-    # Snap dt down so the grid lands exactly on t_stop.  The 1e-9 slack
-    # absorbs representation error when t_stop/dt is an exact integer in
-    # real arithmetic.
-    n_steps = max(1, int(np.ceil(t_stop / dt - 1e-9)))
+    # Snap each dt down so its grid lands exactly on its t_stop.  The
+    # 1e-9 slack absorbs representation error when t_stop/dt is an exact
+    # integer in real arithmetic.  Replicas on one (t_stop, steps) grid
+    # share its time array.
+    n_steps = np.maximum(1, np.ceil(t_stop / dt - 1e-9).astype(np.int64))
     dt_eff = t_stop / n_steps
-    time = np.linspace(0.0, t_stop, n_steps + 1)
+    n_max = int(n_steps.max())
+    grids: dict[tuple[float, int], np.ndarray] = {}
+    times = []
+    for stop, n in zip(t_stop.tolist(), n_steps.tolist()):
+        if (stop, n) not in grids:
+            grids[stop, n] = np.linspace(0.0, stop, n + 1)
+        times.append(grids[stop, n])
     tracker = budget.tracker() if budget is not None else None
-    stats = SolverStats(timesteps=n_steps, dt_effective=dt_eff)
+    stats = SolverStats(timesteps=n_max, dt_effective=float(dt_eff.min()))
 
-    # Every source value for the whole run, evaluated once (shared
-    # waveforms once per batch): (n_steps+1, G, n_sources).
-    src_grid = system.source_grid(time)
+    # Every source value for the whole run, evaluated once per waveform
+    # and grid: (n_max+1, G, n_sources).
+    src_grid = system.source_grid(times)
 
-    # The whole run records into one preallocated array; per-node
-    # waveforms are sliced out once at the end.
+    # The run records only the requested nodes and the source branch
+    # currents, replica-major so that each result is a contiguous view.
+    # Ground aliases (index -1) keep their preset zero column.
+    columns = record_idx + list(range(system.n_nodes, system.dim))
+    kept = [c for c, i in enumerate(columns) if i >= 0]
+    kept_idx = [columns[c] for c in kept]
+    trace = np.zeros((g, len(columns), n_max + 1))
     x = np.zeros((g, system.dim))
     alive = np.ones(g, dtype=bool)
-    solution = np.empty((n_steps + 1, g, system.dim))
     scale = 1.0 if method == "be" else 2.0
-    geq = scale * system.cap_c / dt_eff  # (G, n_caps)
+    geq = scale * system.cap_c / dt_eff[:, None]  # (G, n_caps)
     with telemetry.span(f"spice.{kind}", circuit=circuits[0].title,
-                        replicas=g, t_stop=t_stop, steps=n_steps) as sp:
-        def solve(step: int, cap_companion) -> None:
+                        replicas=g, t_stop=float(t_stop.max()),
+                        steps=n_max) as sp:
+        def solve(step: int, running: np.ndarray, cap_companion) -> None:
             its, failures = _solve(system, x, src_grid[step], cap_companion,
-                                   alive, tracker, stats, time[step])
+                                   running, tracker, stats)
             if failures and kind == "transient":
-                raise ConvergenceError(failures[0])
+                raise ConvergenceError(
+                    f"no convergence at t={times[0][step]}: {failures[0]}")
+            alive[list(failures)] = False
             stats.newton_iterations += its
-            solution[step] = x
+            trace[:, kept, step] = x[:, kept_idx]
 
-        solve(0, None)
+        solve(0, alive.copy(), None)
         v_cap_prev = system.cap_voltages(x)
         i_cap_prev = np.zeros_like(v_cap_prev)  # branch currents start at 0
-        for step in range(1, n_steps + 1):
-            if not alive.any():
+        for step in range(1, n_max + 1):
+            # A replica whose grid has ended is frozen like a converged one.
+            running = alive & (n_steps >= step)
+            if not running.any():
                 break
             if method == "be":
                 # i_C = C/dt * (v - v_prev): geq = C/dt, ieq = -C/dt * v_prev.
@@ -674,38 +726,30 @@ def _transient(
             else:
                 # Trapezoidal: i = 2C/dt * (v - v_prev) - i_prev.
                 ieq = -geq * v_cap_prev - i_cap_prev
-            solve(step, (geq, ieq))
+            solve(step, running, (geq, ieq))
             v_cap_new = system.cap_voltages(x)
             if method == "trap":
                 i_cap_prev = geq * (v_cap_new - v_cap_prev) - i_cap_prev
             v_cap_prev = v_cap_new
-        _publish(sp, kind, stats, system, tracker, dt_effective=dt_eff,
+        _publish(sp, kind, stats, system, tracker,
+                 dt_effective=stats.dt_effective,
                  survivors=int(alive.sum()),
                  evicted=int(g - alive.sum()))
 
-    # Slice out recorded nodes; a trailing zero column serves ground
-    # aliases (index -1) without per-step special-casing.
-    extended = np.concatenate(
-        [solution, np.zeros((n_steps + 1, g, 1))], axis=2)
+    n_rec = len(record)
     results: list[TransientResult | None] = []
     for r in range(g):
         if not alive[r]:
             results.append(None)
             continue
-        volts = {
-            n: np.ascontiguousarray(extended[:, r, i])
-            for n, i in zip(record, record_idx)
-        }
-        src_currents = {
-            s.name: np.ascontiguousarray(solution[:, r, system.n_nodes + k])
-            for k, s in enumerate(circuits[r].sources)
-        }
+        end = int(n_steps[r]) + 1
         results.append(TransientResult(
-            time=time,
-            voltages=volts,
-            source_currents=src_currents,
+            time=times[r],
+            voltages={n: trace[r, c, :end] for c, n in enumerate(record)},
+            source_currents={s.name: trace[r, n_rec + k, :end]
+                             for k, s in enumerate(circuits[r].sources)},
             circuit_title=circuits[r].title,
-            dt_effective=dt_eff,
+            dt_effective=float(dt_eff[r]),
             stats=stats,
         ))
     return results

@@ -8,7 +8,7 @@ per-point SPICE path:
   or per-replica device models);
 * masked convergence isolates failures -- an evicted replica never
   perturbs the survivors' solutions, and the characterizer replays an
-  evicted point alone on its own grid;
+  evicted point of its one per-arc call alone on its own grid;
 * golden INV/NAND2 arc tables from the batched path pin to 1e-9 against
   the same plan replayed point-by-point on the same union time grids,
   at 300 K and 10 K.
@@ -26,8 +26,9 @@ from repro.cells import (
     TechModels,
     cell_by_name,
 )
+from repro.cells.characterize import SPICE_GRID_BUDGET_S
 from repro.device import golden_nfet, golden_pfet
-from repro.errors import NetlistError
+from repro.errors import NetlistError, SolverBudgetError
 from repro.spice import (
     DC,
     PWL,
@@ -49,11 +50,12 @@ def models() -> TechModels:
     return TechModels(golden_nfet(), golden_pfet())
 
 
-def _characterizer(models, temp: float, **kw) -> CellCharacterizer:
+def _characterizer(models, temp: float, slews=(8e-12, 32e-12),
+                   **kw) -> CellCharacterizer:
     cfg = CharacterizationConfig(
         engine="spice",
         temperature_k=temp,
-        slew_index=(8e-12, 32e-12),
+        slew_index=slews,
         load_index=(1e-15, 4e-15),
         **kw,
     )
@@ -130,9 +132,15 @@ class TestReplicatedAssembly:
         circuits = _nand2_family(models, n=3)
         rsys = MNASystem(circuits)
         times = np.linspace(0.0, 20e-12, 11)
-        grid = rsys.source_grid(times)
+        grid = rsys.source_grid([times] * 3)
         for k, t in enumerate(times):
             np.testing.assert_array_equal(grid[k], rsys.source_values(t))
+        # Replica 1 on a shorter grid holds its last value past its end.
+        short = times[:6]
+        grid = rsys.source_grid([times, short, times])
+        for k, t in enumerate(times):
+            held = rsys.source_values(min(t, short[-1]))
+            np.testing.assert_array_equal(grid[k, 1], held[1])
 
     def test_structural_mismatch_rejected(self, models):
         circuits = _nand2_family(models, n=2)
@@ -247,27 +255,30 @@ class TestEvictionReplay:
     def test_evicted_point_replays_alone_on_its_own_grid(
         self, models, monkeypatch
     ):
-        ch = _characterizer(models, 300.0)
+        # Two slews far apart plan two batches of four points; the arc
+        # is still one call, and its replica 5 (point 1 of the second
+        # batch) is evicted.
+        ch = _characterizer(models, 300.0, slews=(8e-12, 128e-12))
         cell = cell_by_name("INV_X1")
         pin = cell.inputs[0]
+        batches = ch.plan_grid_batches(cell, pin)
+        assert [len(b.points) for b in batches] == [4, 4]
         real = repro.spice.transient_grid
-        seen = {"calls": 0, "evicted": None}
+        calls = []
 
         def evict_one(circuits, *args, **kwargs):
-            # Replica 1 of the first multi-replica batch is evicted.
             results = real(circuits, *args, **kwargs)
-            if len(circuits) > 1 and seen["evicted"] is None:
-                seen["evicted"] = seen["calls"]
-                results[1] = None
-            seen["calls"] += 1
+            calls.append((len(circuits), kwargs["budget"].max_seconds))
+            results[5] = None
             return results
 
         monkeypatch.setattr(repro.spice, "transient_grid", evict_one)
         notes: list[str] = []
         arc = ch._characterize_arc_spice(cell, pin, notes)
 
-        batch = ch.plan_grid_batches(cell, pin)[seen["evicted"]]
-        p = batch.points[1]
+        # One call for the arc, budgeted per planned batch.
+        assert calls == [(8, 2 * SPICE_GRID_BUDGET_S)]
+        p = batches[1].points[1]
         solo = transient(ch.build_cell_circuit(cell, p.load, p.wave_map),
                          p.t_stop, p.dt, record=[pin, cell.output])
         vdd = ch.config.vdd
@@ -282,3 +293,26 @@ class TestEvictionReplay:
                 == slew)
         assert len(notes) == 1 and "grid eviction" in notes[0]
         assert not any("analytic fallback" in n for n in notes)
+
+    def test_aborted_call_replays_every_point_alone(
+        self, models, monkeypatch
+    ):
+        ch = _characterizer(models, 300.0, slews=(8e-12, 128e-12))
+        cell = cell_by_name("INV_X1")
+        pin = cell.inputs[0]
+
+        def out_of_budget(circuits, *args, **kwargs):
+            raise SolverBudgetError("solver wall-clock budget exhausted")
+
+        monkeypatch.setattr(repro.spice, "transient_grid", out_of_budget)
+        notes: list[str] = []
+        arc = ch._characterize_arc_spice(cell, pin, notes)
+        assert len(notes) == 1 + 8
+        assert notes[0].startswith("arc A: grid batch aborted")
+        assert "replaying 8 points sequentially" in notes[0]
+        assert all("grid eviction" in n for n in notes[1:])
+        # Every point ran alone on its own grid: the per-point replay.
+        ref = replay_tables(ch, cell, pin, own_grid=True)
+        for key in ("cell_rise", "cell_fall", "rise_transition",
+                    "fall_transition"):
+            assert np.array_equal(getattr(arc, key).values, ref[key]), key
