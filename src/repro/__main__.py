@@ -449,7 +449,7 @@ def _run_serve(args) -> int:
         max_queue=args.max_queue,
         slo_latency_ms=args.slo_latency_ms,
     )
-    registry = ModelRegistry.calibrated(jobs=args.jobs)
+    registry = ModelRegistry.calibrated()
     server = ClassifierServer(registry, config, ledger=_ledger(args))
 
     async def run() -> None:
@@ -563,13 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="show debug-level diagnostics")
     logs.add_argument("-q", "--quiet", action="store_true",
                       help="suppress reports; warnings only")
-    jobs = _flags()
-    jobs.add_argument(
+    flow = _flags()
+    flow.add_argument(
         "--jobs", "-j", type=int, default=None, metavar="N",
         help="parallel workers for the fan-outs (default: REPRO_JOBS or "
              "serial; 0 = one per CPU)",
     )
-    flow = _flags(jobs)
     flow.add_argument(
         "--calibrated", action="store_true",
         help="run the full flow including compact-model calibration",
@@ -657,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = command("serve", "batched classification service", _run_serve,
-                  jobs, tele, ledger)
+                  tele, ledger)
     sub.add_argument("--host", default="127.0.0.1",
                      help="bind address (default: 127.0.0.1)")
     sub.add_argument("--port", type=int, default=8742,

@@ -857,10 +857,10 @@ class CellCharacterizer:
 
         Per-arc solver failures inside the SPICE engine are absorbed by
         the retry ladder (see :meth:`_solve_point_resilient`) and show
-        up in :attr:`CharacterizedCell.notes`; failures that escape this
-        method are wrapped in
-        :class:`~repro.errors.CharacterizationError` with cell/arc
-        context by :func:`repro.cells.library.build_library`.
+        up in :attr:`CharacterizedCell.notes`; a failure that escapes
+        this method makes :func:`repro.cells.library.build_library`
+        retry the cell on the analytic engine (SPICE builds) or
+        quarantine it in the library's coverage report.
         """
         if cell.is_sequential:
             return self.characterize_sequential(cell)  # type: ignore[arg-type]

@@ -8,10 +8,10 @@ produces (Fig. 4 outputs, one per temperature corner).
 hot fan-outs: every cell characterizes independently, so the build
 distributes cells over the :mod:`repro.runtime` executor (``jobs=`` /
 ``REPRO_JOBS``) and aggregates in catalog order -- bit-identical to the
-serial build by construction.  With ``REPRO_CACHE_DIR`` set (or
-``cache=True``) finished libraries are memoized on disk keyed by the
-content digest of everything that shaped them (models, config, catalog,
-strictness), so repeat runs skip the work entirely.
+serial build by construction.  With ``REPRO_CACHE_DIR`` set, finished
+libraries are memoized on disk keyed by the content digest of everything
+that shaped them (models, config, catalog), so repeat runs skip the work
+entirely.
 """
 
 from __future__ import annotations
@@ -32,15 +32,8 @@ from repro.cells.characterize import (
     CharacterizedCell,
     TechModels,
 )
-from repro.errors import CharacterizationError
 from repro.reliability.coverage import CoverageReport
-from repro.runtime import (
-    ExecutorError,
-    ResultCache,
-    default_enabled,
-    get_executor,
-    stable_digest,
-)
+from repro.runtime import env_cache, get_executor, stable_digest
 
 __all__ = ["CellLibrary", "build_library"]
 
@@ -164,15 +157,10 @@ class _CellOutcome:
 
 def _characterize_cell(
     characterizer: CellCharacterizer,
-    strict: bool,
     cell: StandardCell | SequentialCell,
 ) -> _CellOutcome:
-    """Characterize one cell, riding the retry ladder on failure.
-
-    In strict mode the first failure raises
-    :class:`~repro.errors.CharacterizationError`; otherwise the outcome
-    records the irrecoverable failure for quarantine.
-    """
+    """Characterize one cell, riding the retry ladder on failure; the
+    outcome records an irrecoverable failure for quarantine."""
     t_cell = time.perf_counter()
     config = characterizer.config
     failure = ""
@@ -180,11 +168,6 @@ def _characterize_cell(
         try:
             characterized = characterizer.characterize(cell)
         except Exception as exc:  # noqa: BLE001 - quarantine anything
-            if strict:
-                raise CharacterizationError(
-                    f"cell {cell.name!r}: {type(exc).__name__}: {exc}",
-                    cell=cell.name,
-                ) from exc
             failure = f"{type(exc).__name__}: {exc}"
             characterized = None
             if config.engine == "spice":
@@ -216,9 +199,7 @@ def build_library(
     *,
     catalog: list[StandardCell | SequentialCell] | None = None,
     name: str | None = None,
-    strict: bool = False,
     jobs: int | None = None,
-    cache: bool | None = None,
 ) -> CellLibrary:
     """Characterize a catalog into a library at one corner.
 
@@ -230,31 +211,27 @@ def build_library(
     the last rung of the ladder) and quarantined if irrecoverable; the
     returned library carries the per-cell outcome in
     :attr:`CellLibrary.coverage` instead of the whole build aborting.
-    ``strict=True`` restores fail-fast semantics, raising
-    :class:`~repro.errors.CharacterizationError` on the first bad cell
-    (in catalog order, independent of worker scheduling).
+    A caller that cannot tolerate holes calls
+    ``library.coverage.require(1.0)``, which raises
+    :class:`~repro.errors.CharacterizationError` naming the first
+    quarantined cell in catalog order.
 
-    Execution knobs (keyword-only):
-
-    * ``jobs`` -- characterize cells in parallel over the
-      :mod:`repro.runtime` executor; ``None`` defers to ``REPRO_JOBS``,
-      1 runs serially.  Results are bit-identical to serial.
-    * ``cache`` -- memoize the finished library on disk keyed by the
-      content digest of (models, config, catalog, strict); ``None``
-      enables caching iff ``REPRO_CACHE_DIR`` is set.
+    ``jobs`` characterizes cells in parallel over the
+    :mod:`repro.runtime` executor (``None`` defers to ``REPRO_JOBS``, 1
+    runs serially); results are bit-identical to serial.  With
+    ``REPRO_CACHE_DIR`` set the finished library is memoized on disk
+    keyed by the content digest of (models, config, catalog).
 
     Every parameter after ``models``/``config`` is keyword-only.
     """
     catalog = full_catalog() if catalog is None else catalog
     name = name or f"repro5nm_{config.temperature_k:g}K"
 
-    use_cache = default_enabled() if cache is None else cache
-    cache_store = cache_key = None
-    if use_cache:
-        cache_store = ResultCache(namespace="build_library")
+    cache_store = env_cache("build_library")
+    cache_key = None
+    if cache_store is not None:
         cache_key = stable_digest({
             "models": models, "config": config, "catalog": catalog,
-            "strict": strict,
         })
         cached = cache_store.get(cache_key)
         if cached is not None:
@@ -280,14 +257,8 @@ def build_library(
         # One characterizer per build: its compact-model figures (Ieff,
         # Ioff per polarity) are shared by every cell.
         worker = partial(_characterize_cell,
-                         CellCharacterizer(models, config), strict)
-        try:
-            outcomes = executor.map(worker, catalog)
-        except ExecutorError as exc:
-            if isinstance(exc.__cause__, CharacterizationError):
-                raise exc.__cause__ from exc.__cause__.__cause__
-            raise
-        for outcome in outcomes:
+                         CellCharacterizer(models, config))
+        for outcome in executor.map(worker, catalog):
             report.build_seconds[outcome.name] = outcome.elapsed
             telemetry.observe("cells.build_seconds", outcome.elapsed)
             if outcome.cell is None:
@@ -312,6 +283,6 @@ def build_library(
     _LOG.debug("library %s: %d/%d cells in %.2f s", name,
                report.characterized, report.total, report.total_seconds)
     library.coverage = report
-    if cache_store is not None and cache_key is not None:
+    if cache_store is not None:
         cache_store.put(cache_key, library)
     return library

@@ -49,12 +49,7 @@ from repro import telemetry
 from repro.errors import HangError, ReproError
 from repro.reliability.faults import ALL_STRUCTURES, BitFlip, FaultPlanner
 from repro.reliability.injector import run_with_faults
-from repro.runtime import (
-    ResultCache,
-    default_enabled,
-    get_executor,
-    stable_digest,
-)
+from repro.runtime import env_cache, get_executor, stable_digest
 from repro.soc.soc import (
     RocketSoC,
     WorkloadSpec,
@@ -273,7 +268,6 @@ def run_campaign(
     config: CampaignConfig | None = None,
     *,
     jobs: int | None = None,
-    cache: bool | None = None,
 ) -> CampaignResult:
     """Run a full campaign; deterministic given (spec data, config).
 
@@ -281,15 +275,14 @@ def run_campaign(
     executor (``None`` defers to ``REPRO_JOBS``); the plan is drawn from
     the campaign seed *before* the fan-out and records merge in plan
     order, so outcome buckets and AVF are identical at any worker count.
-    The spec itself is shipped to the workers.  ``cache`` memoizes
-    finished campaigns on disk keyed by the digest of spec + config
-    (``None``: enabled iff ``REPRO_CACHE_DIR`` is set).
+    The spec itself is shipped to the workers.  With ``REPRO_CACHE_DIR``
+    set, finished campaigns are memoized on disk keyed by the digest of
+    spec + config.
     """
     config = config or CampaignConfig()
-    use_cache = default_enabled() if cache is None else cache
-    cache_store = cache_key = None
-    if use_cache:
-        cache_store = ResultCache(namespace="campaign")
+    cache_store = env_cache("campaign")
+    cache_key = None
+    if cache_store is not None:
         cache_key = stable_digest({"spec": spec, "config": config})
         cached = cache_store.get(cache_key)
         if cached is not None:

@@ -50,7 +50,8 @@ class CoverageReport:
     def require(self, min_coverage: float = 1.0) -> None:
         """Raise if coverage fell below a floor -- the hook for flow
         stages that cannot tolerate holes (e.g. technology mapping needs
-        every logic footprint present)."""
+        every logic footprint present).  The error's ``cell`` is the
+        first quarantined cell in catalog order."""
         from repro.errors import CharacterizationError
 
         if self.coverage < min_coverage:
@@ -61,7 +62,8 @@ class CoverageReport:
             raise CharacterizationError(
                 f"library {self.library!r} coverage "
                 f"{self.coverage:.1%} < required {min_coverage:.1%}; "
-                f"quarantined: {worst}"
+                f"quarantined: {worst}",
+                cell=next(iter(self.quarantined), ""),
             )
 
     def slowest_cells(self, n: int = 5) -> list[tuple[str, float]]:

@@ -14,11 +14,11 @@ config dataclasses and companion inputs), so
 
 Layout: ``<root>/<namespace>/<key><suffix>``, one pickle per entry,
 written atomically (tmp file + ``os.replace``) so a crashed or
-concurrent writer can never leave a torn entry.  The root defaults to
-``~/.cache/repro`` and is overridden by ``REPRO_CACHE_DIR``; caching is
-*opt-in* -- stages consult :func:`default_enabled`, which is true only
-when ``REPRO_CACHE_DIR`` is set (tests monkeypatch engines, so silently
-serving yesterday's results by default would be a correctness hazard).
+concurrent writer can never leave a torn entry.  Caching is *opt-in*:
+stages ask :func:`env_cache` for their store, which exists only when
+``REPRO_CACHE_DIR`` is set and is rooted there (tests monkeypatch
+engines, so silently serving yesterday's results by default would be a
+correctness hazard).
 
 Integrity: every entry ends with a fixed-size footer (magic, payload
 length, CRC32 over the payload).  ``get``/``__contains__`` verify the
@@ -39,7 +39,7 @@ from pathlib import Path
 
 from repro import telemetry
 
-__all__ = ["ResultCache", "default_cache_dir", "default_enabled"]
+__all__ = ["ResultCache", "env_cache"]
 
 _LOG = logging.getLogger(__name__)
 
@@ -54,29 +54,11 @@ _MAGIC = b"RPRC"
 _SENTINEL = object()
 
 
-def default_cache_dir() -> Path:
-    """``REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
-    env = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    if env:
-        return Path(env).expanduser()
-    return Path.home() / ".cache" / "repro"
-
-
-def default_enabled() -> bool:
-    """Whether stages should cache when the caller did not say.
-
-    Opt-in via the environment: set ``REPRO_CACHE_DIR`` to turn the
-    cache on for a whole run without touching any call site.
-    """
-    return bool(os.environ.get("REPRO_CACHE_DIR", "").strip())
-
-
 class ResultCache:
     """Pickle-per-entry content-addressed store; see module docstring."""
 
-    def __init__(self, root: str | os.PathLike | None = None,
-                 namespace: str = "default"):
-        self.root = Path(root) if root is not None else default_cache_dir()
+    def __init__(self, root: str | os.PathLike, namespace: str = "default"):
+        self.root = Path(root)
         self.namespace = namespace
 
     # -------------------------------------------------------------- #
@@ -180,11 +162,25 @@ class ResultCache:
 
     # -------------------------------------------------------------- #
     def prune(self) -> int:
-        """Delete every entry in this namespace; returns the count."""
+        """Delete every entry in this namespace; returns the count.
+
+        Temp files a writer left behind when it died before
+        ``os.replace`` go too, uncounted: they were never entries.
+        """
         removed = 0
         directory = self.root / self.namespace
         if directory.is_dir():
             for entry in directory.glob("*.pkl"):
                 entry.unlink(missing_ok=True)
                 removed += 1
+            for orphan in directory.glob("*.pkl.tmp*"):
+                orphan.unlink(missing_ok=True)
         return removed
+
+
+def env_cache(namespace: str) -> ResultCache | None:
+    """The ``namespace`` store under ``REPRO_CACHE_DIR``, or ``None``
+    when the variable is unset -- set it to cache a whole run without
+    touching any call site."""
+    root = os.environ.get("REPRO_CACHE_DIR", "").strip()
+    return ResultCache(Path(root).expanduser(), namespace) if root else None

@@ -1,4 +1,4 @@
-"""Executor: one ordered ``map(fn, items)`` over serial/thread/process.
+"""Executor: one ordered ``map(fn, items)``, serial or a process pool.
 
 The flow's parallel work is independent fan-outs -- one characterization
 per cell per corner, one ISS run per SEU injection, one self-contained
@@ -11,11 +11,10 @@ experiment per artifact.  This module gives them a single API::
 
 Design points:
 
-* **Backend selection.**  ``get_executor(jobs=, backend=)`` resolves the
-  worker count from the ``jobs`` argument, then the ``REPRO_JOBS``
-  environment variable, then 1; the backend is the caller's ``backend``
-  argument, else ``"process"``.  ``jobs <= 1`` always yields the serial
-  executor -- zero overhead, identical semantics.
+* **Selection.**  ``get_executor(jobs=)`` resolves the worker count from
+  the ``jobs`` argument, then the ``REPRO_JOBS`` environment variable,
+  then 1.  ``jobs <= 1`` yields the serial executor -- zero overhead,
+  identical semantics; more workers yield a process pool.
 * **Determinism.**  ``map()`` returns results in item order regardless
   of completion order, so a parallel fan-out aggregates bit-identically
   to the serial loop.
@@ -23,7 +22,7 @@ Design points:
   per-task IPC overhead is paid per chunk, not per item.
 * **Fallback to serial.**  If the pool cannot start (no ``fork`` or
   semaphores in the sandbox) or the function/items fail to pickle, the
-  call runs serially and counts ``runtime.fallback.<backend>_to_serial``.
+  call runs serially and counts ``runtime.fallback.process_to_serial``.
   Callers never see the difference.
 * **Worker-death recovery.**  A chunk whose future fails -- its worker
   was hard-killed, or an item raised -- is re-run once in the parent
@@ -32,9 +31,7 @@ Design points:
 * **Telemetry across the boundary.**  Worker processes record their own
   spans and metrics and ship them back as snapshots; the parent merges
   them under the span that was active when ``map()`` was called, so
-  ``--trace`` on a parallel run still shows per-item spans.  Worker
-  threads share the (thread-aware) tracer; their root spans are
-  re-parented the same way.
+  ``--trace`` on a parallel run still shows per-item spans.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ __all__ = [
     "ExecutorError",
     "ProcessExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "get_executor",
     "resolve_jobs",
 ]
@@ -95,10 +91,10 @@ def resolve_jobs(jobs: int | None = None) -> int:
 def _run_chunk(fn: Callable, chunk: list, capture_telemetry: bool):
     """Run ``fn`` over one chunk in a pool worker.
 
-    In a worker *process* this also isolates and captures telemetry:
-    the child starts from a clean slate (a forked child inherits the
-    parent's trace mid-flight) and returns its spans/metrics snapshot
-    for the parent to merge.
+    With telemetry on, this also isolates and captures it: the child
+    starts from a clean slate (a forked child inherits the parent's
+    trace mid-flight) and returns its spans/metrics snapshot for the
+    parent to merge.
     """
     if capture_telemetry:
         telemetry.reset()
@@ -152,47 +148,40 @@ class SerialExecutor(Executor):
     """The in-process reference backend (and universal fallback)."""
 
 
-class _PooledExecutor(Executor):
-    """Shared machinery for the thread and process backends."""
+class ProcessExecutor(Executor):
+    """A process pool of ``jobs`` workers fed in ordered chunks."""
 
-    def _pool(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _check_picklable(self, fn, items) -> None:
-        """Processes only: surface pickle failures *before* the pool."""
+    backend = "process"
 
     def _map(self, fn, items):
         try:
-            self._check_picklable(fn, items)
-            pool = self._pool()
+            # One representative item: campaign/cell items are
+            # homogeneous, and a full scan would double-serialize every
+            # payload.
+            pickle.dumps(fn)
+            pickle.dumps(items[0])
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=self.jobs)
         except Exception as exc:  # noqa: BLE001 - any startup failure
-            _LOG.debug("%s backend unavailable (%s: %s); "
-                       "falling back to serial", self.backend,
-                       type(exc).__name__, exc)
-            telemetry.count(f"runtime.fallback.{self.backend}_to_serial")
+            _LOG.debug("process pool unavailable (%s: %s); "
+                       "falling back to serial", type(exc).__name__, exc)
+            telemetry.count("runtime.fallback.process_to_serial")
             return _run_here(fn, items)
 
-        capture = self.backend == "process" and telemetry.enabled()
-        parent_span = telemetry.current_span()
-        mark = telemetry.tracer.mark()
+        capture = telemetry.enabled()
         # ~4 chunks per worker balances stragglers against IPC cost.
         size = max(1, len(items) // (4 * self.jobs))
         results: list = []
-        try:
-            with pool as ex:
-                futures = [
-                    (start, ex.submit(_run_chunk, fn,
-                                      items[start:start + size], capture))
-                    for start in range(0, len(items), size)
-                ]
-                for start, future in futures:
-                    results += self._collect(
-                        fn, future, items[start:start + size], start)
-        finally:
-            if self.backend == "thread":
-                # Worker-thread spans landed as new tracer roots; hang
-                # them under the span that was active at the call site.
-                telemetry.tracer.reparent(mark, parent_span)
+        with pool as ex:
+            futures = [
+                (start, ex.submit(_run_chunk, fn,
+                                  items[start:start + size], capture))
+                for start in range(0, len(items), size)
+            ]
+            for start, future in futures:
+                results += self._collect(
+                    fn, future, items[start:start + size], start)
         return results
 
     def _collect(self, fn, future, chunk, start):
@@ -200,8 +189,8 @@ class _PooledExecutor(Executor):
         try:
             chunk_results, snapshot = future.result()
         except Exception as exc:  # noqa: BLE001 - dead worker or item
-            _LOG.debug("chunk at %d failed on %s backend (%s: %s); "
-                       "re-running it in the parent", start, self.backend,
+            _LOG.debug("chunk at %d failed in the process pool (%s: %s); "
+                       "re-running it in the parent", start,
                        type(exc).__name__, exc)
             telemetry.count("runtime.chunk_failures")
             return _run_here(fn, chunk, start)
@@ -210,46 +199,8 @@ class _PooledExecutor(Executor):
         return chunk_results
 
 
-class ThreadExecutor(_PooledExecutor):
-    backend = "thread"
-
-    def _pool(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(max_workers=self.jobs)
-
-
-class ProcessExecutor(_PooledExecutor):
-    backend = "process"
-
-    def _pool(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor(max_workers=self.jobs)
-
-    def _check_picklable(self, fn, items) -> None:
-        # One representative item: campaign/cell items are homogeneous,
-        # and a full scan would double-serialize every payload.
-        pickle.dumps(fn)
-        pickle.dumps(items[0])
-
-
-_BACKENDS: dict[str, type[Executor]] = {
-    "serial": SerialExecutor,
-    "thread": ThreadExecutor,
-    "process": ProcessExecutor,
-}
-
-BACKENDS = tuple(_BACKENDS)
-
-
-def get_executor(jobs: int | None = None,
-                 backend: str | None = None) -> Executor:
-    """The executor for a fan-out: see module docstring for resolution."""
+def get_executor(jobs: int | None = None) -> Executor:
+    """Serial for ``jobs <= 1``, else a process pool; ``jobs`` resolves
+    as in :func:`resolve_jobs`."""
     n = resolve_jobs(jobs)
-    if backend is not None and backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown executor backend {backend!r}; pick from {BACKENDS}")
-    if n <= 1:
-        return SerialExecutor(1)
-    return _BACKENDS[backend or "process"](n)
+    return SerialExecutor(1) if n <= 1 else ProcessExecutor(n)

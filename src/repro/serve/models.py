@@ -5,10 +5,8 @@ The service never calibrates on the request path.  A
 from already-trained :class:`~repro.classify.base.Classifier` instances
 or via :meth:`ModelRegistry.calibrated`, which generates one set of
 backend calibration shots and trains every registered model kind from
-it in parallel on the existing runtime
-:class:`~repro.runtime.executor.Executor` (thread backend: the models
-are plain numpy state, loaded once and shared read-only across the
-event loop and the predict worker threads).
+it (the models are plain numpy state, loaded once and shared read-only
+across the event loop and the predict worker threads).
 
 Lookups are dict reads; an unknown name is a typed
 :class:`UnknownModelError` (the 404 path), never a lazy calibration
@@ -23,7 +21,6 @@ from repro import telemetry
 from repro.classify import Classifier, classifier_names, get_classifier
 from repro.errors import ServeProtocolError, ValidationError
 from repro.quantum import falcon_backend
-from repro.runtime.executor import get_executor
 
 __all__ = ["ModelRegistry", "UnknownModelError"]
 
@@ -85,15 +82,12 @@ class ModelRegistry:
         n_qubits: int = 27,
         n_calibration_shots: int = 256,
         seed: int = 2023,
-        jobs: int | None = None,
     ) -> "ModelRegistry":
         """Calibrate every requested model kind from one shot set.
 
         One backend, one ``calibration_shots`` draw, then each kind's
-        ``calibrate(shots_0, shots_1)`` runs on a thread
-        :class:`~repro.runtime.executor.Executor` of ``jobs`` workers
-        (``None``: ``REPRO_JOBS``, else serial) -- the resulting models
-        are immutable numpy state, safe to share read-only across every
+        ``calibrate(shots_0, shots_1)`` -- the resulting models are
+        immutable numpy state, safe to share read-only across every
         serving thread.
         """
         names = list(names) if names else classifier_names()
@@ -103,13 +97,9 @@ class ModelRegistry:
             backend = falcon_backend(n_qubits=n_qubits, seed=seed)
             shots_0, shots_1 = backend.calibration_shots(
                 n_calibration_shots)
-
-            def train(name: str) -> Classifier:
-                return get_classifier(name).calibrate(shots_0, shots_1)
-
-            executor = get_executor(jobs, "thread")
-            models = executor.map(train, names)
-        registry = cls(dict(zip(names, models)))
+            registry = cls({
+                name: get_classifier(name).calibrate(shots_0, shots_1)
+                for name in names})
         telemetry.gauge("serve.models", len(registry))
         telemetry.observe("serve.warm_load_s", time.perf_counter() - t0)
         return registry

@@ -60,7 +60,6 @@ __all__ = [
     "Span",
     "Tracer",
     "count",
-    "current_span",
     "disable",
     "enable",
     "enabled",
@@ -145,18 +144,6 @@ def observe(name: str, value: float) -> None:
     """Record a histogram observation (no-op while disabled)."""
     if _enabled:
         registry.histogram(name).observe(value)
-
-
-def current_span() -> Span | None:
-    """The calling thread's innermost open span (None while disabled).
-
-    The parallel runtime uses this to anchor worker telemetry: spans
-    recorded by workers are merged under whatever span was active when
-    the fan-out started.
-    """
-    if not _enabled:
-        return None
-    return tracer.active
 
 
 # ---------------------------------------------------------------------- #

@@ -12,14 +12,12 @@ pays one branch and zero allocations (see
 :mod:`repro.telemetry.__init__`).
 
 The tracer is process-local and *thread-aware*: each thread nests spans
-on its own stack (``threading.local``), so worker threads of a parallel
-fan-out record clean subtrees instead of corrupting each other's
-nesting.  A span opened in a thread with no enclosing span lands in the
-shared :attr:`Tracer.roots` list; the runtime's thread executor then
-re-parents those roots under the span that launched the fan-out
-(:meth:`Tracer.mark` / :meth:`Tracer.reparent`).  Spans also round-trip
-through plain dicts (:meth:`Span.to_dict` / :meth:`Span.from_dict`) so
-worker *processes* can ship their trees back to the parent.
+on its own stack (``threading.local``), so threads (the serving loop and
+its predict workers) record clean subtrees instead of corrupting each
+other's nesting.  A span opened in a thread with no enclosing span lands
+in the shared :attr:`Tracer.roots` list.  Spans also round-trip through
+plain dicts (:meth:`Span.to_dict` / :meth:`Span.from_dict`) so worker
+*processes* can ship their trees back to the parent.
 """
 
 from __future__ import annotations
@@ -197,26 +195,6 @@ class Tracer:
         else:
             with self._lock:
                 self.roots.extend(spans)
-
-    def mark(self) -> int:
-        """A bookmark into :attr:`roots` for a later :meth:`reparent`."""
-        with self._lock:
-            return len(self.roots)
-
-    def reparent(self, mark: int, parent: Span | None) -> None:
-        """Move roots recorded since ``mark`` under ``parent``.
-
-        Worker threads of a parallel fan-out have no enclosing span on
-        *their* stacks, so their spans arrive as roots; the executor
-        brackets the fan-out with ``mark()``/``reparent()`` to restore
-        the logical nesting.  Ordered by start time for determinism.
-        """
-        if parent is None:
-            return
-        with self._lock:
-            moved = self.roots[mark:]
-            del self.roots[mark:]
-        parent.children.extend(sorted(moved, key=lambda s: s.start_wall))
 
     def reset(self) -> None:
         with self._lock:

@@ -74,7 +74,7 @@ class TestExecutorChaosPaths:
 
         assassin = ChaosMonkey().worker_assassin(_square,
                                                  kill_items={2, 5})
-        results = get_executor(2, "process").map(assassin, range(8))
+        results = get_executor(2).map(assassin, range(8))
         assert results == [_square(i) for i in range(8)]
         assert _counter("runtime.chunk_failures") >= 1
 

@@ -140,12 +140,12 @@ def test_ledger_roundtrip(ctx):
 
 @pytest.mark.smoke
 def test_executor_fanout(ctx):
-    """thread-pool map matches the serial reference."""
+    """process-pool map matches the serial reference."""
     from repro.runtime import get_executor
 
     items = list(range(16))
     assert_clean(lambda obs: obs["parallel"] == obs["serial"], {
-        "parallel": get_executor(2, "thread").map(_square, items),
+        "parallel": get_executor(2).map(_square, items),
         "serial": get_executor(1).map(_square, items),
     })
 
@@ -440,7 +440,7 @@ def test_executor_worker_death(ctx):
 
     items = list(range(8))
     assassin = ctx.chaos.worker_assassin(_square, kill_items={3, 5})
-    results = get_executor(2, "process").map(assassin, items)
+    results = get_executor(2).map(assassin, items)
     assert_clean(
         lambda obs: obs["results"] == obs["expected"],
         {"results": results, "expected": [_square(i) for i in items]})

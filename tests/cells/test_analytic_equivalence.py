@@ -108,7 +108,7 @@ def test_grid_plan_equals_oracle(models, name, temperature):
 def test_liberty_digest_pinned(models, temperature):
     lib = build_library(
         models, CharacterizationConfig(temperature_k=temperature),
-        jobs=1, cache=False,
+        jobs=1,
     )
     digest = hashlib.sha256(liberty.dumps(lib).encode()).hexdigest()
     assert digest[:16] == LIBERTY_DIGESTS[temperature]

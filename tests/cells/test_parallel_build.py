@@ -63,7 +63,8 @@ class TestDiskCache:
 
         monkeypatch.setattr(char_mod.CellCharacterizer, "characterize",
                             counting)
-        second = build_library(models, config)
+        # jobs=1: the counter sees only calls made in this process.
+        second = build_library(models, config, jobs=1)
         assert calls["n"] == 0
         assert sorted(second.cells) == sorted(first.cells)
 
@@ -84,7 +85,7 @@ class TestDiskCache:
 
         monkeypatch.setattr(char_mod.CellCharacterizer, "characterize",
                             counting)
-        build_library(models, changed)
+        build_library(models, changed, jobs=1)
         assert calls["n"] > 0
 
     def test_cache_disabled_without_env(self, models, config, monkeypatch,

@@ -67,12 +67,14 @@ class TestQuarantine:
 
     def test_strict_mode_fails_fast_with_cell_attr(self, models,
                                                    monkeypatch):
+        # Fail-fast callers require full coverage; the error names the
+        # first quarantined cell.
         _fail_on(monkeypatch, {"NOR2_X1"})
+        lib = build_library(
+            models, CharacterizationConfig(), catalog=_catalog(),
+        )
         with pytest.raises(CharacterizationError) as err:
-            build_library(
-                models, CharacterizationConfig(), catalog=_catalog(),
-                strict=True,
-            )
+            lib.coverage.require(1.0)
         assert err.value.cell == "NOR2_X1"
 
     def test_clean_build_reports_full_coverage(self, models):

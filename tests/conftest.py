@@ -30,6 +30,17 @@ def _isolated_runs_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
 
 
+@pytest.fixture(autouse=True)
+def _uncached(monkeypatch):
+    """Run every test with the disk cache off.
+
+    ``REPRO_CACHE_DIR`` alone turns the cache on; a value inherited from
+    the shell would serve pinned or monkeypatched runs from an earlier
+    process.  Cache tests set it themselves.
+    """
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+
+
 @pytest.fixture(scope="session")
 def campaign() -> MeasurementCampaign:
     """The deterministic synthetic probe-station campaign."""

@@ -209,7 +209,7 @@ def test_campaign_records_match_pin(name, tmr):
     spec = _pinned_specs()[name]
     result = run_campaign(
         spec, CampaignConfig(n_injections=120, seed=2023, tmr=tmr),
-        jobs=1, cache=False)
+        jobs=1)
     blob = repr((result.golden_cycles, result.golden_output.tolist(),
                  result.records))
     assert hashlib.sha256(blob.encode()).hexdigest() == _RECORD_PINS[

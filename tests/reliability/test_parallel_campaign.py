@@ -53,7 +53,7 @@ class TestHandBuiltImage:
         spec = _looping_spec(iterations=300)
         config = CampaignConfig(n_injections=48, seed=11,
                                 structures=("regfile",))
-        serial = run_campaign(spec, config, jobs=1, cache=False)
+        serial = run_campaign(spec, config, jobs=1)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         telemetry.reset()
         telemetry.enable()

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.runtime import ResultCache, default_enabled, stable_digest
-from repro.runtime.cache import default_cache_dir
+from repro.runtime import ResultCache, env_cache, stable_digest
 
 _MISS = object()
 
@@ -50,6 +49,15 @@ class TestResultCache:
         assert cache.prune() == 3
         assert stable_digest(0) not in cache
 
+    def test_prune_removes_orphaned_temp_files(self, tmp_path):
+        # A writer killed before os.replace leaves <key>.v2.pkl.tmp<pid>.
+        cache = ResultCache(tmp_path, namespace="t")
+        cache.put(stable_digest("k1"), 1)
+        orphan = cache.path(stable_digest("k2")).with_suffix(".pkl.tmp999")
+        orphan.write_bytes(b"half-written")
+        assert cache.prune() == 1
+        assert not any((tmp_path / "t").iterdir())
+
     def test_unwritable_root_degrades_gracefully(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("occupied")
@@ -61,14 +69,10 @@ class TestResultCache:
 class TestOptIn:
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert not default_enabled()
+        assert env_cache("t") is None
 
     def test_env_var_enables(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert default_enabled()
-        assert default_cache_dir() == tmp_path
-
-    def test_default_root_under_home_cache(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        root = default_cache_dir()
-        assert root.name == "repro"
+        cache = env_cache("t")
+        assert cache.root == tmp_path
+        assert cache.namespace == "t"

@@ -1,4 +1,4 @@
-"""Executor backends: ordering, selection, fallback, chunk recovery."""
+"""Executors: ordering, selection, fallback, chunk recovery."""
 
 from __future__ import annotations
 
@@ -9,11 +9,9 @@ import pytest
 from repro import telemetry
 from repro.errors import ConfigError
 from repro.runtime import (
-    BACKENDS,
     ExecutorError,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     get_executor,
     resolve_jobs,
 )
@@ -67,34 +65,26 @@ class TestGetExecutor:
     def test_jobs_one_is_serial(self):
         assert isinstance(get_executor(1), SerialExecutor)
 
-    def test_backend_arg(self):
-        assert isinstance(get_executor(2, backend="thread"), ThreadExecutor)
-        assert isinstance(get_executor(2, backend="process"),
-                          ProcessExecutor)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            get_executor(2, backend="gpu")
-
-    def test_backends_registry(self):
-        assert set(BACKENDS) == {"serial", "thread", "process"}
+    def test_jobs_above_one_is_process(self):
+        assert isinstance(get_executor(2), ProcessExecutor)
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor_cls", [SerialExecutor, ProcessExecutor],
+                         ids=["serial", "process"])
 class TestMapOrdering:
-    def test_results_in_item_order(self, backend):
-        executor = get_executor(3, backend=backend)
+    def test_results_in_item_order(self, executor_cls):
+        executor = executor_cls(3)
         items = list(range(17))
         assert executor.map(_square, items) == [x * x for x in items]
 
-    def test_empty_items(self, backend):
-        assert get_executor(2, backend=backend).map(_square, []) == []
+    def test_empty_items(self, executor_cls):
+        assert executor_cls(2).map(_square, []) == []
 
-    def test_multi_item_chunks_preserve_order(self, backend):
+    def test_multi_item_chunks_preserve_order(self, executor_cls):
         # 61 items over 3 workers: automatic chunks of 5 (the last one
         # short), so order must survive chunk boundaries.
         items = list(range(61))
-        assert get_executor(3, backend=backend).map(_square, items) == [
+        assert executor_cls(3).map(_square, items) == [
             x * x for x in items
         ]
 
@@ -153,7 +143,7 @@ class TestChunking:
         telemetry.enable()
         try:
             with pytest.raises(ExecutorError) as err:
-                ThreadExecutor(2).map(_raise_value_error, list(range(16)))
+                ProcessExecutor(2).map(_raise_value_error, list(range(16)))
             assert isinstance(err.value.__cause__, ValueError)
             summary = telemetry.metrics_summary()
             assert summary.get("runtime.chunk_failures", 0) >= 1

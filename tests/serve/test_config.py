@@ -1,4 +1,4 @@
-"""ServeConfig validation, the registry warm-up pool, the serve CLI."""
+"""ServeConfig validation and the serve CLI."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigError
-from repro.serve import ModelRegistry, ServeConfig
+from repro.serve import ServeConfig
 
 # Every numeric field with the values that must be refused.
 _BAD_VALUES = [
@@ -50,20 +50,12 @@ def test_serve_cli_rejects_bad_port(port, capsys):
     assert "Traceback" not in out
 
 
-@pytest.mark.parametrize("jobs, backend", [(1, "serial"), (2, "thread")])
-def test_calibrated_warms_up_on_jobs_threads(monkeypatch, jobs, backend):
-    from repro.serve import models
+def test_serve_cli_rejects_jobs(capsys):
+    # Warm-up trains the models in-process; serve has no worker count.
+    from repro.__main__ import main
 
-    calls = []
-    real = models.get_executor
-
-    def spy(*args, **kwargs):
-        executor = real(*args, **kwargs)
-        calls.append(executor)
-        return executor
-
-    monkeypatch.setattr(models, "get_executor", spy)
-    registry = ModelRegistry.calibrated(
-        n_qubits=3, n_calibration_shots=32, seed=5, jobs=jobs)
-    assert registry.names() == ["hdc", "knn"]
-    assert [(e.backend, e.jobs) for e in calls] == [(backend, jobs)]
+    assert main(["serve", "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1
+    assert "unrecognized arguments: --jobs 2" in errors[0]

@@ -294,9 +294,9 @@ def test_seu_campaign_records_identical():
     spec = knn_workload(centers, meas, _NQ)
     for tmr in (False, True):
         config = CampaignConfig(n_injections=60, seed=2023, tmr=tmr)
-        engine = run_campaign(spec, config, jobs=1, cache=False)
+        engine = run_campaign(spec, config, jobs=1)
         with mock.patch.object(soc_module, "CPU", OracleCPU):
-            oracle = run_campaign(spec, config, jobs=1, cache=False)
+            oracle = run_campaign(spec, config, jobs=1)
         assert engine.golden_cycles == oracle.golden_cycles
         assert engine.records == oracle.records
         assert len(set(r.outcome for r in engine.records)) > 1
