@@ -1,11 +1,14 @@
 """Sparse byte-addressable memory for the ISS.
 
-Besides the bytes, a :class:`Memory` keeps the CPU's decoded
-instructions, keyed by address (:attr:`Memory.decoded`).  Every write
-path -- :meth:`~Memory.store_bytes`, :meth:`~Memory.store_u`,
+Besides the bytes, a :class:`Memory` keeps what the CPU derived from
+them, keyed by address: the decoded instructions (:attr:`Memory.decoded`)
+and the translated basic blocks (:attr:`Memory.blocks`).  Every record
+is registered on each page its bytes lie on, and every write path --
+:meth:`~Memory.store_bytes`, :meth:`~Memory.store_u`,
 :meth:`~Memory.store_double` and the SEU primitive
-:meth:`~Memory.flip_bit` -- drops the entries of the pages it touches, so
-an instruction that is stored over or struck decodes afresh.
+:meth:`~Memory.flip_bit` -- drops the records of the pages it touches, so
+an instruction that is stored over or struck decodes (and translates)
+afresh.
 """
 
 from __future__ import annotations
@@ -28,7 +31,12 @@ class Memory:
         self._pages: dict[int, bytearray] = {}
         #: Address -> decoded instruction, valid until its page is written.
         self.decoded: dict[int, object] = {}
-        self._decoded_at: dict[int, list[int]] = {}  # page -> its addresses
+        #: Entry address -> translated block, valid until one of its
+        #: pages is written; :meth:`blocks_for` keys it by cache geometry.
+        self.blocks: dict[int, object] = {}
+        self._blocks_key: object = None
+        # page -> (table, address) of every record whose bytes it holds
+        self._held_at: dict[int, list[tuple[dict, int]]] = {}
 
     def _page(self, addr: int) -> tuple[bytearray, int]:
         """The page of ``addr`` (allocated if new) and the offset, for a
@@ -37,17 +45,36 @@ class Memory:
         page = self._pages.get(number)
         if page is None:
             page = self._pages[number] = bytearray(_PAGE_SIZE)
-        if number in self._decoded_at:
-            for at in self._decoded_at.pop(number):
-                self.decoded.pop(at, None)
+        if number in self._held_at:
+            for table, at in self._held_at.pop(number):
+                table.pop(at, None)
         return page, addr & _OFFSET_MASK
+
+    def _remember(self, table: dict, addr: int, size: int, record) -> None:
+        """Keep ``record``, derived from ``size`` bytes at ``addr``, in
+        ``table`` until a write to a page those bytes lie on."""
+        table[addr] = record
+        for number in range(addr >> _PAGE_BITS,
+                            ((addr + size - 1) >> _PAGE_BITS) + 1):
+            self._held_at.setdefault(number, []).append((table, addr))
 
     def remember_decoded(self, addr: int, record) -> None:
         """Keep ``record``, decoded from the 4-byte word at ``addr``, in
         :attr:`decoded` until a write to a page that word lies on."""
-        self.decoded[addr] = record
-        for number in {addr >> _PAGE_BITS, (addr + 3) >> _PAGE_BITS}:
-            self._decoded_at.setdefault(number, []).append(addr)
+        self._remember(self.decoded, addr, 4, record)
+
+    def remember_block(self, addr: int, size: int, block) -> None:
+        """Keep ``block``, translated from ``size`` bytes of text at
+        ``addr``, in :attr:`blocks` until a write to one of their pages."""
+        self._remember(self.blocks, addr, size, block)
+
+    def blocks_for(self, key) -> dict:
+        """:attr:`blocks` for CPUs whose caches match ``key`` (translated
+        code embeds the line sizes); a new key starts an empty table."""
+        if key != self._blocks_key:
+            self._blocks_key = key
+            self.blocks = {}
+        return self.blocks
 
     # ------------------------------------------------------------------ #
     def load_bytes(self, addr: int, size: int) -> bytes:

@@ -176,7 +176,8 @@ def _traced_run(name: str, cpu: CPU, **run_kwargs):
 
     Records the architectural effort of the run -- instructions retired,
     cycles, CPI and the cache hit rates the paper's Table 2 discussion
-    hinges on -- as span attributes and registry counters.  One enabled
+    hinges on -- and the share of instructions retired inside translated
+    blocks as span attributes and registry counters.  One enabled
     check per *workload* run, nothing per instruction.
     """
     with telemetry.span("soc.workload", workload=name) as sp:
@@ -190,8 +191,11 @@ def _traced_run(name: str, cpu: CPU, **run_kwargs):
                 l1i_hit_rate=round(1.0 - caches.l1i.stats.miss_rate, 4),
                 l1d_hit_rate=round(1.0 - caches.l1d.stats.miss_rate, 4),
                 l2_hit_rate=round(1.0 - caches.l2.stats.miss_rate, 4),
+                translated_frac=round(cpu.block_instructions
+                                      / max(stats.instructions, 1), 4),
             )
             telemetry.count("soc.workload_runs")
+            telemetry.count("soc.blocks_translated", cpu.blocks_translated)
             telemetry.count("soc.instructions", stats.instructions)
             telemetry.count("soc.cycles", stats.cycles)
     return stats

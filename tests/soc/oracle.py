@@ -30,10 +30,12 @@ and an SEU campaign), ``tests/soc/test_cache.py`` and
 
 from __future__ import annotations
 
+import math
 import struct
 
+from repro.errors import HangError
 from repro.soc.cache import Cache, CacheHierarchy
-from repro.soc.cpu import CPU, LATENCY, REDIRECT_PENALTY
+from repro.soc.cpu import CPU, LATENCY, REDIRECT_PENALTY, HaltError
 from repro.soc.isa import Instruction, decode
 
 __all__ = ["OracleCPU", "ReferenceCache", "reference_hierarchy"]
@@ -92,13 +94,38 @@ def reference_hierarchy() -> CacheHierarchy:
 
 
 class OracleCPU(CPU):
-    """The reference interpreter; loads and runs like :class:`CPU`."""
+    """The reference interpreter; loads like :class:`CPU` and runs by
+    stepping every instruction (no translated blocks)."""
+
+    #: Steps taken by every oracle hart so far (tests check it moves).
+    step_calls = 0
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._ready_x = [0] * 32
         self._ready_f = [0] * 32
         self._decode_cache: dict[int, Instruction] = {}
+
+    def run(self, max_instructions=50_000_000, max_cycles=None,
+            until_cycle=None):
+        """:meth:`CPU.run`'s contract, one :meth:`step` per instruction."""
+        stats = self.stats
+        pause = math.inf if until_cycle is None else until_cycle
+        watchdog = math.inf if max_cycles is None else max_cycles
+        while not self.halted:
+            if stats.cycles >= pause:
+                break
+            if stats.instructions >= max_instructions:
+                raise HaltError(
+                    f"exceeded {max_instructions} instructions without ECALL"
+                )
+            if stats.cycles > watchdog:
+                raise HangError(
+                    f"cycle watchdog expired: {stats.cycles} > "
+                    f"{max_cycles} cycles without ECALL"
+                )
+            self.step()
+        return stats
 
     # ------------------------------------------------------------------ #
     def _wait_x(self, reg: int, now: int) -> int:
@@ -128,6 +155,7 @@ class OracleCPU(CPU):
 
     def step(self) -> None:
         """Execute one instruction, updating state and timing."""
+        OracleCPU.step_calls += 1
         stats = self.stats
         now = stats.cycles
 

@@ -24,10 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.soc.cpu as cpu_module
 import repro.soc.soc as soc_module
 from repro.classify import HDCClassifier, HDCEncoder
+from repro.errors import HangError
 from repro.reliability import CampaignConfig, knn_workload, run_campaign
-from repro.soc import CPU, RocketSoC, assemble
+from repro.soc import CPU, HaltError, RocketSoC, assemble
 from repro.soc.cpu import HANDLERS
 from repro.soc.isa import OPCODES, Instruction, encode
 from repro.soc.programs import pack_hdc_tables
@@ -295,8 +297,180 @@ def test_seu_campaign_records_identical():
     for tmr in (False, True):
         config = CampaignConfig(n_injections=60, seed=2023, tmr=tmr)
         engine = run_campaign(spec, config, jobs=1)
+        steps_before = OracleCPU.step_calls
         with mock.patch.object(soc_module, "CPU", OracleCPU):
             oracle = run_campaign(spec, config, jobs=1)
+        # The oracle side really stepped (it does not inherit CPU.run).
+        assert OracleCPU.step_calls - steps_before >= oracle.golden_cycles // 4
         assert engine.golden_cycles == oracle.golden_cycles
         assert engine.records == oracle.records
         assert len(set(r.outcome for r in engine.records)) > 1
+
+
+# ---------------------------------------------------------------------- #
+# run(): translated blocks against the stepping oracle, at run boundaries
+# ---------------------------------------------------------------------- #
+def _same(engine: CPU, oracle: CPU) -> None:
+    assert _state(engine) == _state(oracle)
+    assert _cache_stats(engine) == _cache_stats(oracle)
+    assert engine.memory._pages == oracle.memory._pages
+
+
+def _outcome(cpu: CPU, **kwargs):
+    try:
+        cpu.run(**kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _after_taken_branch(kernel) -> tuple[int, int]:
+    """The cycle count and retired count right after a taken branch in
+    the second half of a stepped run of ``kernel``."""
+    cpu = _loaded(OracleCPU, kernel)
+    total = _loaded(OracleCPU, kernel).run().cycles
+    while True:
+        redirects = cpu.stats.redirect_cycles
+        cpu.step()
+        if cpu.stats.redirect_cycles > redirects and \
+                cpu.stats.cycles > total // 2:
+            return cpu.stats.cycles, cpu.stats.instructions
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_run_paused_at_seeded_points(name):
+    kernel = KERNELS[name]
+    total = _loaded(OracleCPU, kernel).run().cycles
+    rng = random.Random(f"pauses-{name}")
+    mid = total // 3
+    branch_cycle, _ = _after_taken_branch(kernel)
+    points = sorted({*rng.sample(range(1, total), 12),
+                     *range(mid, mid + 8), branch_cycle, branch_cycle + 1})
+    engine, oracle = _loaded(CPU, kernel), _loaded(OracleCPU, kernel)
+    for point in points:
+        engine.run(until_cycle=point)
+        oracle.run(until_cycle=point)
+        _same(engine, oracle)
+    engine.run()
+    oracle.run()
+    _same(engine, oracle)
+    assert oracle.halted
+    assert engine.block_instructions > engine.stats.instructions // 2
+
+
+@pytest.mark.parametrize("limit", ["max_instructions", "max_cycles"])
+def test_budget_and_watchdog_trip_inside_a_block(limit):
+    kernel = KERNELS["hdc_precomputed"]
+    cycles, retired = _after_taken_branch(kernel)
+    # A few instructions / cycles past a block entry: inside the block.
+    value = retired + 7 if limit == "max_instructions" else cycles + 9
+    engine, oracle = _loaded(CPU, kernel), _loaded(OracleCPU, kernel)
+    expected = HaltError if limit == "max_instructions" else HangError
+    outcomes = [_outcome(cpu, **{limit: value}) for cpu in (engine, oracle)]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] is expected
+    _same(engine, oracle)
+    assert engine.block_instructions > 0
+
+
+def test_self_modifying_kernel_under_run():
+    image = WorkloadSpec("self_modifying", _SELF_MODIFYING)
+
+    def kernel(soc):
+        return soc_module._traced_run(image.name, soc.prepare(image))
+
+    engine, oracle = _loaded(CPU, kernel), _loaded(OracleCPU, kernel)
+    engine.run()
+    oracle.run()
+    _same(engine, oracle)
+    assert engine.exit_code == 1 + 5 * 100
+    assert engine.block_instructions > 0
+
+
+def _hot_block_word(cpu: CPU) -> int:
+    """An address inside a translated block of ``cpu``, past its entry."""
+    pc, (_, length) = max(cpu.memory.blocks.items(), key=lambda e: e[1][1])
+    assert length > 2
+    return pc + 4 * (length // 2)
+
+
+@pytest.mark.parametrize("bit", [7, 15, 21, 30])
+def test_flip_into_translated_block_between_paused_runs(bit):
+    kernel = KERNELS["knn"]
+    total = _loaded(OracleCPU, kernel).run().cycles
+    engine, oracle = _loaded(CPU, kernel), _loaded(OracleCPU, kernel)
+    for cpu in (engine, oracle):
+        cpu.run(until_cycle=total // 3)
+    _same(engine, oracle)
+    addr = _hot_block_word(engine)
+    for cpu in (engine, oracle):
+        cpu.memory.flip_bit(addr + bit // 8, bit % 8)
+    outcomes = [_outcome(cpu, max_cycles=4 * total) for cpu in (engine,
+                                                                oracle)]
+    assert outcomes[0] == outcomes[1]
+    _same(engine, oracle)
+
+
+@pytest.mark.parametrize("event", ["flush", "corrupt_tag"])
+def test_cache_events_between_paused_runs(event):
+    kernel = KERNELS["hdc_precomputed"]
+    total = _loaded(OracleCPU, kernel).run().cycles
+    engine, oracle = _loaded(CPU, kernel), _loaded(OracleCPU, kernel)
+    for point in range(total // 5, total, total // 5):
+        for cpu in (engine, oracle):
+            cpu.run(until_cycle=point)
+            if event == "flush":
+                cpu.caches.flush()
+            else:
+                l1i = cpu.caches.l1i
+                assert l1i.corrupt_tag(*l1i._locate(cpu.pc))
+        _same(engine, oracle)
+    engine.run()
+    oracle.run()
+    _same(engine, oracle)
+
+
+def test_undecodable_word_reached_from_a_hot_loop():
+    kernel = KERNELS["knn"]
+    total = _loaded(OracleCPU, kernel).run().cycles
+    engine, oracle = _loaded(CPU, kernel), _loaded(OracleCPU, kernel)
+    for cpu in (engine, oracle):
+        cpu.run(until_cycle=total // 3)
+    addr = _hot_block_word(engine)
+    for cpu in (engine, oracle):
+        cpu.memory.store_u(addr, 4, 0)  # opcode 0: no encoding
+    outcomes = [_outcome(cpu) for cpu in (engine, oracle)]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] is ValueError
+    _same(engine, oracle)
+
+
+def test_straight_line_code_run_once_is_never_translated():
+    program = assemble("_start:\n" + " addi a0, a0, 3\n" * 200 + " ecall\n")
+    cpu = CPU()
+    cpu.load_program(program)
+    cpu.run()
+    assert cpu.exit_code == 600
+    assert cpu.blocks_translated == 0
+    assert cpu.block_instructions == 0
+    assert cpu.memory.blocks == {}
+
+
+def test_code_cache_stays_within_its_bound(monkeypatch):
+    def results():
+        out, translated = [], 0
+        for name in sorted(KERNELS):
+            cpu = _loaded(CPU, KERNELS[name])
+            cpu.run()
+            translated += cpu.blocks_translated
+            out.append((_state(cpu), _cache_stats(cpu)))
+        return out, translated
+
+    expected, _ = results()
+    bound = 5
+    monkeypatch.setattr(cpu_module, "_CODE", {})
+    monkeypatch.setattr(cpu_module, "_CODE_CAPACITY", bound)
+    got, translated = results()
+    assert translated > bound
+    assert len(cpu_module._CODE) <= bound
+    assert got == expected
