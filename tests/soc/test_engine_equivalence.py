@@ -10,7 +10,12 @@ register files (``f`` bitwise), both scoreboards, every
 of every paper kernel, and of kernels whose text or caches change
 mid-run; one step from every fuzzed word and every single-bit flip of a
 kernel's text; and every record of a small SEU campaign run on each
-engine.
+engine.  ``CPU.run`` executes translated blocks while the oracle's
+``run`` steps, so the run-level tests pause both at the same seeded
+cycles (inside hot blocks, right after taken branches) and change the
+machine between runs (bit flips into translated text, cache flushes
+and tag strikes, a lost extension), trip the budget and the watchdog
+inside a block, and compare everything at every pause.
 """
 
 from __future__ import annotations
@@ -300,8 +305,10 @@ def test_seu_campaign_records_identical():
         steps_before = OracleCPU.step_calls
         with mock.patch.object(soc_module, "CPU", OracleCPU):
             oracle = run_campaign(spec, config, jobs=1)
-        # The oracle side really stepped (it does not inherit CPU.run).
-        assert OracleCPU.step_calls - steps_before >= oracle.golden_cycles // 4
+        # The oracle side really stepped (it does not inherit CPU.run):
+        # translated blocks would leave it only the cold code to step.
+        assert (OracleCPU.step_calls - steps_before
+                >= config.n_injections * oracle.golden_cycles // 8)
         assert engine.golden_cycles == oracle.golden_cycles
         assert engine.records == oracle.records
         assert len(set(r.outcome for r in engine.records)) > 1
@@ -358,10 +365,22 @@ def test_kernel_run_paused_at_seeded_points(name):
     assert engine.block_instructions > engine.stats.instructions // 2
 
 
+def _entering_longest_block(kernel) -> tuple[int, int]:
+    """Cycles and retired count of a stepped run of ``kernel`` as it
+    enters, in the second half, the longest block a run translates."""
+    engine = _loaded(CPU, kernel)
+    engine.run()
+    entry = max(engine.memory.blocks.items(), key=lambda e: e[1][1])[0]
+    cpu = _loaded(OracleCPU, kernel)
+    while cpu.pc != entry or cpu.stats.cycles < engine.stats.cycles // 2:
+        cpu.step()
+    return cpu.stats.cycles, cpu.stats.instructions
+
+
 @pytest.mark.parametrize("limit", ["max_instructions", "max_cycles"])
 def test_budget_and_watchdog_trip_inside_a_block(limit):
     kernel = KERNELS["hdc_precomputed"]
-    cycles, retired = _after_taken_branch(kernel)
+    cycles, retired = _entering_longest_block(kernel)
     # A few instructions / cycles past a block entry: inside the block.
     value = retired + 7 if limit == "max_instructions" else cycles + 9
     engine, oracle = _loaded(CPU, kernel), _loaded(OracleCPU, kernel)
@@ -474,3 +493,46 @@ def test_code_cache_stays_within_its_bound(monkeypatch):
     assert translated > bound
     assert len(cpu_module._CODE) <= bound
     assert got == expected
+
+
+_NAN_AT_FOURTH = assemble("""
+_start:
+    li t0, 0
+    li t1, 0x3FF0000000000000
+    li t2, 0x7FF8000000000000
+    li t3, 3
+loop:
+    fmv.d.x ft0, t1
+    fcvt.w.d a0, ft0
+    addi t0, t0, 1
+    bne t0, t3, next
+    mv t1, t2
+next:
+    addi a1, a1, 1
+    blt t0, t3, loop
+    j loop
+""")
+
+
+@pytest.mark.parametrize("case", ["fcvt_nan", "cpop_off"])
+def test_raising_instruction_inside_a_translated_block(case):
+    # fcvt.w.d meets NaN on the fourth pass of a loop translated on its
+    # second; cpop loses the extension between two paused runs.
+    if case == "fcvt_nan":
+        image = WorkloadSpec("nan", _NAN_AT_FOURTH)
+
+        def kernel(soc):
+            return soc_module._traced_run(image.name, soc.prepare(image))
+    else:
+        kernel = KERNELS["hdc_cpop"]
+    total = _loaded(OracleCPU, KERNELS["hdc_cpop"]).run().cycles
+    engine, oracle = _loaded(CPU, kernel), _loaded(OracleCPU, kernel)
+    if case == "cpop_off":
+        for cpu in (engine, oracle):
+            cpu.run(until_cycle=total // 3)
+            cpu.popcount_extension = False
+    outcomes = [_outcome(cpu) for cpu in (engine, oracle)]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] is ValueError
+    _same(engine, oracle)
+    assert engine.block_instructions > 0
