@@ -453,7 +453,7 @@ def _block_source(pc0: int, ops: list[Decoded], iline: int,
             else:
                 emit(f"if l1i._mru_line == {line}:", "    ia += 1", "else:")
                 emit(*fetch, indent="    ")
-        # Issue: sources ready, then the D-access stall.
+        # Wait for the sources, then add the D-access stall.
         emit("t = cyc")
         for slot in op.sources:
             emit(f"r = ready[{slot}]", "if r > t: t = r")
