@@ -88,63 +88,6 @@ def test_bench_sampler_overhead(benchmark, bench_record):
     assert sampled < baseline * 1.5
 
 
-def test_bench_live_observability_overhead(bench_record):
-    """The serve layer's per-request observability kit -- minting a
-    :class:`TraceContext`, recording the queue/batch/write spans,
-    adopting the shared predict span, finishing the tree, and feeding
-    every rolling-window metric -- must cost < 2 % of the per-request
-    wire budget at the serving bench's throughput floor (1024 shots at
-    50k shots/sec = 20.48 ms per request)."""
-    from repro.observe.live import LiveMetrics, TraceContext
-    from repro.telemetry.spans import Span
-
-    shots_per_request = 1024
-    shots_per_sec_floor = 50_000
-    request_budget_s = shots_per_request / shots_per_sec_floor
-    rounds = 2_000
-
-    live = LiveMetrics()
-    kept = []  # a bounded tail-sample stand-in, so finish() isn't DCE'd
-    t0 = time.perf_counter()
-    for i in range(rounds):
-        # Exactly the ops one served request pays, in hot-path order.
-        trace = TraceContext(model="knn", shots=shots_per_request)
-        now = time.time()
-        live.queue_depth.observe(3, now=now)
-        trace.add("serve.queue", now, 1e-4, shots=shots_per_request)
-        trace.add("serve.batch", now, 1e-5, requests=4,
-                  shots=4 * shots_per_request)
-        live.batch_requests.observe(4, now=now)
-        live.batch_shots.observe(4 * shots_per_request, now=now)
-        predict = Span("serve.predict", {"requests": 4}, None)
-        trace.attach(predict)
-        trace.add("serve.write", now, 1e-5, bytes=30_000)
-        live.requests.add(now=now)
-        live.shots.add(shots_per_request, now=now)
-        live.latency_ms.observe(2.0, now=now)
-        root = trace.finish(status="ok")
-        if root.duration_s * 1e3 >= 110.0 and len(kept) < 64:
-            kept.append(root)
-    per_request = (time.perf_counter() - t0) / rounds
-    overhead_frac = per_request / request_budget_s
-
-    bench_record("observe.live_per_request", per_request)
-    bench_record("observe.live_overhead_frac", overhead_frac)
-
-    print(
-        f"\nlive observability: {per_request * 1e6:.1f} us per request "
-        f"of a {request_budget_s * 1e3:.2f} ms budget "
-        f"= {overhead_frac * 100:.3f} % at the "
-        f"{shots_per_sec_floor:,} shots/sec floor"
-    )
-    assert overhead_frac < 0.02, (
-        f"live observability costs {overhead_frac * 100:.2f} % of the "
-        f"per-request budget (bound 2 %)")
-    # The metrics actually landed (the loop wasn't optimized away).
-    assert live.requests.total == rounds
-    assert live.latency_ms.count == rounds
-
-
 def test_bench_sampler_disabled_is_free():
     """With no sampler the observe layer adds zero cost: the solver
     path never starts (or leaves behind) an observability thread, so

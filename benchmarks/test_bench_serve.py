@@ -15,15 +15,12 @@ encode/decode of ~30 kB request lines dominates; the SoC kernel
 latency figures live in the table1/table2 benches).
 
 A scraper thread polls the in-band ``{"op": "stats"}`` op *during* the
-load run: introspection must answer promptly and consistently while
-the service is saturated, and the mid-bench snapshot is written to
-``$SERVE_STATS_JSON`` (when set) as a CI artifact.
+load run: introspection must answer promptly while the service is
+saturated.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 
@@ -55,16 +52,6 @@ SCRAPE_BOUND_S = 0.25
 """A stats scrape under full load must answer within this bound."""
 
 
-def _torn(snapshot: dict) -> bool:
-    """True when a snapshot's SLO total disagrees with its counters --
-    the torn-read tripwire (both views are built in one pass on the
-    event loop, so they can never diverge)."""
-    c = snapshot["counters"]
-    return snapshot["slo"]["total"] != (
-        c["serve.requests"] + c["serve.rejected"]
-        + c["serve.deadline_expired"] + c["serve.internal_errors"])
-
-
 @pytest.fixture(scope="module")
 def load_points():
     backend = falcon_backend(n_qubits=27, seed=3)
@@ -84,13 +71,7 @@ def test_bench_serve_throughput(bench_record, load_points):
     lock = threading.Lock()
 
     config = ServeConfig(batch_window_ms=1.0, max_queue=256)
-    # With REPRO_RUNS_DIR set (CI), the session's kind="serve" record
-    # lands in the ledger so `repro report --strict` gates on its SLO.
-    ledger = None
-    if os.environ.get("REPRO_RUNS_DIR", "").strip():
-        from repro.provenance import RunLedger
-        ledger = RunLedger()
-    with ServerThread(registry, config, ledger=ledger) as handle:
+    with ServerThread(registry, config) as handle:
         def generate(model: str) -> None:
             mine: list[float] = []
             bad = 0
@@ -147,13 +128,6 @@ def test_bench_serve_throughput(bench_record, load_points):
     bench_record("serve.requests_per_sec", len(lat) / wall_s)
     bench_record("serve.stats_scrape_max", max(scrape_s))
 
-    # The mid-bench snapshot is the CI artifact: live window rates +
-    # SLO burn as seen while the bench was running.
-    artifact = os.environ.get("SERVE_STATS_JSON")
-    if artifact:
-        with open(artifact, "w", encoding="utf-8") as fh:
-            json.dump(snapshots[-1], fh, indent=2, sort_keys=True)
-
     print(
         f"\nserve: {len(lat)} requests x {SHOTS_PER_REQUEST} shots in "
         f"{wall_s:.2f}s = {shots_per_sec:,.0f} shots/sec "
@@ -167,18 +141,11 @@ def test_bench_serve_throughput(bench_record, load_points):
     assert mislabels[0] == 0
     assert record.metrics["serve.requests"] == len(lat)
     # In-band introspection under load: every scrape answered inside
-    # its bound, saw live traffic, and read a consistent snapshot.
+    # its bound.
     assert len(snapshots) == 4
     assert max(scrape_s) <= SCRAPE_BOUND_S, (
         f"stats scrape took {max(scrape_s) * 1e3:.1f} ms under load "
         f"(bound {SCRAPE_BOUND_S * 1e3:.0f} ms)")
-    assert not any(_torn(s) for s in snapshots)
-    assert snapshots[-1]["window"]["requests_per_sec"] > 0
-    assert snapshots[-1]["slo"]["verdict"] in ("PASS", "WARN", "FAIL")
-    # The session record carries the satellite histograms + SLO verdict.
-    assert record.metrics["serve.queue_depth_max"] >= 1
-    assert record.metrics["serve.batch_shots_max"] >= SHOTS_PER_REQUEST
-    assert record.fidelity["kind"] == "slo"
     # Throughput/latency acceptance (see module docstring).
     assert shots_per_sec >= SHOTS_PER_SEC_FLOOR, (
         f"serving throughput {shots_per_sec:,.0f} shots/sec fell below "

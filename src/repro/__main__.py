@@ -15,7 +15,6 @@
     python -m repro compare A B     # per-metric deltas of two runs
     python -m repro profile fig2    # sampler+tracer deep profile
     python -m repro serve           # batched classification service
-    python -m repro top host:port   # live serving dashboard (stats op)
 
 The subcommands are *generated* from the experiment registry
 (:mod:`repro.experiments.registry`) by :func:`build_parser`: every
@@ -78,7 +77,6 @@ import argparse
 import json
 import logging
 import sys
-import time
 from functools import partial
 
 from repro import telemetry
@@ -339,14 +337,12 @@ def _run_stats(args) -> int:
 # ---------------------------------------------------------------------- #
 # --trace / --metrics output.
 # ---------------------------------------------------------------------- #
-def _emit_telemetry(args, roots=None, counters=None) -> None:
+def _emit_telemetry(args) -> None:
     """Write ``--trace FILE``, then print the rest of the telemetry."""
     if args.trace not in (None, "-"):
         from repro.observe import write_trace
 
-        n = write_trace(args.trace,
-                        telemetry.trace_roots() if roots is None else roots,
-                        counters=counters)
+        n = write_trace(args.trace, telemetry.trace_roots())
         _report(f"wrote {n} trace records to {args.trace}")
     _print_telemetry(args)
 
@@ -439,7 +435,6 @@ def _run_profile(args) -> int:
 def _run_serve(args) -> int:
     import asyncio
 
-    from repro.observe.slo import ERROR_BUDGET
     from repro.serve import ClassifierServer, ModelRegistry, ServeConfig
 
     config = ServeConfig(
@@ -447,7 +442,6 @@ def _run_serve(args) -> int:
         port=args.port,
         batch_window_ms=args.batch_window_ms,
         max_queue=args.max_queue,
-        slo_latency_ms=args.slo_latency_ms,
     )
     registry = ModelRegistry.calibrated()
     server = ClassifierServer(registry, config, ledger=_ledger(args))
@@ -457,9 +451,7 @@ def _run_serve(args) -> int:
         _report(f"serving {', '.join(registry.names())} on "
                 f"{server.host}:{server.port} "
                 f"(batch window {config.batch_window_ms:g} ms, "
-                f"queue {config.max_queue}, SLO p(latency > "
-                f"{config.slo_latency_ms:g} ms) <= "
-                f"{ERROR_BUDGET:g})")
+                f"queue {config.max_queue})")
         for name, digest in registry.digests().items():
             _report(f"  model {name}: digest {digest}")
         try:
@@ -471,54 +463,10 @@ def _run_serve(args) -> int:
                     f"request(s), "
                     f"{record.metrics.get('serve.rejected', 0)} rejected, "
                     f"{record.metrics.get('serve.shots', 0)} shot(s)")
-            slo = record.fidelity or {}
-            checks = "  ".join(
-                f"{c['name']} burn {c['burn_rate']:.2f}x {c['status']}"
-                for c in slo.get("checks", []))
-            _report(f"SLO [{slo.get('verdict', '?')}]: {checks}")
-            # Session spans plus the tail-sampled per-request traces
-            # (queue -> batch -> predict -> write) and the observer's
-            # counter timeline, in one trace file.
-            _emit_telemetry(
-                args,
-                roots=list(telemetry.trace_roots()) + server.sampled_traces,
-                counters=server.counter_timeline())
+            _emit_telemetry(args)
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-# ---------------------------------------------------------------------- #
-# repro top: poll the in-band stats op, render the live dashboard.
-# ---------------------------------------------------------------------- #
-def _run_top(args) -> int:
-    from repro.errors import ServeError
-    from repro.observe import render_top
-    from repro.serve import ServeClient
-
-    host, port = args.endpoint
-    frames = 0
-    try:
-        with ServeClient(host, port) as client:
-            while True:
-                snapshot = client.stats()
-                if args.json:
-                    _report(json.dumps(snapshot, sort_keys=True))
-                else:
-                    _report(render_top(snapshot,
-                                       endpoint=f"{host}:{port}"))
-                frames += 1
-                if args.count is not None and frames >= args.count:
-                    break
-                time.sleep(args.interval)
-                if not args.json:
-                    _report()
-    except ServeError as exc:
-        _LOG.error("%s", exc)
-        return 1
     except KeyboardInterrupt:
         pass
     return 0
@@ -538,15 +486,6 @@ def _positive(kind):
 
     parse.__name__ = kind.__name__  # argparse's "invalid <type> value"
     return parse
-
-
-def _endpoint(text: str) -> tuple[str, int]:
-    """``host:port`` -> ``(host, port)``."""
-    host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(
-            f"expected host:port, got {text!r}")
-    return host, int(port)
 
 
 def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -669,25 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-queue", type=int, default=64, metavar="N",
         help="admitted-request cap before 429 back-pressure "
              "(default: 64)",
-    )
-    sub.add_argument(
-        "--slo-latency-ms", type=float, default=110.0, metavar="MS",
-        help="declared per-request latency objective (default: 110.0 -- "
-             "the paper's 110 us decoherence budget at the serving "
-             "benchmark's wire scale)",
-    )
-
-    sub = command("top", "live serving dashboard", _run_top)
-    sub.add_argument("endpoint", type=_endpoint, metavar="HOST:PORT")
-    sub.add_argument("--json", action="store_true",
-                     help="one JSON stats snapshot per frame")
-    sub.add_argument(
-        "--interval", type=_positive(float), default=2.0, metavar="SEC",
-        help="refresh period between stats scrapes (default: 2.0)",
-    )
-    sub.add_argument(
-        "--count", type=_positive(int), default=None, metavar="N",
-        help="exit after N frames (default: poll until Ctrl-C)",
     )
     return parser
 

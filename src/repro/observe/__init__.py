@@ -16,33 +16,13 @@ answers the two questions that layer cannot:
 at once and prints a self-time attribution table; under ``--jobs N``
 the merged worker spans show the time of every fanned-out item.
 
-The *live* layer serves long-running sessions (:mod:`repro.serve`):
-:mod:`repro.observe.live` provides :class:`LiveMetrics`, the serving
-session's one store of counts -- a fixed-memory rolling counter per
-``serve.*`` outcome (cumulative total plus windowed rate) and
-rolling histograms of latency, queue depth, batch size and event-loop
-lag -- the per-request :class:`TraceContext` span trees the service
-tail-samples into Perfetto exports, and the ``repro top`` dashboard
-rendering; :mod:`repro.observe.slo` grades the session's latency and
-error counts by burn rate into the PASS/WARN/FAIL verdicts the
-``kind="serve"`` session records and ``repro report --strict`` carry.
-
 Everything is stdlib-only and off by default, matching the telemetry
 layer's one-branch-when-disabled discipline.
 """
 
 from __future__ import annotations
 
-from repro.observe import slo
-from repro.observe.live import (
-    LiveMetrics,
-    RollingCounter,
-    RollingHistogram,
-    TraceContext,
-    render_top,
-)
 from repro.observe.perfetto import (
-    counter_track_events,
     trace_events,
     write_chrome_trace,
     write_trace,
@@ -60,20 +40,13 @@ from repro.observe.sampler import (
 )
 
 __all__ = [
-    "LiveMetrics",
     "ProfileResult",
     "ResourceSample",
     "ResourceSampler",
-    "RollingCounter",
-    "RollingHistogram",
-    "TraceContext",
-    "counter_track_events",
     "read_sample",
-    "render_top",
     "run_profile",
     "self_time_rows",
     "self_time_table",
-    "slo",
     "trace_events",
     "write_chrome_trace",
     "write_trace",

@@ -33,8 +33,7 @@ from typing import IO, Iterable
 from repro.telemetry.sinks import write_jsonl
 from repro.telemetry.spans import Span
 
-__all__ = ["counter_track_events", "trace_events", "write_chrome_trace",
-           "write_trace"]
+__all__ = ["trace_events", "write_chrome_trace", "write_trace"]
 
 #: Synthetic pid for all events: the tree may span real processes, but
 #: by merge time it is one logical trace.
@@ -155,49 +154,25 @@ def _jsonable(value):
 # ---------------------------------------------------------------------- #
 # Public API
 # ---------------------------------------------------------------------- #
-def counter_track_events(points: Iterable[tuple[float, dict]]) -> list[dict]:
-    """Generic ``ph="C"`` counter tracks from a (wall, values) series.
-
-    Each point is ``(wall seconds, {counter name: value})``; every named
-    counter becomes its own track.  The serving layer uses this to draw
-    its periodic live-metrics timeline (inflight depth, request rate,
-    windowed p99) under the tail-sampled request spans.
-    """
-    events = []
-    for wall, values in points:
-        ts = wall * 1e6
-        for name, value in values.items():
-            events.append({
-                "name": name, "cat": "live", "ph": "C",
-                "ts": ts, "pid": _PID,
-                "args": {name: _jsonable(value)},
-            })
-    return events
-
-
-def trace_events(roots: Iterable[Span], samples=None,
-                 counters: Iterable[tuple[float, dict]] | None = None
-                 ) -> list[dict]:
-    """The full event list (metadata + spans + optional counters)."""
+def trace_events(roots: Iterable[Span], samples=None) -> list[dict]:
+    """The full event list (metadata + spans + optional resource
+    counter tracks)."""
     span_events, track_count = _span_events(roots)
     events = _metadata_events(max(1, track_count)) + span_events
     if samples:
         events += _counter_events(samples)
-    if counters:
-        events += counter_track_events(counters)
     return events
 
 
 def write_chrome_trace(file: str | IO[str], roots: Iterable[Span],
-                       samples=None, counters=None) -> int:
+                       samples=None) -> int:
     """Write a ``trace_event`` JSON document; returns the event count.
 
     ``file`` is a path or an open text handle.  ``samples`` is an
     optional :class:`~repro.observe.sampler.ResourceSampler` timeseries
-    rendered as counter tracks; ``counters`` an optional
-    ``(wall, {name: value})`` series (see :func:`counter_track_events`).
+    rendered as counter tracks.
     """
-    events = trace_events(roots, samples=samples, counters=counters)
+    events = trace_events(roots, samples=samples)
     document = {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -214,16 +189,14 @@ def write_chrome_trace(file: str | IO[str], roots: Iterable[Span],
     return len(events)
 
 
-def write_trace(path: str, roots: Iterable[Span], samples=None,
-                counters=None) -> int:
+def write_trace(path: str, roots: Iterable[Span], samples=None) -> int:
     """Write a trace file whose format its name selects.
 
     ``*.jsonl`` gets the flat span-per-line JSONL (returns the span
     count); any other name gets the Chrome/Perfetto ``trace_event``
-    document (returns the event count).  ``samples`` and ``counters``
-    only have a place in the Chrome form.
+    document (returns the event count).  ``samples`` only has a place
+    in the Chrome form.
     """
     if str(path).endswith(".jsonl"):
         return write_jsonl(roots, str(path))
-    return write_chrome_trace(str(path), roots, samples=samples,
-                              counters=counters)
+    return write_chrome_trace(str(path), roots, samples=samples)

@@ -83,12 +83,9 @@ def build_report(ledger: RunLedger,
     # grouped in memory by experiment.
     by_experiment: dict[str, list[RunRecord]] = {}
     bench_records: list[RunRecord] = []
-    serve_records: list[RunRecord] = []
     for record in ledger.records():
         if record.kind == "bench" and record.experiment == "bench_summary":
             bench_records.append(record)
-        elif record.kind == "serve":
-            serve_records.append(record)
         elif record.kind == "experiment":
             by_experiment.setdefault(record.experiment, []).append(record)
 
@@ -144,28 +141,6 @@ def build_report(ledger: RunLedger,
                 ],
             }
 
-    # Serving SLO: the latest session's burn-rate report folds into the
-    # overall verdict, so --strict gates on an SLO burn exactly as it
-    # gates on fidelity drift.
-    serve = None
-    if serve_records:
-        latest = serve_records[-1]
-        slo = latest.fidelity or {}
-        serve = {
-            "run_id": latest.run_id,
-            "start_ts": latest.start_ts,
-            "wall_s": latest.wall_s,
-            "verdict": latest.verdict,
-            "checks": slo.get("checks", []),
-            "requests": latest.metrics.get("serve.requests", 0),
-            "rejected": latest.metrics.get("serve.rejected", 0),
-            "shots_per_sec": latest.metrics.get("serve.shots_per_sec", 0),
-            "latency_p99_ms": latest.metrics.get("serve.latency_p99_ms"),
-            "sessions": len(serve_records),
-        }
-        if latest.verdict:
-            verdicts.append(latest.verdict)
-
     wall_regressions = [
         e["experiment"] for e in experiments
         if e["previous"] and e["previous"]["wall"]["regression"]
@@ -174,10 +149,9 @@ def build_report(ledger: RunLedger,
         "runs_dir": str(ledger.runs_dir),
         "experiments": experiments,
         "bench": bench,
-        "serve": serve,
         "wall_regressions": wall_regressions,
         "verdict": worst(verdicts) if verdicts else None,
-        "empty": not experiments and bench is None and serve is None,
+        "empty": not experiments and bench is None,
     }
 
 
@@ -289,27 +263,6 @@ def _render_report_tables(report: dict, markdown: bool) -> str:
             resource_rows,
             "Latest run resources (repro.observe sampler)",
         ))
-
-    serve = report.get("serve")
-    if serve is not None:
-        slo_rows = [[
-            check.get("name", "?"),
-            check.get("objective", ""),
-            str(check.get("bad", 0)),
-            _fmt(check.get("fraction"), 4),
-            f"{check.get('burn_rate', 0.0):.2f}x",
-            check.get("status", "?"),
-        ] for check in serve["checks"]]
-        title = (
-            f"Serving SLO, latest session {serve['run_id']} "
-            f"(verdict: {serve['verdict'] or 'n/a'}; "
-            f"{serve['requests']} requests, {serve['rejected']} rejected"
-            + (f", p99 {serve['latency_p99_ms']:g} ms"
-               if serve.get("latency_p99_ms") is not None else "")
-            + ")")
-        sections.append(table(
-            ["objective", "target", "bad", "fraction", "burn", "status"],
-            slo_rows, title))
 
     bench = report["bench"]
     if bench is not None:

@@ -15,17 +15,13 @@ warm, calibrated classifiers:
   bit-identically;
 - :mod:`~repro.serve.server` -- :class:`ClassifierServer`: admission
   (429 back-pressure) then deadline then the batcher, slow-client
-  eviction, every count kept once in its
-  :class:`~repro.observe.live.LiveMetrics`, and a ``kind="serve"``
-  session RunRecord;
+  eviction, plain integer counts of every outcome plus one cumulative
+  latency histogram, and a ``kind="serve"`` session RunRecord;
 - :mod:`~repro.serve.client` -- the blocking :class:`ServeClient`.
 
-The service is *live-observable* (:mod:`repro.observe.live`): an
-in-band ``{"op": "stats"}`` request (or ``client.stats()`` /
-``repro top host:port``) returns rolling-window metrics, SLO burn
-rates and health without disturbing traffic, and slow/failed requests
-tail-sample their queue -> batch -> predict -> write span trees for
-Perfetto export (``repro serve --trace trace.json``).
+An in-band ``{"op": "stats"}`` request (``client.stats()``) returns
+the session counts without disturbing traffic: the server answers it
+before admission, so a scrape is never rejected or queued.
 
 Quick start (in process)::
 

@@ -21,9 +21,7 @@ resolved with :class:`~repro.errors.DeadlineError` at flush time and
 never reach the model.  Predict runs on one of
 :data:`PREDICT_WORKERS` threads (the registry models are shared
 read-only) so the event loop keeps accepting and rejecting while numpy
-crunches.  Each flush records its request and shot count in the
-server's :class:`~repro.observe.live.LiveMetrics` -- the batch tally is
-``batch_requests.count``.
+crunches.  :attr:`MicroBatcher.batches` counts the fused predict calls.
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ import numpy as np
 
 from repro.classify import Classifier
 from repro.errors import DeadlineError
-from repro.observe.live import LiveMetrics, TraceContext
-from repro.telemetry.spans import Span
 
 __all__ = ["MicroBatcher"]
 
@@ -51,19 +47,15 @@ PREDICT_WORKERS = 2
 class _Pending:
     """One admitted request waiting for its batch to flush."""
 
-    __slots__ = ("deadline_s", "enqueued_s", "enqueued_wall", "future",
-                 "iq", "qubit", "trace")
+    __slots__ = ("deadline_s", "enqueued_s", "future", "iq", "qubit")
 
     def __init__(self, iq: np.ndarray, qubit: np.ndarray,
-                 deadline_s: float | None, future: asyncio.Future,
-                 trace: TraceContext | None = None):
+                 deadline_s: float | None, future: asyncio.Future):
         self.iq = iq
         self.qubit = qubit
         self.deadline_s = deadline_s
         self.future = future
-        self.trace = trace
         self.enqueued_s = time.perf_counter()
-        self.enqueued_wall = time.time()
 
 
 class MicroBatcher:
@@ -73,10 +65,10 @@ class MicroBatcher:
     vectorized predict itself runs on ``PREDICT_WORKERS`` pool threads.
     """
 
-    def __init__(self, *, window_s: float = 0.002,
-                 metrics: LiveMetrics | None = None):
+    def __init__(self, *, window_s: float = 0.002):
         self.window_s = window_s
-        self.metrics = metrics
+        self.batches = 0
+        """Fused predict calls started so far."""
         self._pending: dict[str, list[_Pending]] = {}
         self._pending_shots: dict[str, int] = {}
         self._timers: dict[str, asyncio.TimerHandle] = {}
@@ -86,21 +78,18 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------ #
     async def submit(self, name: str, model: Classifier, iq: np.ndarray,
-                     qubit: np.ndarray, deadline_s: float | None,
-                     trace: TraceContext | None = None
+                     qubit: np.ndarray, deadline_s: float | None
                      ) -> tuple[np.ndarray, int]:
         """Queue one request; resolves to ``(labels, batch_size)``.
 
         ``qubit`` must already be resolved to one index per row (the
-        server does this against the model before admission).  A
-        ``trace`` receives the ``serve.queue`` / ``serve.batch`` /
-        ``serve.predict`` spans of the batch it rode in.
+        server does this against the model before admission).
         """
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._models[name] = model
         bucket = self._pending.setdefault(name, [])
-        bucket.append(_Pending(iq, qubit, deadline_s, future, trace))
+        bucket.append(_Pending(iq, qubit, deadline_s, future))
         self._pending_shots[name] = \
             self._pending_shots.get(name, 0) + len(iq)
         if self._pending_shots[name] >= MAX_BATCH_SHOTS:
@@ -133,10 +122,6 @@ class MicroBatcher:
         for item in batch:
             if item.future.cancelled():
                 continue
-            if item.trace is not None:
-                item.trace.add(
-                    "serve.queue", item.enqueued_wall,
-                    now - item.enqueued_s, shots=len(item.iq))
             if item.deadline_s is not None and now > item.deadline_s:
                 item.future.set_exception(DeadlineError(
                     f"deadline expired after "
@@ -147,42 +132,11 @@ class MicroBatcher:
             return
 
         model = self._models[name]
-        fuse_wall = time.time()
-        fuse_t0 = time.perf_counter()
         fused_iq = np.concatenate([item.iq for item in live])
         fused_qubit = np.concatenate([item.qubit for item in live])
-        fuse_s = time.perf_counter() - fuse_t0
-        loop = asyncio.get_running_loop()
-        if self.metrics is not None:
-            self.metrics.batch_requests.observe(len(live))
-            self.metrics.batch_shots.observe(len(fused_iq))
-
-        # One shared predict span per fused batch: every participating
-        # request's trace adopts the same object, so a sampled tree
-        # shows exactly which batch (and how big) served the request.
-        predict_span = Span("serve.predict", {
-            "model": name, "requests": len(live),
-            "shots": int(len(fused_iq))}, None)
-        # A placeholder start: overwritten when predict actually runs,
-        # but keeps traces finished early (deadline expiry mid-batch)
-        # exporting at a sane timestamp.
-        predict_span.start_wall = fuse_wall
-        for item in live:
-            if item.trace is not None:
-                item.trace.add("serve.batch", fuse_wall, fuse_s,
-                               requests=len(live),
-                               shots=int(len(fused_iq)))
-                item.trace.attach(predict_span)
-
-        def run_predict() -> np.ndarray:
-            predict_span.start_wall = time.time()
-            t0 = time.perf_counter()
-            try:
-                return model.predict(fused_iq, qubit=fused_qubit)
-            finally:
-                predict_span.duration_s = time.perf_counter() - t0
-
-        task = loop.run_in_executor(self._pool, run_predict)
+        self.batches += 1
+        task = asyncio.get_running_loop().run_in_executor(
+            self._pool, lambda: model.predict(fused_iq, qubit=fused_qubit))
         task.add_done_callback(
             lambda done: self._deliver(done, live))
 

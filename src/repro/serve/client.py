@@ -66,7 +66,7 @@ class ServeClient:
         return np.asarray(doc["labels"], dtype=int)
 
     def stats(self) -> dict:
-        """The server's live stats snapshot (``{"op": "stats"}``).
+        """The server's stats snapshot (``{"op": "stats"}``).
 
         In-band introspection: the scrape shares the socket and
         protocol with classification traffic but skips admission on

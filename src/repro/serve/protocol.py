@@ -27,16 +27,9 @@ rejects malformed input with a typed
 -- wrong-rank or empty ``iq`` arrays, NaN/inf I/Q, negative deadlines
 -- before a single byte reaches a model.
 
-Two observability hooks live at this layer because the wire boundary
-is where a request is born:
-
-* **admin ops** -- ``{"op": "stats"}`` (no model, no shots) asks the
-  server for its live metrics snapshot in-band, on the same protocol;
-  unknown ops are a 400 naming the ``op`` field;
-* **trace minting** -- every successfully parsed classify request
-  carries a :class:`~repro.observe.live.TraceContext` whose root span
-  opens here, so the span tree covers the full server-side lifetime,
-  queue wait included.
+One admin op rides the same protocol: ``{"op": "stats"}`` (no model,
+no shots) asks the server for its session counts in-band; unknown ops
+are a 400 naming the ``op`` field.
 """
 
 from __future__ import annotations
@@ -53,7 +46,6 @@ from repro.errors import (
     ServeProtocolError,
     ValidationError,
 )
-from repro.observe.live import TraceContext
 
 __all__ = [
     "ADMIN_OPS",
@@ -95,24 +87,19 @@ class ParsedRequest:
     many requests into one ``predict`` call cannot change a label.
 
     ``op`` is ``"classify"`` for the normal path or an admin op from
-    :data:`ADMIN_OPS` (then ``model``/``iq`` are ``None``); classify
-    requests carry the :class:`~repro.observe.live.TraceContext`
-    minted at parse time in ``trace``.
+    :data:`ADMIN_OPS` (then ``model``/``iq`` are ``None``).
     """
 
-    __slots__ = ("deadline_ms", "iq", "model", "op", "qubit", "req_id",
-                 "trace")
+    __slots__ = ("deadline_ms", "iq", "model", "op", "qubit", "req_id")
 
     def __init__(self, req_id, model: str | None, iq, qubit,
-                 deadline_ms: float | None, *, op: str = "classify",
-                 trace: TraceContext | None = None):
+                 deadline_ms: float | None, *, op: str = "classify"):
         self.req_id = req_id
         self.model = model
         self.iq = iq
         self.qubit = qubit
         self.deadline_ms = deadline_ms
         self.op = op
-        self.trace = trace
 
     @property
     def n_shots(self) -> int:
@@ -185,9 +172,7 @@ def parse_request(line: bytes | str) -> ParsedRequest:
                 field="deadline_ms")
         deadline_ms = float(deadline_ms)
 
-    trace = TraceContext(model=model, shots=len(iq))
-    return ParsedRequest(req_id, model, iq, qubit, deadline_ms,
-                         trace=trace)
+    return ParsedRequest(req_id, model, iq, qubit, deadline_ms)
 
 
 def encode_request(req_id, model: str, iq, qubit=None,
@@ -208,7 +193,7 @@ def encode_op_request(op: str, req_id=None) -> bytes:
 
 
 def stats_response(req_id, snapshot: dict) -> bytes:
-    """Encode the live stats snapshot an ``{"op": "stats"}`` gets."""
+    """Encode the stats snapshot an ``{"op": "stats"}`` gets."""
     doc = {"id": req_id, "ok": True, "op": "stats", "stats": snapshot}
     return (json.dumps(doc) + "\n").encode("utf-8")
 

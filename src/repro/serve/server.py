@@ -1,4 +1,4 @@
-"""The asyncio classification server: admission, deadlines, telemetry.
+"""The asyncio classification server: admission, deadlines, counts.
 
 Architecture (one event loop, a small predict thread pool)::
 
@@ -32,23 +32,13 @@ bounded by ``write_timeout_s``, and a client that stalls its socket
 long enough is disconnected (``serve.slow_client_disconnects``)
 instead of parking a connection task forever.
 
-Every count lives in one place, the session's
-:class:`~repro.observe.live.LiveMetrics`: its counter totals are the
-``{"op": "stats"}`` snapshot's ``counters`` and the metrics of the
-``kind="serve"`` RunRecord each session appends to the provenance
-ledger (with latency quantiles, throughput and the digests of the
-models it served); its window counts are the snapshot's ``window``.
-
-Live observability (:mod:`repro.observe.live` / ``.slo``) rides the
-same path: every classify request carries a
-:class:`~repro.observe.live.TraceContext` whose queue/batch/predict/
-write spans the server tail-samples when the request failed or was
-slower than the latency objective; the stats snapshot is answered
-*before* admission, so scrapes are never rejected or queued; a
-periodic observer task records event-loop lag and keeps the bounded
-counter timeline the Perfetto export draws; and the latency and error
-objectives are graded by burn rate into the session record's fidelity
-verdict.
+Every count lives in one place, the server's plain integer tallies
+(:meth:`ClassifierServer.counters`) plus one cumulative latency
+:class:`~repro.telemetry.Histogram`: they answer the in-band
+``{"op": "stats"}`` snapshot (answered *before* admission, so a scrape
+is never rejected or queued) and fill the ``kind="serve"`` RunRecord
+each session appends to the provenance ledger (with latency quantiles,
+throughput and the digests of the models it served).
 """
 
 from __future__ import annotations
@@ -57,7 +47,6 @@ import asyncio
 import socket
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +60,6 @@ from repro.errors import (
     ServeProtocolError,
     ValidationError,
 )
-from repro.observe import slo as slo_mod
-from repro.observe.live import LiveMetrics, TraceContext
 from repro.provenance import RunLedger, RunRecord
 from repro.serve.batcher import MAX_BATCH_SHOTS, MicroBatcher
 from repro.serve.models import ModelRegistry
@@ -84,12 +71,14 @@ from repro.serve.protocol import (
     parse_request,
     stats_response,
 )
-from repro.telemetry import Span, iso_ts
+from repro.telemetry import Histogram, iso_ts
 
 __all__ = ["ClassifierServer", "ServeConfig", "ServerThread"]
 
-#: How many tail-sampled request traces a session retains.
-TRACE_CAPACITY = 64
+#: The session counts, reported as ``serve.<name>`` in snapshot order.
+COUNTERS = ("connections", "requests", "shots", "rejected",
+            "deadline_expired", "bad_requests", "unknown_model",
+            "slow_client_disconnects", "internal_errors", "stats_scrapes")
 
 #: Wire code -> counter of a request refused before admission.
 _REFUSALS = {400: "bad_requests", 404: "unknown_model"}
@@ -116,14 +105,10 @@ class ServeConfig:
     slow-client scenario in ``tests/assault`` sets this so a stalled
     reader trips the drain timeout deterministically instead of hiding
     behind megabytes of kernel buffer."""
-    slo_latency_ms: float = slo_mod.DEFAULT_LATENCY_MS
-    """Declared per-request latency objective (default: the paper's
-    110 us decoherence budget at the serving benchmark's wire scale);
-    requests at least this slow, or failed, keep their span tree."""
 
     def __post_init__(self):
         for name in ("batch_window_ms", "max_queue", "default_deadline_ms",
-                     "write_timeout_s", "slo_latency_ms"):
+                     "write_timeout_s"):
             value = getattr(self, name)
             if not value > 0:
                 raise ConfigError(
@@ -149,16 +134,14 @@ class ClassifierServer:
         self.ledger = ledger
         self.host = self.config.host
         self.port = self.config.port
-        self.live = LiveMetrics()
-        self._sampled_traces: deque[Span] = deque(maxlen=TRACE_CAPACITY)
-        self._counter_timeline: deque[tuple[float, dict]] = deque(
-            maxlen=600)
+        self._counts = dict.fromkeys(COUNTERS, 0)
+        # Latencies in ms: 1 us .. 1000 s covers a stalled deadline.
+        self.latency_ms = Histogram(lo=1e-3, hi=1e6)
         self._inflight = 0
         self._started_s = 0.0
         self._start_ts = ""
         self._server: asyncio.AbstractServer | None = None
         self._batcher: MicroBatcher | None = None
-        self._observer_task: asyncio.Task | None = None
         self._conn_tasks: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------ #
@@ -166,8 +149,7 @@ class ClassifierServer:
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
         cfg = self.config
-        self._batcher = MicroBatcher(
-            window_s=cfg.batch_window_ms / 1e3, metrics=self.live)
+        self._batcher = MicroBatcher(window_s=cfg.batch_window_ms / 1e3)
         self._server = await asyncio.start_server(
             self._handle_connection, cfg.host, cfg.port,
             limit=MAX_LINE_BYTES)
@@ -175,7 +157,6 @@ class ClassifierServer:
             self._server.sockets[0].getsockname()[:2]
         self._started_s = time.perf_counter()
         self._start_ts = iso_ts(time.time())
-        self._observer_task = asyncio.ensure_future(self._observe_loop())
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -185,13 +166,6 @@ class ClassifierServer:
 
     async def stop(self) -> RunRecord:
         """Close the socket, flush the session record to the ledger."""
-        if self._observer_task is not None:
-            self._observer_task.cancel()
-            try:
-                await self._observer_task
-            except asyncio.CancelledError:
-                pass
-            self._observer_task = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -228,7 +202,7 @@ class ClassifierServer:
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        self.live.connections.add()
+        self._counts["connections"] += 1
         if self.config.sndbuf_bytes:
             sock = writer.get_extra_info("socket")
             if sock is not None:
@@ -243,7 +217,7 @@ class ClassifierServer:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    self.live.bad_requests.add()
+                    self._counts["bad_requests"] += 1
                     await self._send(writer, write_lock, error_response(
                         None, ServeProtocolError(
                             f"request line exceeds {MAX_LINE_BYTES} "
@@ -274,36 +248,11 @@ class ClassifierServer:
 
     async def _serve_line(self, line: bytes, writer: asyncio.StreamWriter,
                           write_lock: asyncio.Lock) -> None:
-        payload, trace = await self._process(line)
-        if trace is None:
-            await self._send(writer, write_lock, payload)
-            return
-        write_wall = time.time()
-        write_t0 = time.perf_counter()
-        await self._send(writer, write_lock, payload)
-        trace.add("serve.write", write_wall,
-                  time.perf_counter() - write_t0, bytes=len(payload))
-        self._finish_trace(trace)
+        await self._send(writer, write_lock, await self._process(line))
 
-    def _finish_trace(self, trace: TraceContext) -> None:
-        """Close the request's span tree; tail-sample slow/failed ones."""
-        root = trace.finish()
-        latency_ms = root.duration_s * 1e3
-        root.attrs.setdefault("status", "ok")
-        root.attrs["latency_ms"] = round(latency_ms, 3)
-        if root.attrs["status"] != "ok" \
-                or latency_ms >= self.config.slo_latency_ms:
-            self._sampled_traces.append(root)
-
-    @property
-    def sampled_traces(self) -> list[Span]:
-        """Tail-sampled request span trees (slow or failed), bounded."""
-        return list(self._sampled_traces)
-
-    def counter_timeline(self) -> list[tuple[float, dict]]:
-        """The observer task's ``(wall, counters)`` series, for the
-        Perfetto counter tracks a session export draws."""
-        return list(self._counter_timeline)
+    def counters(self) -> dict[str, int]:
+        """Session totals, ``serve.<name>`` -> count."""
+        return {f"serve.{name}": n for name, n in self._counts.items()}
 
     async def _send(self, writer: asyncio.StreamWriter,
                     write_lock: asyncio.Lock, payload: bytes) -> None:
@@ -316,16 +265,12 @@ class ClassifierServer:
                 await asyncio.wait_for(
                     writer.drain(), self.config.write_timeout_s)
             except (TimeoutError, asyncio.TimeoutError, ConnectionError):
-                self.live.slow_client_disconnects.add()
+                self._counts["slow_client_disconnects"] += 1
                 writer.transport.abort()
 
-    async def _process(self, line: bytes
-                       ) -> tuple[bytes, TraceContext | None]:
+    async def _process(self, line: bytes) -> bytes:
         """Parse, classify, encode: every outcome becomes a response.
 
-        Returns ``(payload, trace)``; the trace (classify requests
-        only) is finished by the caller *after* the response write, so
-        the sampled span tree covers the full server-side lifetime.
         Admin ops answer before admission -- a stats scrape is never
         rejected and never waits on a batch.  A request refused before
         :meth:`_classify` is counted here; ``_classify`` counts the
@@ -333,14 +278,12 @@ class ClassifierServer:
         """
         t0 = time.perf_counter()
         req_id = None
-        trace = None
         classifying = False
         try:
             request = parse_request(line)
             req_id = request.req_id
             if request.op != "classify":
-                return self._admin_response(request), None
-            trace = request.trace
+                return self._admin_response(request)
             model = self.registry.get(request.model)
             try:
                 qubit = model.resolve_qubit(request.iq, request.qubit)
@@ -354,16 +297,12 @@ class ClassifierServer:
                 exc = ServeError(
                     f"internal error: {type(exc).__name__}: {exc}")
             if not classifying:
-                getattr(self.live, _REFUSALS.get(
-                    exc.code, "internal_errors")).add()
-            if trace is not None:
-                trace.set(status="error", code=exc.code)
-            return error_response(req_id, exc), trace
-        trace.set(status="ok", code=200)
+                self._counts[_REFUSALS.get(exc.code, "internal_errors")] += 1
+            return error_response(req_id, exc)
         return ok_response(
             req_id, labels, model_digest=model.model_digest,
             batch_size=batch_size,
-            queue_ms=(time.perf_counter() - t0) * 1e3), trace
+            queue_ms=(time.perf_counter() - t0) * 1e3)
 
     async def _classify(self, request: ParsedRequest, model: Classifier,
                         qubit: np.ndarray, t0: float
@@ -377,7 +316,6 @@ class ClassifierServer:
                     f"queue full ({self.config.max_queue} requests in "
                     f"flight); retry later")
             self._inflight += 1
-            self.live.queue_depth.observe(self._inflight)
             try:
                 deadline_ms = request.deadline_ms \
                     or self.config.default_deadline_ms
@@ -390,7 +328,7 @@ class ClassifierServer:
                 try:
                     result = await asyncio.wait_for(self._batcher.submit(
                         request.model, model, request.iq, qubit,
-                        deadline_s, trace=request.trace), remaining)
+                        deadline_s), remaining)
                 except (TimeoutError, asyncio.TimeoutError):
                     raise DeadlineError(
                         f"deadline of {deadline_ms:g} ms expired in the "
@@ -407,37 +345,22 @@ class ClassifierServer:
             raise
         finally:
             if outcome is not None:
-                self._count(outcome, request.n_shots, t0)
-
-    def _count(self, outcome: str, n_shots: int, t0: float) -> None:
-        """Record one classify outcome, its latency and SLO miss."""
-        live = self.live
-        now = time.time()
-        latency_ms = (time.perf_counter() - t0) * 1e3
-        getattr(live, outcome).add(now=now)
-        if outcome == "requests":
-            live.shots.add(n_shots, now=now)
-        live.latency_ms.observe(latency_ms, now)
-        if latency_ms > self.config.slo_latency_ms:
-            live.slo_latency_violations.add(now=now)
+                self._counts[outcome] += 1
+                if outcome == "requests":
+                    self._counts["shots"] += request.n_shots
+                self.latency_ms.observe((time.perf_counter() - t0) * 1e3)
 
     # ------------------------------------------------------------------ #
-    # In-band introspection + the observer task
+    # In-band introspection and session provenance
     # ------------------------------------------------------------------ #
     def _admin_response(self, request: ParsedRequest) -> bytes:
         """Answer an admin op (only ``stats`` exists today)."""
-        self.live.stats_scrapes.add()
+        self._counts["stats_scrapes"] += 1
         return stats_response(request.req_id, self.stats_snapshot())
 
     def stats_snapshot(self) -> dict:
-        """The live stats document (also the ``repro top`` payload).
-
-        Built in one pass on the event loop thread, so the counters,
-        windowed metrics and SLO grades describe the same instant --
-        a scrape can never see a torn half-updated view.
-        """
-        now = time.time()
-        counters = self.live.counters()
+        """The ``{"op": "stats"}`` document, built on the event loop
+        thread, so every count in it describes the same instant."""
         return {
             "endpoint": f"{self.host}:{self.port}",
             "uptime_s": round(
@@ -445,76 +368,22 @@ class ClassifierServer:
             "inflight": self._inflight,
             "max_queue": self.config.max_queue,
             "models": self.registry.digests(),
-            "counters": counters,
-            "window": self.live.snapshot(now),
-            "slo": self._slo_report(counters).to_dict(),
-            "health": {
-                **self.live.health(now),
-                "sampled_traces": len(self._sampled_traces),
-            },
+            "counters": self.counters(),
         }
 
-    def _slo_report(self, counters: dict[str, int]) -> slo_mod.SLOReport:
-        """Grade the session-cumulative counts against the objectives."""
-        def total(names: tuple[str, ...]) -> int:
-            return sum(counters[f"serve.{name}"] for name in names)
-
-        return slo_mod.evaluate(
-            self.config.slo_latency_ms,
-            total=total(LiveMetrics.TRAFFIC),
-            latency_violations=counters["serve.slo_latency_violations"],
-            errors=total(LiveMetrics.FAILURES))
-
-    async def _observe_loop(self, interval_s: float = 0.25) -> None:
-        """Periodic self-observation on the serving loop itself.
-
-        Each tick records how late the loop woke (scheduler lag -- the
-        earliest overload signal) and appends one point to the bounded
-        counter timeline the Perfetto export draws as counter tracks.
-        """
-        loop = asyncio.get_running_loop()
-        while True:
-            expected = loop.time() + interval_s
-            await asyncio.sleep(interval_s)
-            now = time.time()
-            self.live.record_loop_lag(loop.time() - expected, now)
-            self._counter_timeline.append((now, {
-                "inflight": self._inflight,
-                "requests_per_sec": round(self.live.requests.rate(now), 1),
-                "latency_p99_ms": round(
-                    self.live.latency_ms.percentile(99, now), 3),
-            }))
-
-    # ------------------------------------------------------------------ #
-    # Session provenance
-    # ------------------------------------------------------------------ #
     def session_record(self) -> RunRecord:
-        """One ``kind="serve"`` ledger line summarizing the session.
-
-        Beyond the counters and latency quantiles, the record carries
-        the session's queue-depth and fused-batch-size histogram
-        summaries and the SLO burn-rate report -- its verdict rides in
-        the ``fidelity`` slot, so ``repro report --strict`` gates on
-        serving sessions exactly as it gates on experiment fidelity.
-        """
+        """One ``kind="serve"`` ledger line summarizing the session."""
         wall_s = max(time.perf_counter() - self._started_s, 1e-9)
-        live = self.live
-        lat = live.latency_ms
-        counters = live.counters()
-        metrics: dict[str, float] = dict(counters)
-        metrics["serve.batches"] = live.batch_requests.count
+        metrics: dict[str, float] = self.counters()
+        metrics["serve.batches"] = \
+            self._batcher.batches if self._batcher is not None else 0
         metrics["serve.shots_per_sec"] = \
-            round(counters["serve.shots"] / wall_s, 1)
-        if lat.count:
+            round(self._counts["shots"] / wall_s, 1)
+        if self.latency_ms.count:
             metrics["serve.latency_p50_ms"] = \
-                round(lat.cumulative_percentile(50), 3)
+                round(self.latency_ms.percentile(50), 3)
             metrics["serve.latency_p99_ms"] = \
-                round(lat.cumulative_percentile(99), 3)
-        metrics.update(live.record_summaries())
-        slo_report = self._slo_report(counters)
-        metrics.update(slo_report.metrics())
-        spec = {"latency_ms": self.config.slo_latency_ms,
-                "error_budget": slo_mod.ERROR_BUDGET}
+                round(self.latency_ms.percentile(99), 3)
         return RunRecord(
             experiment="serve",
             kind="serve",
@@ -525,11 +394,8 @@ class ClassifierServer:
                            "batch_window_ms": self.config.batch_window_ms,
                            "max_batch_shots": MAX_BATCH_SHOTS,
                            "max_queue": self.config.max_queue,
-                       },
-                       "slo": {"spec": spec, **slo_report.to_dict()},
-                       "health": live.health()},
+                       }},
             metrics=metrics,
-            fidelity={"kind": "slo", **slo_report.to_dict()},
         )
 
 

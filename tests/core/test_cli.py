@@ -9,7 +9,7 @@ from repro import telemetry
 from repro.__main__ import _expand, build_parser, main
 from repro.experiments import registry
 
-BUILTINS = {"stats", "run", "report", "compare", "profile", "serve", "top"}
+BUILTINS = {"stats", "run", "report", "compare", "profile", "serve"}
 
 
 def _commands() -> set[str]:
@@ -96,12 +96,6 @@ class TestFlagsPerCommand:
         out = capsys.readouterr().out
         errors = [ln for ln in out.splitlines() if ln.startswith("error:")]
         assert len(errors) == 1 and "jobs" in errors[0]
-
-    def test_top_rejects_nonpositive_interval_and_count(self, capsys):
-        assert main(["top", "h:1", "--interval", "-1"]) == 2
-        assert main(["top", "h:1", "--interval", "0"]) == 2
-        assert main(["top", "h:1", "--count", "0"]) == 2
-        assert "must be > 0" in capsys.readouterr().err
 
 
 class TestTraceFormatFromFileName:

@@ -21,7 +21,7 @@ def test_stop_with_live_client_logs_no_error(registry, caplog):
         server = ClassifierServer(registry)
         await server.start()
         _, writer = await asyncio.open_connection(server.host, server.port)
-        while server.live.connections.total == 0:
+        while server.counters()["serve.connections"] == 0:
             await asyncio.sleep(0.005)
         await server.stop()
         # Let the stream protocol's done-callbacks on the connection run.
@@ -31,6 +31,6 @@ def test_stop_with_live_client_logs_no_error(registry, caplog):
 
     with caplog.at_level(logging.ERROR):
         server = asyncio.run(session())
-    assert server.live.connections.total == 1
+    assert server.counters()["serve.connections"] == 1
     assert [r.getMessage() for r in caplog.records
             if r.levelno >= logging.ERROR] == []

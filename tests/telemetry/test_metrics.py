@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import Histogram, MetricsRegistry
 
 
 class TestInstruments:
@@ -53,6 +53,68 @@ class TestInstruments:
         assert s["count"] == 1
         assert s["total"] == s["mean"] == s["min"] == s["max"] == value
         assert s["p50"] == s["p95"] == s["p99"] == value
+
+
+class TestHistogramAccuracy:
+    """The quantile-estimator contract of the one histogram type."""
+
+    def test_quantiles_match_numpy_within_bin_error(self):
+        """Seeded stream: every quantile lands within the histogram's
+        declared relative error of exact numpy.percentile."""
+        rng = np.random.default_rng(42)
+        hist = Histogram(lo=1e-3, hi=1e6, rel_error=0.04)
+        values = rng.lognormal(mean=1.0, sigma=1.2, size=20_000)
+        for value in values:
+            hist.observe(value)
+        for q in (10, 50, 90, 95, 99, 99.9):
+            exact = float(np.percentile(values, q))
+            assert hist.percentile(q) == pytest.approx(exact, rel=0.05), \
+                f"p{q}"
+
+    @pytest.mark.parametrize("sigma", [0.3, 2.0], ids=["0.3", "2.0"])
+    def test_quantiles_match_numpy(self, sigma):
+        rng = np.random.default_rng(7)
+        hist = Histogram(lo=1e-3, hi=1e6, rel_error=0.04)
+        values = rng.lognormal(mean=0.0, sigma=sigma, size=10_000)
+        for value in values:
+            hist.observe(value)
+        for q in (50, 95, 99):
+            exact = float(np.percentile(values, q))
+            assert hist.percentile(q) == pytest.approx(exact, rel=0.05)
+
+    def test_fixed_memory_under_1m_sample_soak(self):
+        """One million observations allocate nothing: bin storage is
+        identical before and after, and exact stats stay exact."""
+        rng = np.random.default_rng(3)
+        hist = Histogram(lo=1e-3, hi=1e6, rel_error=0.04)
+        nbytes_before = hist.nbytes
+        values = rng.exponential(scale=50.0, size=1_000_000) + 1e-3
+        for value in values:
+            hist.observe(value)
+        assert hist.nbytes == nbytes_before
+        assert hist.count == 1_000_000
+        assert hist.min == pytest.approx(float(values.min()))
+        assert hist.max == pytest.approx(float(values.max()))
+        assert hist.sum == pytest.approx(float(values.sum()), rel=1e-9)
+        assert hist.percentile(99) == pytest.approx(
+            float(np.percentile(values, 99)), rel=0.05)
+
+    def test_clamping_outside_range(self):
+        hist = Histogram(lo=1.0, hi=100.0)
+        hist.observe(1e-9)
+        hist.observe(1e9)
+        assert hist.count == 2
+        # Clamped to the end bins, not dropped or crashed.
+        assert hist.percentile(0) == pytest.approx(1.0, rel=0.1)
+        assert hist.percentile(100) >= 100.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            Histogram(lo=0.0)
+        with pytest.raises(ValueError):
+            Histogram(lo=10.0, hi=1.0)
+        with pytest.raises(ValueError):
+            Histogram(rel_error=1.5)
 
 
 class TestRegistry:
